@@ -58,6 +58,13 @@ def _s_range(text: str) -> list:
             f"s-range must be a:b:n, got {text!r}") from err
 
 
+def _jobs(text: str) -> int:
+    jobs = int(text)
+    if jobs < 1:
+        raise argparse.ArgumentTypeError(f"jobs must be at least 1, got {jobs}")
+    return jobs
+
+
 def _default_jobs() -> int:
     try:
         return max(1, int(os.environ.get("PLANEFIELD_JOBS", "1")))
@@ -76,7 +83,7 @@ def _build_parser() -> argparse.ArgumentParser:
                        help="axis counts n1,n2,n3")
         p.add_argument("--tol", type=float, default=1e-8,
                        help="classification tolerance on K_e")
-        p.add_argument("--jobs", type=int, default=None,
+        p.add_argument("--jobs", type=_jobs, default=None,
                        help="worker threads (default: PLANEFIELD_JOBS or 1)")
         p.add_argument("--output", type=Path, default=None,
                        help="write the JSON report here")
@@ -96,7 +103,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("verify", help="run a suite")
     p.add_argument("suite", help="file path or builtin:<name>; "
                                  f"builtins: {', '.join(builtin_suite_names())}")
-    p.add_argument("--jobs", type=int, default=None)
+    p.add_argument("--jobs", type=_jobs, default=None)
     p.add_argument("--output", type=Path, default=None)
 
     p = sub.add_parser("model", help="emit a built-in model")
@@ -149,7 +156,8 @@ def _cmd_check(args, full: bool) -> int:
     dist = model.distribution(args.distribution)
     start = time.perf_counter()
     rep = classify_op(model.metric, dist, grid=args.grid, tol=args.tol,
-                      jobs=args.jobs, keep_points=full)
+                      jobs=args.jobs,
+                      keep_points=full and args.format == "csv")
     elapsed = time.perf_counter() - start
     body = rep.body()
     body["distribution"] = args.distribution or model.foliation

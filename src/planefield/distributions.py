@@ -25,9 +25,9 @@ from . import jetalg
 from .errors import (ConfigError, DegenerateDistributionError,
                      NotSPDError)
 from .expr import jet_sqrt
-from .geometry import (LEVI, MetricField, MetricJets, OneForm,
+from .geometry import (LEVI, ExactSum, MetricField, MetricJets, OneForm,
                        VectorField, chunked_eval, christoffel_raw,
-                       d_oneform_raw, divergence_raw, pairwise_sum, wedge3)
+                       d_oneform_raw, divergence_raw, wedge3)
 
 __all__ = [
     "Distribution", "FrameData", "CurvatureReport",
@@ -120,6 +120,22 @@ def _kernel_frame(aval: np.ndarray, ajac: np.ndarray) -> FrameData:
     return FrameData(val=val, jac=jac, ok=ok, desc="kernel-coordinate-planes")
 
 
+def _span_frame(s: tuple, t: tuple, desc: str) -> FrameData:
+    """Frame from evaluated (values, Jacobian) pairs of two vector fields."""
+    return FrameData(val=np.stack([s[0], t[0]], axis=-2),
+                     jac=np.stack([s[1], t[1]], axis=-3),
+                     ok=np.ones(s[0].shape[0], dtype=bool), desc=desc)
+
+
+def _cross(s: tuple, t: tuple) -> tuple:
+    """Covector eps_ijk S^j T^k (values, Jacobian) from evaluated fields."""
+    (sval, sjac), (tval, tjac) = s, t
+    bval = np.einsum("ljk,...j,...k->...l", LEVI, sval, tval)
+    bjac = (np.einsum("ljk,...ij,...k->...il", LEVI, sjac, tval)
+            + np.einsum("ljk,...j,...ik->...il", LEVI, sval, tjac))
+    return bval, bjac
+
+
 def distribution_frames(dist: Distribution, points: np.ndarray,
                         frame: Optional[tuple] = None) -> FrameData:
     """Tangent frame (values + Jacobians) at a flat ``(3, N)`` batch.
@@ -129,22 +145,12 @@ def distribution_frames(dist: Distribution, points: np.ndarray,
     Gram degeneracy downstream either way).
     """
     if frame is not None:
-        sval, sjac = frame[0].eval(points)
-        tval, tjac = frame[1].eval(points)
-        val = np.stack([sval, tval], axis=-2)
-        jac = np.stack([sjac, tjac], axis=-3)
-        return FrameData(val=val, jac=jac,
-                         ok=np.ones(points.shape[1], dtype=bool),
-                         desc="explicit")
+        return _span_frame(frame[0].eval(points), frame[1].eval(points),
+                           "explicit")
     if dist.kind == "kernel":
-        aval, ajac = dist.alpha.eval(points)
-        return _kernel_frame(aval, ajac)
-    sval, sjac = dist.span_fields[0].eval(points)
-    tval, tjac = dist.span_fields[1].eval(points)
-    val = np.stack([sval, tval], axis=-2)
-    jac = np.stack([sjac, tjac], axis=-3)
-    return FrameData(val=val, jac=jac,
-                     ok=np.ones(points.shape[1], dtype=bool), desc="span")
+        return _kernel_frame(*dist.alpha.eval(points))
+    return _span_frame(dist.span_fields[0].eval(points),
+                       dist.span_fields[1].eval(points), "span")
 
 
 def _annihilator(dist: Distribution, points: np.ndarray) -> tuple:
@@ -152,38 +158,42 @@ def _annihilator(dist: Distribution, points: np.ndarray) -> tuple:
     or eps_ijk S^j T^k for a span."""
     if dist.kind == "kernel":
         return dist.alpha.eval(points)
-    sval, sjac = dist.span_fields[0].eval(points)
-    tval, tjac = dist.span_fields[1].eval(points)
-    bval = np.einsum("ljk,...j,...k->...l", LEVI, sval, tval)
-    bjac = (np.einsum("ljk,...ij,...k->...il", LEVI, sjac, tval)
-            + np.einsum("ljk,...j,...ik->...il", LEVI, sval, tjac))
-    return bval, bjac
+    return _cross(dist.span_fields[0].eval(points),
+                  dist.span_fields[1].eval(points))
+
+
+def _unit_normal(mj: MetricJets, aval: np.ndarray, co_orientation: int) -> tuple:
+    raised = np.einsum("...kl,...l->...k", mj.inv(), aval)
+    norm2 = np.einsum("...k,...k->...", aval, raised)
+    ok = mj.spd & (norm2 > 0.0)
+    with np.errstate(invalid="ignore", divide="ignore"):
+        nval = co_orientation * raised / np.sqrt(norm2)[..., None]
+    return nval, ok
 
 
 def normal_arrays(mj: MetricJets, dist: Distribution,
                   points: np.ndarray) -> tuple:
     """Unit normal values (N, 3) and a validity mask."""
     aval, _ = _annihilator(dist, points)
-    raised = np.einsum("...kl,...l->...k", mj.inv(), aval)
-    norm2 = np.einsum("...k,...k->...", aval, raised)
-    ok = mj.spd & (norm2 > 0.0)
-    with np.errstate(invalid="ignore", divide="ignore"):
-        nval = dist.co_orientation * raised / np.sqrt(norm2)[..., None]
-    return nval, ok
+    return _unit_normal(mj, aval, dist.co_orientation)
 
 
 def normal_jets(mj: MetricJets, dist: Distribution,
                 points: np.ndarray) -> list:
     """Unit normal as a jet-vector (exact first partials); used for
     divergence cross-checks.  n = adj(g) a / sqrt(det g * (a adj(g) a))."""
-    aval, ajac = _annihilator(dist, points)
+    return _normal_jets(mj, *_annihilator(dist, points), dist.co_orientation)
+
+
+def _normal_jets(mj: MetricJets, aval: np.ndarray, ajac: np.ndarray,
+                 co_orientation: int) -> list:
     a = jetalg.jets_from_components(aval, ajac)
     g = jetalg.jets_from_metric(mj)
     adj = jetalg.adjugate3(g)
     det = jetalg.det3(g)
     w = jetalg.matvec(adj, a)
     denom = jet_sqrt(det * jetalg.raw_dot(a, w))
-    return [float(dist.co_orientation) * c / denom for c in w]
+    return [float(co_orientation) * c / denom for c in w]
 
 
 def curvature_arrays(mj: MetricJets, fd: FrameData, nval: np.ndarray) -> dict:
@@ -229,9 +239,24 @@ def curvature_arrays(mj: MetricJets, fd: FrameData, nval: np.ndarray) -> dict:
     }
 
 
-def _contact_volume_arrays(dist: Distribution, points: np.ndarray) -> np.ndarray:
-    aval, ajac = _annihilator(dist, points)
-    return wedge3(aval, d_oneform_raw(ajac))
+def _block_arrays(mj: MetricJets, dist: Distribution, points: np.ndarray,
+                  frame: Optional[tuple] = None) -> tuple:
+    """Curvature arrays at a batch from one evaluation of the plane's
+    defining fields; returns (arrays, annihilator values, its Jacobian).
+    ``arrays["ok"]`` includes a well-defined unit normal."""
+    if dist.kind == "kernel":
+        aval, ajac = dist.alpha.eval(points)
+        fd = _kernel_frame(aval, ajac)
+    else:
+        s, t = (f.eval(points) for f in dist.span_fields)
+        fd = _span_frame(s, t, "span")
+        aval, ajac = _cross(s, t)
+    if frame is not None:
+        fd = distribution_frames(dist, points, frame)
+    nval, nok = _unit_normal(mj, aval, dist.co_orientation)
+    arrs = curvature_arrays(mj, fd, nval)
+    arrs["ok"] &= nok
+    return arrs, aval, ajac
 
 
 # ---------------------------------------------------------------------------
@@ -282,10 +307,8 @@ def _point_arrays(metric, dist, point, frame=None) -> dict:
     if not np.all(mj.spd):
         k = int(np.argmax(mj.minors[0] <= 0))
         raise NotSPDError(p[:, 0], k, float(mj.minors[0][k]))
-    fd = distribution_frames(dist, p, frame)
-    nval, nok = normal_arrays(mj, dist, p)
-    arrs = curvature_arrays(mj, fd, nval)
-    if not np.all(arrs["ok"] & nok):
+    arrs, _, _ = _block_arrays(mj, dist, p, frame)
+    if not np.all(arrs["ok"]):
         raise DegenerateDistributionError(p[:, 0], "degenerate plane field")
     arrs["_squeeze"] = squeeze
     return arrs
@@ -386,12 +409,46 @@ def _classification(k_min: float, k_max: float, tol: float) -> str:
     return "mixed"
 
 
-def _agg(values: np.ndarray) -> dict:
-    return {
-        "min": float(np.min(values)),
-        "max": float(np.max(values)),
-        "mean": float(pairwise_sum(values) / values.size),
-    }
+_FIELDS = ("k_e", "h", "frobenius_residual", "contact_volume", "b_norm")
+_N_WORST = 10
+_N_ERRORS = 32
+
+
+@dataclass
+class _SweepBlock:
+    """What one block of a classify sweep contributes to the report; point
+    indices are local to the block."""
+
+    n_points: int
+    n_valid: int
+    stats: dict              # field -> (min, max, ExactSum) over valid points
+    worst: np.ndarray        # top |K_e| valid points, ties by index
+    worst_vals: np.ndarray   # (len(worst), 3): k_e, h, b_norm there
+    invalid: np.ndarray      # the first _N_ERRORS invalid points
+    invalid_spd: np.ndarray  # whether the metric was SPD there
+    per_point: Optional[dict]
+
+
+def _summarise(arrs: dict, spd: np.ndarray, keep_points: bool) -> _SweepBlock:
+    ok = arrs.pop("ok")
+    valid = np.nonzero(ok)[0]
+    stats = {}
+    if valid.size:
+        for name in _FIELDS:
+            v = arrs[name][ok]
+            stats[name] = (np.min(v), np.max(v), ExactSum(v))
+    top = valid[np.lexsort((valid, -np.abs(arrs["k_e"][valid])))[:_N_WORST]]
+    bad = np.nonzero(~ok)[0][:_N_ERRORS]
+    return _SweepBlock(
+        n_points=ok.size, n_valid=valid.size, stats=stats, worst=top,
+        worst_vals=np.stack([arrs[k][top] for k in ("k_e", "h", "b_norm")],
+                            axis=-1),
+        invalid=bad, invalid_spd=spd[bad],
+        per_point=arrs if keep_points else None)
+
+
+def _point(points: np.ndarray, i) -> list:
+    return [float(points[a, i]) for a in range(3)]
 
 
 def classify(metric: MetricField, dist: Distribution, grid=(16, 16, 16),
@@ -403,7 +460,11 @@ def classify(metric: MetricField, dist: Distribution, grid=(16, 16, 16),
     -> elliptic, K_e <= -tol -> hyperbolic, anything else -> mixed).
 
     Per-point failures (non-SPD metric, degenerate frame) are collected
-    into the report instead of aborting the sweep.
+    into the report instead of aborting the sweep.  Each block of the grid
+    is reduced to its count, per-field min/max and exact sum, its top 10
+    points by |K_e| and its first 32 invalid points; merging these in block
+    order makes the report independent of ``jobs`` and the block size.
+    Whole-grid per-point arrays are kept only with ``keep_points``.
     """
     if tol <= 0:
         raise ConfigError(f"tolerance must be positive, got {tol}")
@@ -412,49 +473,51 @@ def classify(metric: MetricField, dist: Distribution, grid=(16, 16, 16),
 
     def kernel(pts):
         mj = metric.eval(pts)
-        fd = distribution_frames(dist, pts, frame)
-        nval, nok = normal_arrays(mj, dist, pts)
-        arrs = curvature_arrays(mj, fd, nval)
-        arrs["ok"] &= nok
-        arrs["spd"] = mj.spd
-        arrs["contact_volume"] = _contact_volume_arrays(dist, pts)
-        return arrs
+        arrs, aval, ajac = _block_arrays(mj, dist, pts, frame)
+        arrs["contact_volume"] = wedge3(aval, d_oneform_raw(ajac))
+        return _summarise(arrs, mj.spd, keep_points)
 
-    arrs = chunked_eval(kernel, sample.points, jobs)
-    ok = arrs.pop("ok")
-    spd = arrs.pop("spd")
+    blocks = chunked_eval(kernel, sample.points, jobs)
+    offsets = np.cumsum([0] + [b.n_points for b in blocks[:-1]])
     n_points = sample.points.shape[1]
-    n_valid = int(np.count_nonzero(ok))
+    n_valid = sum(b.n_valid for b in blocks)
 
-    errors = []
-    bad = np.nonzero(~ok)[0]
-    for i in bad[:32]:
-        reason = "not-spd" if not spd[i] else "degenerate-frame"
-        errors.append({"point": [float(sample.points[a, i]) for a in range(3)],
-                       "reason": reason})
-    if bad.size > 32:
+    invalid = np.concatenate([o + b.invalid for o, b in zip(offsets, blocks)])
+    spd = np.concatenate([b.invalid_spd for b in blocks])
+    errors = [{"point": _point(sample.points, i),
+               "reason": "not-spd" if not ok else "degenerate-frame"}
+              for i, ok in zip(invalid[:_N_ERRORS], spd)]
+    n_invalid = n_points - n_valid
+    if n_invalid > _N_ERRORS:
         errors.append({"point": None,
-                       "reason": f"... {bad.size - 32} more invalid points"})
+                       "reason": f"... {n_invalid - _N_ERRORS} more invalid points"})
 
-    fields = ["k_e", "h", "frobenius_residual", "contact_volume", "b_norm"]
     if n_valid == 0:
         aggregates = {}
         classification = "undefined"
         worst = []
     else:
-        aggregates = {name: _agg(arrs[name][ok]) for name in fields}
+        stats = [b.stats for b in blocks if b.n_valid]
+        aggregates = {name: {
+            "min": float(np.min([s[name][0] for s in stats])),
+            "max": float(np.max([s[name][1] for s in stats])),
+            "mean": float(sum((s[name][2] for s in stats), ExactSum())) / n_valid,
+        } for name in _FIELDS}
         classification = _classification(aggregates["k_e"]["min"],
                                          aggregates["k_e"]["max"], tol)
-        order = np.lexsort((np.arange(n_points)[ok],
-                            -np.abs(arrs["k_e"][ok])))
-        valid_idx = np.nonzero(ok)[0][order][:10]
+        idx = np.concatenate([o + b.worst for o, b in zip(offsets, blocks)])
+        vals = np.concatenate([b.worst_vals for b in blocks])
         worst = [{
-            "point": [float(sample.points[a, i]) for a in range(3)],
-            "k_e": float(arrs["k_e"][i]),
-            "h": float(arrs["h"][i]),
-            "b_norm": float(arrs["b_norm"][i]),
-        } for i in valid_idx]
+            "point": _point(sample.points, idx[j]),
+            "k_e": float(vals[j, 0]),
+            "h": float(vals[j, 1]),
+            "b_norm": float(vals[j, 2]),
+        } for j in np.lexsort((idx, -np.abs(vals[:, 0])))[:_N_WORST]]
 
+    per_point = None
+    if keep_points:
+        per_point = {k: np.concatenate([b.per_point[k] for b in blocks])
+                     for k in blocks[0].per_point}
     frame_desc = ("explicit" if frame is not None
                   else ("span" if dist.kind == "span"
                         else "kernel-coordinate-planes"))
@@ -463,7 +526,7 @@ def classify(metric: MetricField, dist: Distribution, grid=(16, 16, 16),
         frame_desc=frame_desc, classification=classification,
         aggregates=aggregates, worst_points=worst, errors=errors,
         n_points=n_points, n_valid=n_valid,
-        per_point=arrs if keep_points else None,
+        per_point=per_point,
         points=sample.points if keep_points else None)
     return report
 
@@ -472,7 +535,11 @@ def integral_mean_curvature(metric: MetricField, dist: Distribution,
                             grid=(32, 32, 32), jobs: int = 1,
                             defect: bool = True) -> dict:
     """Quadrature of H over a fully periodic chart, plus the worst pointwise
-    gap between H and the divergence route -div(n)."""
+    gap between H and the divergence route -div(n).
+
+    Each block is reduced to the exact sum of its weighted H and its
+    largest defect, so the result does not depend on ``jobs`` or the block
+    size."""
     chart = metric.chart
     if not all(chart.periodic):
         raise ConfigError("integral of H requires a fully periodic chart")
@@ -484,27 +551,26 @@ def integral_mean_curvature(metric: MetricField, dist: Distribution,
             i = int(np.argmax(~mj.spd))
             k = int(np.argmax(mj.minors[i] <= 0))
             raise NotSPDError(pts[:, i], k, float(mj.minors[i][k]))
-        fd = distribution_frames(dist, pts)
-        nval, nok = normal_arrays(mj, dist, pts)
-        arrs = curvature_arrays(mj, fd, nval)
-        if not np.all(arrs["ok"] & nok):
-            i = int(np.argmax(~(arrs["ok"] & nok)))
+        arrs, aval, ajac = _block_arrays(mj, dist, pts)
+        if not np.all(arrs["ok"]):
+            i = int(np.argmax(~arrs["ok"]))
             raise DegenerateDistributionError(pts[:, i])
-        out = {"weighted_h": arrs["h"] * np.sqrt(mj.det())}
+        out = {"weighted_h": ExactSum(arrs["h"] * np.sqrt(mj.det()))}
         if defect:
-            njets = normal_jets(mj, dist, pts)
+            njets = _normal_jets(mj, aval, ajac, dist.co_orientation)
             div_n = divergence_raw(mj, jetalg.vector_values(njets),
                                    jetalg.vector_jacobian(njets))
-            out["defect"] = np.abs(arrs["h"] + div_n)
+            out["defect"] = np.max(np.abs(arrs["h"] + div_n))
         return out
 
-    arrs = chunked_eval(kernel, sample.points, jobs)
+    blocks = chunked_eval(kernel, sample.points, jobs)
+    integral = float(sum((b["weighted_h"] for b in blocks), ExactSum()))
     result = {
         "chart": chart.chart_id,
         "grid": list(grid),
-        "integral_h": float(pairwise_sum(arrs["weighted_h"]) * sample.cell_volume),
+        "integral_h": integral * sample.cell_volume,
         "n_points": sample.points.shape[1],
     }
     if defect:
-        result["max_pointwise_defect"] = float(np.max(arrs["defect"]))
+        result["max_pointwise_defect"] = float(np.max([b["defect"] for b in blocks]))
     return result

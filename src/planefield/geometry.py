@@ -9,12 +9,15 @@ shape in front of their index slots.  Index conventions:
 * 1-forms ``a[..., k]`` with Jacobian ``jac[..., i, k] = d_i a_k``
 * Christoffel symbols ``Gamma[..., k, i, j]``
 
-Grid sums use a fixed pairwise reduction over the flattened index so
-results do not depend on how work was split across threads.
+Grid sweeps walk the points in fixed blocks of ``BLOCK_POINTS`` and
+reduce each block to a small result.  Block sums are kept exactly
+(``ExactSum``) and totals are correctly rounded, so results do not depend
+on the block size or on how blocks were split across threads.
 """
 
 from __future__ import annotations
 
+import math
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from typing import Callable
@@ -29,7 +32,7 @@ __all__ = [
     "VectorField", "OneForm", "LEVI",
     "metric_at", "christoffel", "covariant_derivative", "d_oneform",
     "wedge3", "divergence", "divergence_raw", "integrate_scalar",
-    "pairwise_sum", "chunked_eval",
+    "pairwise_sum", "ExactSum", "chunked_eval", "BLOCK_POINTS",
 ]
 
 LEVI = np.zeros((3, 3, 3))
@@ -37,45 +40,65 @@ LEVI[0, 1, 2] = LEVI[1, 2, 0] = LEVI[2, 0, 1] = 1.0
 LEVI[0, 2, 1] = LEVI[2, 1, 0] = LEVI[1, 0, 2] = -1.0
 
 
+BLOCK_POINTS = 4096
+
+
+def _fsum(values: list) -> float:
+    try:
+        return math.fsum(values)
+    except (ValueError, OverflowError):     # inf - inf, or overflow past DBL_MAX
+        return float(sum(values))
+
+
 def pairwise_sum(values) -> float:
-    """Deterministic pairwise sum over the flattened index."""
-    a = np.ascontiguousarray(np.asarray(values, dtype=float).ravel())
-    if a.size == 0:
-        return 0.0
-
-    def rec(lo: int, hi: int) -> float:
-        n = hi - lo
-        if n <= 16:
-            s = 0.0
-            for i in range(lo, hi):
-                s += a[i]
-            return s
-        mid = lo + (n >> 1)
-        return rec(lo, mid) + rec(mid, hi)
-
-    return rec(0, a.size)
+    """Correctly rounded sum of ``values`` (``math.fsum``), so it does not
+    depend on their order.  Non-finite input gives the IEEE result of a
+    plain sum (inf or nan) instead of raising."""
+    return _fsum(np.asarray(values, dtype=float).ravel().tolist())
 
 
-def _chunk_slices(n: int, jobs: int) -> list:
-    chunk = -(-n // max(1, jobs))
-    return [slice(i, min(i + chunk, n)) for i in range(0, n, chunk)]
+class ExactSum:
+    """The sum of some values kept without rounding, as a few floats whose
+    exact total is the exact sum (Shewchuk 1997).  Adding block sums in
+    block order and rounding once with ``float()`` gives the correctly
+    rounded total of all values, whatever the block sizes."""
+
+    __slots__ = ("parts",)
+
+    def __init__(self, values=()):
+        vals = np.asarray(values, dtype=float).ravel().tolist()
+        self.parts = []
+        rest = _fsum(vals)
+        while rest != 0.0:
+            self.parts.append(rest)
+            if not math.isfinite(rest):
+                break
+            rest = _fsum(vals + [-p for p in self.parts])
+
+    def __add__(self, other: "ExactSum") -> "ExactSum":
+        out = ExactSum()
+        out.parts = self.parts + other.parts
+        return out
+
+    def __float__(self) -> float:
+        return pairwise_sum(self.parts)
 
 
-def chunked_eval(fn: Callable, points: np.ndarray, jobs: int = 1):
-    """Evaluate ``fn`` over a ``(3, N)`` point batch, optionally splitting
-    it across a thread pool.  ``fn`` returns an array whose leading axis is
-    the batch, or a dict of such arrays; chunks are reassembled in index
-    order so the result is identical for any worker count."""
+def chunked_eval(fn: Callable, points: np.ndarray, jobs: int = 1) -> list:
+    """Apply ``fn`` to consecutive ``BLOCK_POINTS``-point blocks of a
+    ``(3, N)`` point batch and return its results in block order.
+
+    Blocks run on ``min(jobs, number of blocks)`` threads; the blocks
+    themselves do not depend on ``jobs``.  ``fn`` sees only its block's
+    points, so callers that need global point indices add the offsets of
+    the earlier blocks when they merge the results."""
     n = points.shape[1]
-    if jobs <= 1 or n < 2 * jobs:
-        return fn(points)
-    slices = _chunk_slices(n, jobs)
-    with ThreadPoolExecutor(max_workers=jobs) as pool:
-        parts = list(pool.map(lambda s: fn(points[:, s]), slices))
-    if isinstance(parts[0], dict):
-        return {k: np.concatenate([p[k] for p in parts], axis=0)
-                for k in parts[0]}
-    return np.concatenate(parts, axis=0)
+    blocks = [points[:, i:i + BLOCK_POINTS] for i in range(0, n, BLOCK_POINTS)]
+    workers = min(jobs, len(blocks))
+    if workers <= 1:
+        return [fn(b) for b in blocks]
+    with ThreadPoolExecutor(max_workers=workers) as pool:
+        return list(pool.map(fn, blocks))
 
 
 # ---------------------------------------------------------------------------
@@ -419,7 +442,7 @@ def integrate_scalar(metric: MetricField, f: Callable, grid, jobs: int = 1,
         if np.any(det <= 0):
             bad = int(np.argmax(det <= 0))
             raise NotSPDError(pts[:, bad], 2, float(det[bad]))
-        return np.asarray(f(pts), dtype=float) * np.sqrt(det)
+        return ExactSum(np.asarray(f(pts), dtype=float) * np.sqrt(det))
 
-    values = chunked_eval(kernel, sample.points, jobs)
-    return pairwise_sum(values) * sample.cell_volume
+    total = sum(chunked_eval(kernel, sample.points, jobs), ExactSum())
+    return float(total) * sample.cell_volume

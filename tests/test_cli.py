@@ -3,6 +3,7 @@ import json
 import numpy as np
 import pytest
 
+from planefield import geometry
 from planefield.chartio import load_model, save_model, validate_payload
 from planefield.catalog import flat_torus_model, two_pi_torus_model
 from planefield.cli import main
@@ -62,13 +63,17 @@ def test_check_writes_worst_points(reeb_file, tmp_path):
     assert "worst_points" in body and len(body["worst_points"]) == 10
 
 
-def test_check_csv_dump(reeb_file, tmp_path):
+def test_check_csv_dump(reeb_file, tmp_path, monkeypatch):
+    monkeypatch.setattr(geometry, "BLOCK_POINTS", 50)    # 3 blocks
     out = tmp_path / "points.csv"
     assert main(["check", str(reeb_file), "--grid", "8,4,4",
                  "--format", "csv", "--output", str(out)]) == 0
     lines = out.read_text().strip().splitlines()
     assert lines[0].startswith("p1,p2,p3,b00")
     assert len(lines) == 1 + 8 * 4 * 4
+    points = load_model(reeb_file).chart.sample_grid((8, 4, 4)).points
+    assert [[float(v) for v in line.split(",")[:3]] for line in lines[1:]] \
+        == points.T.tolist()
 
 
 def test_missing_file_is_usage_error(capsys):
@@ -80,6 +85,15 @@ def test_bad_grid_is_usage_error():
     with pytest.raises(SystemExit) as err:
         main(["classify", "whatever.json", "--grid", "1,1"])
     assert err.value.code == 2
+
+
+@pytest.mark.parametrize("command", ["classify", "verify"])
+def test_jobs_below_one_is_usage_error(command, capsys):
+    for jobs in ("0", "-3"):
+        with pytest.raises(SystemExit) as err:
+            main([command, "whatever.json", "--jobs", jobs])
+        assert err.value.code == 2
+        assert f"jobs must be at least 1, got {int(jobs)}" in capsys.readouterr().err
 
 
 def test_verify_builtin_suite(tmp_path):

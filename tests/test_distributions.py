@@ -1,6 +1,11 @@
+import json
+import math
+import tracemalloc
+
 import numpy as np
 import pytest
 
+from planefield import geometry
 from planefield.catalog import (polar_cylinder_model, random_periodic_form,
                                 shipped_examples, sphere_model,
                                 two_pi_torus_model)
@@ -11,7 +16,7 @@ from planefield.distributions import (Distribution, classify, contact_volume,
                                       normal_arrays, normal_field,
                                       second_fundamental_form, tangent_frame)
 from planefield.errors import ConfigError, DegenerateDistributionError
-from planefield.geometry import (MetricField, OneForm, VectorField,
+from planefield.geometry import (Chart, MetricField, OneForm, VectorField,
                                  christoffel)
 from planefield.expr import Num
 
@@ -235,12 +240,15 @@ def test_classify_rejects_nonpositive_tolerance(torus):
         classify(torus.metric, torus.distribution("vertical"), tol=-1.0)
 
 
-def test_classify_records_invalid_points_without_aborting():
-    from planefield.geometry import Chart
+def _not_spd_for_r_below_one() -> tuple:
     chart = Chart(("r", "y", "z"), ((0.1, 2.0), (0, 1), (0, 1)),
                   (False, True, True))
     g = MetricField.from_strings(chart, ("r - 1", "0", "0", "1", "0", "1"))
-    dist = Distribution.kernel(OneForm(chart, ("0", "0", "1")))
+    return g, Distribution.kernel(OneForm(chart, ("0", "0", "1")))
+
+
+def test_classify_records_invalid_points_without_aborting():
+    g, dist = _not_spd_for_r_below_one()
     rep = classify(g, dist, grid=(8, 4, 4))
     assert rep.errors
     assert rep.n_valid < rep.n_points
@@ -253,6 +261,66 @@ def test_worst_points_sorted_by_extrinsic_curvature():
     magnitudes = [abs(w["k_e"]) for w in rep.worst_points]
     assert magnitudes == sorted(magnitudes, reverse=True)
     assert len(rep.worst_points) == 10
+
+
+# ---------------------------------------------------------------------------
+# block sweeps
+
+# 13,225 points: 4 blocks of 4,096 (the last one partial) or 14 of 1,000.
+BLOCK_GRID = (23, 23, 25)
+
+
+def _bodies_across_blocks(monkeypatch, sweep) -> set:
+    bodies = set()
+    for block in (4096, 1000):
+        monkeypatch.setattr(geometry, "BLOCK_POINTS", block)
+        for jobs in (1, 2, 4):
+            bodies.add(json.dumps(sweep(jobs), sort_keys=True))
+    return bodies
+
+
+def test_classify_body_independent_of_jobs_and_block_size(reeb, monkeypatch):
+    bodies = _bodies_across_blocks(monkeypatch, lambda jobs: classify(
+        reeb.metric, reeb.distribution(), grid=BLOCK_GRID, jobs=jobs).body())
+    assert len(bodies) == 1
+
+
+def test_classify_invalid_points_merge_across_blocks(monkeypatch):
+    g, dist = _not_spd_for_r_below_one()
+    grid = (24, 24, 24)       # r < 1 on the first 11 slabs: 6,336 points
+    bodies = _bodies_across_blocks(monkeypatch, lambda jobs: classify(
+        g, dist, grid=grid, jobs=jobs).body())
+    assert len(bodies) == 1
+    body = json.loads(bodies.pop())
+    points = g.chart.sample_grid(grid).points
+    assert body["n_valid"] == body["n_points"] - 6336
+    assert [e["point"] for e in body["errors"][:32]] == points[:, :32].T.tolist()
+    assert body["errors"][32:] == [{"point": None,
+                                    "reason": "... 6304 more invalid points"}]
+    # K_e vanishes everywhere, so the worst points are the first valid ones
+    assert [w["point"] for w in body["worst_points"]] == \
+        points[:, 6336:6346].T.tolist()
+
+
+def test_integral_h_independent_of_jobs_and_block_size(torus, monkeypatch):
+    dist = Distribution.kernel(random_periodic_form(4))
+    bodies = _bodies_across_blocks(monkeypatch, lambda jobs:
+                                   integral_mean_curvature(torus.metric, dist,
+                                                           grid=BLOCK_GRID,
+                                                           jobs=jobs))
+    assert len(bodies) == 1
+
+
+def test_classify_peak_memory_below_one_grid_array(reeb):
+    grid = (64, 64, 16)
+    one_array = math.prod(grid) * 27 * 8     # N x 3 x 3 x 3 float64: 13.5 MB
+    tracemalloc.start()
+    try:
+        classify(reeb.metric, reeb.distribution(), grid=grid)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < one_array
 
 
 # ---------------------------------------------------------------------------

@@ -1,10 +1,13 @@
 import math
+import threading
+import time
 
 import numpy as np
 import pytest
 
+from planefield import geometry
 from planefield.errors import ConfigError, NotSPDError, SingularSampleError
-from planefield.geometry import (Chart, MetricField, OneForm, SingularLocus,
+from planefield.geometry import (Chart, ExactSum, MetricField, OneForm, SingularLocus,
                                  VectorField, christoffel, chunked_eval,
                                  covariant_derivative, d_oneform, divergence,
                                  integrate_scalar, metric_at, pairwise_sum,
@@ -315,11 +318,36 @@ def test_quadrature_weight_includes_volume_element(polar_metric):
 def test_pairwise_sum_matches_math_fsum():
     rng = np.random.default_rng(8)
     a = rng.uniform(-1, 1, size=10001)
-    assert pairwise_sum(a) == pytest.approx(math.fsum(a), abs=1e-12)
+    assert pairwise_sum(a) == math.fsum(a)
+    assert pairwise_sum(rng.permutation(a)) == pairwise_sum(a)
+    assert pairwise_sum([1e16, 1.0, -1e16]) == 1.0
     assert pairwise_sum([]) == 0.0
 
 
-def test_chunked_eval_is_worker_count_invariant():
+def test_pairwise_sum_of_non_finite_values_does_not_raise():
+    assert pairwise_sum([np.inf, 1.0]) == np.inf
+    assert math.isnan(pairwise_sum([np.nan, 1.0]))
+    assert math.isnan(pairwise_sum([np.inf, -np.inf]))
+
+
+def test_exact_sum_of_blocks_is_the_correctly_rounded_total():
+    rng = np.random.default_rng(9)
+    a = rng.uniform(-1, 1, size=5000) * 10.0 ** rng.integers(-20, 20, size=5000)
+    for size in (1, 7, 1000, 5000):
+        blocks = [ExactSum(a[i:i + size]) for i in range(0, a.size, size)]
+        assert float(sum(blocks, ExactSum())) == math.fsum(a)
+    assert float(ExactSum([1e16, 1.0, -1e16]) + ExactSum([1e-30])) == 1.0
+
+
+def test_exact_sum_of_non_finite_values_terminates():
+    assert float(ExactSum([np.inf, 1.0])) == np.inf
+    assert math.isnan(float(ExactSum([np.nan, 1.0])))
+    assert math.isnan(float(ExactSum([np.inf, -np.inf])))
+    assert math.isnan(float(ExactSum([np.inf]) + ExactSum([-np.inf])))
+
+
+def test_chunked_eval_is_worker_count_invariant(monkeypatch):
+    monkeypatch.setattr(geometry, "BLOCK_POINTS", 100)
     g = MetricField.from_strings(torus_chart(), EUCLID)
     chart = g.chart
     x = VectorField(chart, ("exp(sin(2*pi*x))", "cos(2*pi*y)", "x*z"))
@@ -329,5 +357,23 @@ def test_chunked_eval_is_worker_count_invariant():
         return divergence(g, x, p)
 
     base = chunked_eval(kernel, pts, jobs=1)
+    assert [b.size for b in base] == [100] * 5 + [12]
+    assert np.array_equal(np.concatenate(base), kernel(pts))
     for jobs in (2, 3, 8):
-        assert np.array_equal(chunked_eval(kernel, pts, jobs=jobs), base)
+        blocks = chunked_eval(kernel, pts, jobs=jobs)
+        assert len(blocks) == len(base)
+        assert all(np.array_equal(b, c) for b, c in zip(blocks, base))
+
+
+def test_chunked_eval_uses_no_more_threads_than_blocks(monkeypatch):
+    monkeypatch.setattr(geometry, "BLOCK_POINTS", 64)
+    pts = torus_chart().quadrature_grid((8, 4, 4)).points
+    threads = set()
+
+    def kernel(p):
+        threads.add(threading.get_ident())
+        time.sleep(0.05)
+        return p.shape[1]
+
+    assert chunked_eval(kernel, pts, jobs=8) == [64, 64]
+    assert 1 <= len(threads) <= 2
