@@ -11,7 +11,12 @@ connection, the toolkit computes
 * the contact volume           alpha ^ d(alpha) as a 3-form coefficient.
 
 B uses the *unit* normal throughout; H and K_e are Gram-weighted so any
-(non-orthonormal) frame gives the same numbers.
+(non-orthonormal) frame gives the same numbers.  No inverse metric enters
+B: with the lowered normal nu = g n and the first-kind Christoffel symbols
+Gamma_{l,ij} = (d_i g_jl + d_j g_il - d_l g_ij) / 2 contracted once into
+M_ij = n^l Gamma_{l,ij}, ``curvature_arrays`` takes, one column at a time,
+    <nabla_X Y, n> = (X^i d_i Y^k) nu_k + X^i M_ij Y^j   (Gamma^k_ij nu_k = M_ij),
+    <[S, T], n>    = (S^i d_i T^k - T^i d_i S^k) nu_k.
 """
 
 from __future__ import annotations
@@ -22,12 +27,12 @@ from typing import Optional
 import numpy as np
 
 from . import jetalg
-from .errors import (ConfigError, DegenerateDistributionError,
-                     NotSPDError)
+from .errors import ConfigError, DegenerateDistributionError
 from .expr import jet_sqrt
 from .geometry import (LEVI, ExactSum, MetricField, MetricJets, OneForm,
-                       VectorField, chunked_eval, christoffel_raw,
-                       d_oneform_raw, divergence_raw, wedge3)
+                       VectorField, christoffel_contract, chunked_eval,
+                       components, d_oneform_raw, divergence_raw, dot3,
+                       wedge3)
 
 __all__ = [
     "Distribution", "FrameData", "CurvatureReport",
@@ -163,11 +168,12 @@ def _annihilator(dist: Distribution, points: np.ndarray) -> tuple:
 
 
 def _unit_normal(mj: MetricJets, aval: np.ndarray, co_orientation: int) -> tuple:
-    raised = np.einsum("...kl,...l->...k", mj.inv(), aval)
-    norm2 = np.einsum("...k,...k->...", aval, raised)
+    inv, a = components(mj.inv(), 2), components(aval, 1)
+    raised = [dot3(inv[k], a) for k in range(3)]
+    norm2 = dot3(a, raised)
     ok = mj.spd & (norm2 > 0.0)
     with np.errstate(invalid="ignore", divide="ignore"):
-        nval = co_orientation * raised / np.sqrt(norm2)[..., None]
+        nval = co_orientation * np.stack(raised, axis=-1) / np.sqrt(norm2)[..., None]
     return nval, ok
 
 
@@ -197,39 +203,31 @@ def _normal_jets(mj: MetricJets, aval: np.ndarray, ajac: np.ndarray,
 
 
 def curvature_arrays(mj: MetricJets, fd: FrameData, nval: np.ndarray) -> dict:
-    """All pointwise curvature quantities for a frame and unit normal."""
-    gamma = christoffel_raw(mj)
-    e0, e1 = fd.val[..., 0, :], fd.val[..., 1, :]
-    j0, j1 = fd.jac[..., 0, :, :], fd.jac[..., 1, :, :]
+    """All pointwise curvature quantities for a frame and unit normal,
+    assembled one component at a time (formulas in the module docstring)."""
+    g, e, n = components(mj.val, 2), components(fd.val, 2), components(nval, 1)
+    ej = components(fd.jac, 3)                  # ej[a][i][k] = d_i E_a^k
+    nu = [dot3(g[k], n) for k in range(3)]      # lowered normal g n
+    m = christoffel_contract(components(mj.dval, 3), n)
+    # w[a][b]^k = E_a^i d_i E_b^k, the derivative of E_b along E_a
+    w = [[[dot3(e[a], ej[b][:, k]) for k in range(3)] for b in range(2)]
+         for a in range(2)]
+    d = [[dot3(w[a][b], nu) for b in range(2)] for a in range(2)]
+    me = [[dot3(m[i], e[b]) for i in range(3)] for b in range(2)]
+    ge = [[dot3(g[i], e[b]) for i in range(3)] for b in range(2)]
+    b00 = d[0][0] + dot3(e[0], me[0])
+    b01 = 0.5 * (d[0][1] + d[1][0]) + dot3(e[0], me[1])
+    b11 = d[1][1] + dot3(e[1], me[1])
 
-    def cov(xv, yv, yj):
-        return (np.einsum("...i,...ik->...k", xv, yj)
-                + np.einsum("...kij,...i,...j->...k", gamma, xv, yv))
-
-    def gdot(u, v):
-        return np.einsum("...ij,...i,...j->...", mj.val, u, v)
-
-    c00 = cov(e0, e0, j0)
-    c01 = cov(e0, e1, j1)
-    c10 = cov(e1, e0, j0)
-    c11 = cov(e1, e1, j1)
-    b00 = gdot(c00, nval)
-    b01 = 0.5 * (gdot(c01, nval) + gdot(c10, nval))
-    b11 = gdot(c11, nval)
-
-    gram00 = gdot(e0, e0)
-    gram01 = gdot(e0, e1)
-    gram11 = gdot(e1, e1)
-    det_gram = gram00 * gram11 - gram01 ** 2
+    gram00, gram01, gram11 = dot3(e[0], ge[0]), dot3(e[0], ge[1]), dot3(e[1], ge[1])
     scale = gram00 * gram11
+    det_gram = scale - gram01 ** 2
     ok = fd.ok & mj.spd & (det_gram > _DEGENERATE_REL * np.maximum(scale, 1e-300))
 
-    bracket = (np.einsum("...i,...ik->...k", e0, j1)
-               - np.einsum("...i,...ik->...k", e1, j0))
     with np.errstate(invalid="ignore", divide="ignore"):
         h = (b00 * gram11 + b11 * gram00 - 2.0 * b01 * gram01) / det_gram
         k_e = (b00 * b11 - b01 ** 2) / det_gram
-        frob = gdot(bracket, nval) / np.sqrt(det_gram)
+        frob = dot3([p - q for p, q in zip(w[0][1], w[1][0])], nu) / np.sqrt(det_gram)
     b_norm = np.sqrt(b00 ** 2 + 2.0 * b01 ** 2 + b11 ** 2)
     return {
         "b00": b00, "b01": b01, "b11": b11,
@@ -270,21 +268,25 @@ def _single(points) -> tuple:
     return p, False
 
 
+def _require_plane(ok: np.ndarray, points: np.ndarray, detail: str = "") -> None:
+    """Raise DegenerateDistributionError at the first point of the
+    ``(3, N)`` batch where ``ok`` is false."""
+    if not np.all(ok):
+        raise DegenerateDistributionError(points[:, int(np.argmax(~ok))], detail)
+
+
 def tangent_frame(metric: MetricField, dist: Distribution, point,
                   frame: Optional[tuple] = None) -> tuple:
     """Two vectors spanning the plane at a point."""
     p, squeeze = _single(point)
     fd = distribution_frames(dist, p, frame)
-    if not np.all(fd.ok):
-        raise DegenerateDistributionError(p[:, 0], "vanishing defining form")
+    _require_plane(fd.ok, p, "vanishing defining form")
     mj = metric.eval(p)
     e0, e1 = fd.val[..., 0, :], fd.val[..., 1, :]
-    g00 = mj.dot(e0, e0)
-    g01 = mj.dot(e0, e1)
-    g11 = mj.dot(e1, e1)
+    g00, g01, g11 = mj.dot(e0, e0), mj.dot(e0, e1), mj.dot(e1, e1)
     det_gram = g00 * g11 - g01 ** 2
-    if np.any(det_gram <= _DEGENERATE_REL * np.maximum(g00 * g11, 1e-300)):
-        raise DegenerateDistributionError(p[:, 0], "frame Gram degenerate")
+    _require_plane(~(det_gram <= _DEGENERATE_REL * np.maximum(g00 * g11, 1e-300)),
+                  p, "frame Gram degenerate")
     return (e0[0], e1[0]) if squeeze else (e0, e1)
 
 
@@ -292,26 +294,25 @@ def normal_field(metric: MetricField, dist: Distribution, point) -> np.ndarray:
     """Unit normal at a point, signed by the co-orientation."""
     p, squeeze = _single(point)
     mj = metric.eval(p)
-    if not np.all(mj.spd):
-        k = int(np.argmax(mj.minors[0] <= 0))
-        raise NotSPDError(p[:, 0], k, float(mj.minors[0][k]))
+    mj.require_spd(p)
     nval, ok = normal_arrays(mj, dist, p)
-    if not np.all(ok):
-        raise DegenerateDistributionError(p[:, 0], "vanishing defining form")
+    _require_plane(ok, p, "vanishing defining form")
     return nval[0] if squeeze else nval
 
 
 def _point_arrays(metric, dist, point, frame=None) -> dict:
     p, squeeze = _single(point)
     mj = metric.eval(p)
-    if not np.all(mj.spd):
-        k = int(np.argmax(mj.minors[0] <= 0))
-        raise NotSPDError(p[:, 0], k, float(mj.minors[0][k]))
+    mj.require_spd(p)
     arrs, _, _ = _block_arrays(mj, dist, p, frame)
-    if not np.all(arrs["ok"]):
-        raise DegenerateDistributionError(p[:, 0], "degenerate plane field")
+    _require_plane(arrs["ok"], p, "degenerate plane field")
     arrs["_squeeze"] = squeeze
     return arrs
+
+
+def _point_value(key, metric, dist, point, frame):
+    a = _point_arrays(metric, dist, point, frame)
+    return float(a[key][0]) if a["_squeeze"] else a[key]
 
 
 def second_fundamental_form(metric: MetricField, dist: Distribution, point,
@@ -325,21 +326,17 @@ def second_fundamental_form(metric: MetricField, dist: Distribution, point,
 
 def mean_curvature(metric: MetricField, dist: Distribution, point,
                    frame: Optional[tuple] = None):
-    a = _point_arrays(metric, dist, point, frame)
-    return float(a["h"][0]) if a["_squeeze"] else a["h"]
+    return _point_value("h", metric, dist, point, frame)
 
 
 def extrinsic_curvature(metric: MetricField, dist: Distribution, point,
                         frame: Optional[tuple] = None):
-    a = _point_arrays(metric, dist, point, frame)
-    return float(a["k_e"][0]) if a["_squeeze"] else a["k_e"]
+    return _point_value("k_e", metric, dist, point, frame)
 
 
 def frobenius_residual(metric: MetricField, dist: Distribution, point,
                        frame: Optional[tuple] = None):
-    a = _point_arrays(metric, dist, point, frame)
-    out = a["frobenius_residual"]
-    return float(out[0]) if a["_squeeze"] else out
+    return _point_value("frobenius_residual", metric, dist, point, frame)
 
 
 def contact_volume(alpha: OneForm, point):
@@ -547,14 +544,9 @@ def integral_mean_curvature(metric: MetricField, dist: Distribution,
 
     def kernel(pts):
         mj = metric.eval(pts)
-        if not np.all(mj.spd):
-            i = int(np.argmax(~mj.spd))
-            k = int(np.argmax(mj.minors[i] <= 0))
-            raise NotSPDError(pts[:, i], k, float(mj.minors[i][k]))
+        mj.require_spd(pts)
         arrs, aval, ajac = _block_arrays(mj, dist, pts)
-        if not np.all(arrs["ok"]):
-            i = int(np.argmax(~arrs["ok"]))
-            raise DegenerateDistributionError(pts[:, i])
+        _require_plane(arrs["ok"], pts)
         out = {"weighted_h": ExactSum(arrs["h"] * np.sqrt(mj.det()))}
         if defect:
             njets = _normal_jets(mj, aval, ajac, dist.co_orientation)

@@ -60,13 +60,13 @@ class NotSPDError(PlanefieldError):
     """Metric matrix fails a leading-principal-minor test at a point."""
 
     def __init__(self, point, minor_index: int, minor_value: float):
+        self.point = tuple(map(float, point))
+        self.minor_index = int(minor_index)
+        self.minor_value = float(minor_value)
         super().__init__(
-            f"metric is not positive definite at {tuple(point)}: "
-            f"leading minor {minor_index + 1} = {minor_value!r}"
+            f"metric is not positive definite at {self.point}: "
+            f"leading minor {self.minor_index + 1} = {self.minor_value!r}"
         )
-        self.point = tuple(point)
-        self.minor_index = minor_index
-        self.minor_value = minor_value
 
 
 class SingularSampleError(PlanefieldError):
@@ -82,36 +82,36 @@ class DegenerateDistributionError(PlanefieldError):
     """Plane field undefined at a point (vanishing form / dependent span)."""
 
     def __init__(self, point, detail: str = ""):
-        msg = f"distribution degenerates at {tuple(point)}"
+        self.point = tuple(map(float, point))
+        msg = f"distribution degenerates at {self.point}"
         if detail:
             msg += f": {detail}"
         super().__init__(msg)
-        self.point = tuple(point)
 
 
 class NotTransverseError(PlanefieldError):
     """Two plane fields fail the transversality required by a construction."""
 
     def __init__(self, point, angle: float):
+        self.point = tuple(map(float, point))
+        self.angle = float(angle)
         super().__init__(
-            f"normal direction lies in the target plane at {tuple(point)} "
-            f"(transversality angle {angle!r} rad)"
+            f"normal direction lies in the target plane at {self.point} "
+            f"(transversality angle {self.angle!r} rad)"
         )
-        self.point = tuple(point)
-        self.angle = angle
 
 
 class NonSPDPathError(PlanefieldError):
     """Metric path leaves the positive-definite cone even after subdivision."""
 
     def __init__(self, t: float, point, depth: int):
+        self.t = float(t)
+        self.point = tuple(map(float, point))
+        self.depth = depth
         super().__init__(
-            f"path metric not SPD at t={t!r}, p={tuple(point)} "
+            f"path metric not SPD at t={self.t!r}, p={self.point} "
             f"after {depth} subdivision levels"
         )
-        self.t = t
-        self.point = tuple(point)
-        self.depth = depth
 
 
 class OverlapMismatchError(PlanefieldError):

@@ -7,7 +7,8 @@ shape in front of their index slots.  Index conventions:
 * metric values ``g[..., i, j]``, partials ``dg[..., l, i, j] = d_l g_ij``
 * vector fields ``X[..., k]`` with Jacobian ``jac[..., i, k] = d_i X^k``
 * 1-forms ``a[..., k]`` with Jacobian ``jac[..., i, k] = d_i a_k``
-* Christoffel symbols ``Gamma[..., k, i, j]``
+* Christoffel symbols ``Gamma[..., k, i, j]``; ``MetricJets.inv``, the one
+  matrix inverse, is the closed-form adjugate over the determinant
 
 Grid sweeps walk the points in fixed blocks of ``BLOCK_POINTS`` and
 reduce each block to a small result.  Block sums are kept exactly
@@ -41,6 +42,8 @@ LEVI[0, 2, 1] = LEVI[2, 1, 0] = LEVI[1, 0, 2] = -1.0
 
 
 BLOCK_POINTS = 4096
+
+_UPPER = ((0, 0), (0, 1), (0, 2), (1, 1), (1, 2), (2, 2))
 
 
 def _fsum(values: list) -> float:
@@ -263,8 +266,7 @@ class MetricField:
         shape = p.shape[1:]
         val = np.zeros(shape + (3, 3))
         dval = np.zeros(shape + (3, 3, 3))
-        pairs = [(0, 0), (0, 1), (0, 2), (1, 1), (1, 2), (2, 2)]
-        for node, (i, j) in zip(self.entries, pairs):
+        for node, (i, j) in zip(self.entries, _UPPER):
             jet = expr.eval_jet(node, p)
             val[..., i, j] = jet.value
             grad = np.moveaxis(jet.gradient, 0, -1)   # (..., l)
@@ -272,27 +274,26 @@ class MetricField:
             if i != j:
                 val[..., j, i] = jet.value
                 dval[..., :, j, i] = grad
-        m1 = val[..., 0, 0]
-        m2 = val[..., 0, 0] * val[..., 1, 1] - val[..., 0, 1] ** 2
-        m3 = _det3(val)
-        minors = np.stack([m1, m2, m3], axis=-1)
-        spd = (m1 > 0) & (m2 > 0) & (m3 > 0)
-        return MetricJets(val=val, dval=dval, spd=spd, minors=minors)
+        return MetricJets.from_arrays(val, dval)
 
     def matrix_at(self, point) -> tuple:
         """Single-point API: (matrix, entry gradients); raises NotSPD."""
         p = np.asarray(point, dtype=float).reshape(3)
         mj = self.eval(p)
-        if not bool(mj.spd):
-            k = int(np.argmax(mj.minors <= 0))
-            raise NotSPDError(p, k, float(mj.minors[k]))
+        mj.require_spd(p)
         return mj.val, mj.dval
 
 
-def _det3(m: np.ndarray) -> np.ndarray:
-    return (m[..., 0, 0] * (m[..., 1, 1] * m[..., 2, 2] - m[..., 1, 2] * m[..., 2, 1])
-            - m[..., 0, 1] * (m[..., 1, 0] * m[..., 2, 2] - m[..., 1, 2] * m[..., 2, 0])
-            + m[..., 0, 2] * (m[..., 1, 0] * m[..., 2, 1] - m[..., 1, 1] * m[..., 2, 0]))
+def _adjugate_sym(m: np.ndarray) -> tuple:
+    """Upper entries (a00, a01, a02, a11, a12, a22) of the (symmetric)
+    adjugate of symmetric 3x3 matrices ``m[..., i, j]``, and their
+    determinant as the expansion of the adjugate along row 0."""
+    m00, m01, m02 = m[..., 0, 0], m[..., 0, 1], m[..., 0, 2]
+    m11, m12, m22 = m[..., 1, 1], m[..., 1, 2], m[..., 2, 2]
+    adj = (m11 * m22 - m12 * m12, m02 * m12 - m01 * m22,
+           m01 * m12 - m02 * m11, m00 * m22 - m02 * m02,
+           m01 * m02 - m00 * m12, m00 * m11 - m01 * m01)
+    return adj, m00 * adj[0] + m01 * adj[1] + m02 * adj[2]
 
 
 @dataclass
@@ -305,15 +306,36 @@ class MetricJets:
     minors: np.ndarray  # (..., 3) leading principal minors
     _inv: np.ndarray = field(default=None, repr=False)
 
+    @classmethod
+    def from_arrays(cls, val: np.ndarray, dval: np.ndarray) -> "MetricJets":
+        """Jets of a symmetric metric; SPD by its leading principal minors."""
+        adj, det = _adjugate_sym(val)
+        minors = np.stack([val[..., 0, 0], adj[5], det], axis=-1)
+        return cls(val=val, dval=dval, spd=np.all(minors > 0, axis=-1),
+                   minors=minors)
+
     def det(self) -> np.ndarray:
         return self.minors[..., 2]
 
     def inv(self) -> np.ndarray:
+        """Closed-form inverse: the adjugate over the determinant; the
+        identity where the metric is not SPD."""
         if self._inv is None:
-            eye = np.broadcast_to(np.eye(3), self.val.shape)
-            safe = np.where(self.spd[..., None, None], self.val, eye)
-            self._inv = np.linalg.inv(safe)
+            (a00, a01, a02, a11, a12, a22), det = _adjugate_sym(self.val)
+            adj = np.stack([a00, a01, a02, a01, a11, a12, a02, a12, a22], axis=-1)
+            det = np.where(self.spd, det, 1.0)[..., None]
+            self._inv = np.where(self.spd[..., None], adj / det,
+                                 np.eye(3).ravel()).reshape(self.val.shape)
         return self._inv
+
+    def require_spd(self, points: np.ndarray) -> None:
+        """Raise NotSPDError naming the first point of ``points`` (shape
+        ``(3, ...)``) where the metric is not SPD, with its failing minor."""
+        bad = np.flatnonzero(~self.spd)
+        if bad.size:
+            minors = self.minors.reshape(-1, 3)[bad[0]]
+            k = int(np.argmax(minors <= 0))
+            raise NotSPDError(np.reshape(points, (3, -1))[:, bad[0]], k, minors[k])
 
     def dot(self, u: np.ndarray, v: np.ndarray) -> np.ndarray:
         return np.einsum("...ij,...i,...j->...", self.val, u, v)
@@ -354,19 +376,39 @@ def _metric_jets(g, points) -> MetricJets:
     return g.eval(points)
 
 
+def components(x: np.ndarray, rank: int) -> np.ndarray:
+    """View of ``x`` with its last ``rank`` index slots moved in front, so
+    ``components(g, 2)[i][j]`` is the batch column ``g[..., i, j]``."""
+    return x.transpose([*range(x.ndim - rank, x.ndim), *range(x.ndim - rank)])
+
+
+def dot3(u, v):
+    """u_0 v_0 + u_1 v_1 + u_2 v_2 over component-first columns."""
+    return u[0] * v[0] + u[1] * v[1] + u[2] * v[2]
+
+
+def christoffel_contract(dg, v) -> list:
+    """M_ij = v^l Gamma_{l,ij} for the Christoffel symbols of the first kind
+    Gamma_{l,ij} = (d_i g_jl + d_j g_il - d_l g_ij) / 2, one column at a
+    time.  ``dg[l][i][j] = d_l g_ij`` and ``v`` are component-first; M is
+    returned as a symmetric nested list of columns."""
+    p = [[dot3(dg[i][j], v) for j in range(3)] for i in range(3)]   # v^l d_i g_jl
+    m = [[None] * 3 for _ in range(3)]
+    for i, j in _UPPER:
+        m[i][j] = m[j][i] = 0.5 * (p[i][j] + p[j][i] - dot3(dg[:, i, j], v))
+    return m
+
+
 def christoffel_raw(mj: MetricJets) -> np.ndarray:
-    """Gamma[..., k, i, j] from exact metric partials."""
-    dg = mj.dval
-    # C[..., i, j, l] = d_i g_jl + d_j g_il - d_l g_ij; dg carries (l, i, j),
-    # so reading dg with indices renamed (i, j, l) is dg itself.
-    c = dg + np.swapaxes(dg, -3, -2) - np.moveaxis(dg, -3, -1)
-    return 0.5 * np.einsum("...kl,...ijl->...kij", mj.inv(), c)
+    """Gamma[..., k, i, j] = g^kl Gamma_{l,ij} from exact metric partials."""
+    inv, dg = components(mj.inv(), 2), components(mj.dval, 3)
+    gamma = np.array([christoffel_contract(dg, inv[k]) for k in range(3)])
+    return np.moveaxis(gamma, (0, 1, 2), (-3, -2, -1))
 
 
 def christoffel(g, points=None) -> np.ndarray:
     """Levi-Civita connection coefficients Gamma[..., k, i, j]."""
-    mj = _metric_jets(g, points)
-    return christoffel_raw(mj)
+    return christoffel_raw(_metric_jets(g, points))
 
 
 def covariant_derivative_raw(gamma: np.ndarray, xval, xjac, yval, yjac) -> np.ndarray:
@@ -376,17 +418,13 @@ def covariant_derivative_raw(gamma: np.ndarray, xval, xjac, yval, yjac) -> np.nd
 
 
 def covariant_derivative(g, x: VectorField, y: VectorField, points) -> np.ndarray:
-    mj = _metric_jets(g, points)
-    gamma = christoffel_raw(mj)
-    xval, xjac = x.eval(points)
-    yval, yjac = y.eval(points)
-    return covariant_derivative_raw(gamma, xval, xjac, yval, yjac)
+    gamma = christoffel_raw(_metric_jets(g, points))
+    return covariant_derivative_raw(gamma, *x.eval(points), *y.eval(points))
 
 
 def d_oneform(alpha: OneForm, points) -> np.ndarray:
     """(d alpha)_ij = d_i a_j - d_j a_i (antisymmetric matrix of values)."""
-    _, jac = alpha.eval(points)
-    return jac - np.swapaxes(jac, -2, -1)
+    return d_oneform_raw(alpha.eval(points)[1])
 
 
 def d_oneform_raw(ajac: np.ndarray) -> np.ndarray:
@@ -410,9 +448,7 @@ def divergence_raw(mj: MetricJets, xval: np.ndarray, xjac: np.ndarray) -> np.nda
 
 
 def divergence(g, x: VectorField, points) -> np.ndarray:
-    mj = _metric_jets(g, points)
-    xval, xjac = x.eval(points)
-    out = divergence_raw(mj, xval, xjac)
+    out = divergence_raw(_metric_jets(g, points), *x.eval(points))
     return float(out) if out.ndim == 0 else out
 
 
@@ -438,11 +474,8 @@ def integrate_scalar(metric: MetricField, f: Callable, grid, jobs: int = 1,
 
     def kernel(pts):
         mj = metric.eval(pts)
-        det = mj.det()
-        if np.any(det <= 0):
-            bad = int(np.argmax(det <= 0))
-            raise NotSPDError(pts[:, bad], 2, float(det[bad]))
-        return ExactSum(np.asarray(f(pts), dtype=float) * np.sqrt(det))
+        mj.require_spd(pts)
+        return ExactSum(np.asarray(f(pts), dtype=float) * np.sqrt(mj.det()))
 
     total = sum(chunked_eval(kernel, sample.points, jobs), ExactSum())
     return float(total) * sample.cell_volume

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ..distributions import Distribution, normal_arrays
+from ..distributions import _unit_normal
 from ..errors import ConfigError
 from ..geometry import MetricField, OneForm, d_oneform_raw, wedge3
 
@@ -54,7 +54,7 @@ def contact_deformation_scan(metric: MetricField, alpha0: OneForm,
     mj = metric.eval(pts)
     aval0, ajac0 = alpha0.eval(pts)
     bval, bjac = beta.eval(pts)
-    n0, ok0 = normal_arrays(mj, Distribution.kernel(alpha0), pts)
+    n0, ok0 = _unit_normal(mj, aval0, 1)
     if not np.all(ok0 & mj.spd):
         raise ConfigError("base form or metric degenerates on the grid")
 
@@ -63,15 +63,10 @@ def contact_deformation_scan(metric: MetricField, alpha0: OneForm,
         aval = aval0 + s * bval
         ajac = ajac0 + s * bjac
         cv = wedge3(aval, d_oneform_raw(ajac))
-        raised = np.einsum("...kl,...l->...k", mj.inv(), aval)
-        norm2 = np.einsum("...k,...k->...", aval, raised)
-        good = norm2 > 0.0
+        ns, good = _unit_normal(mj, aval, 1)
         n_degenerate = int(np.count_nonzero(~good))
         if np.any(good):
-            with np.errstate(invalid="ignore", divide="ignore"):
-                ns = raised / np.sqrt(norm2)[..., None]
-            cosang = np.abs(np.einsum("...ij,...i,...j->...",
-                                      mj.val, ns, n0))[good]
+            cosang = np.abs(mj.dot(ns, n0))[good]
             angles = np.arccos(np.clip(cosang, 0.0, 1.0))
             ang_min, ang_max = float(np.min(angles)), float(np.max(angles))
         else:

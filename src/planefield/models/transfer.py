@@ -27,9 +27,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from .. import jetalg
-from ..distributions import (Distribution, FrameData, curvature_arrays,
-                             distribution_frames, normal_arrays, normal_jets)
-from ..errors import DegenerateDistributionError, NotSPDError, NotTransverseError
+from ..distributions import (Distribution, FrameData, _require_plane,
+                             curvature_arrays, distribution_frames,
+                             normal_arrays, normal_jets)
+from ..errors import NotTransverseError
 from ..expr import jet_sqrt
 from ..geometry import MetricField, MetricJets
 
@@ -78,16 +79,11 @@ def transfer_metric(metric: MetricField, xi: Distribution, eta: Distribution,
     chart = metric.chart
     pts = chart.sample_grid(grid, margin=margin).points
     mj = metric.eval(pts)
-    if not np.all(mj.spd):
-        i = int(np.argmax(~mj.spd))
-        k = int(np.argmax(mj.minors[i] <= 0))
-        raise NotSPDError(pts[:, i], k, float(mj.minors[i][k]))
+    mj.require_spd(pts)
 
     g = jetalg.jets_from_metric(mj)
     fd = distribution_frames(xi, pts)
-    if not np.all(fd.ok):
-        i = int(np.argmax(~fd.ok))
-        raise DegenerateDistributionError(pts[:, i], "xi degenerates")
+    _require_plane(fd.ok, pts, "xi degenerates")
     v1 = jetalg.jets_from_components(fd.val[:, 0, :], fd.jac[:, 0, :, :])
     v2 = jetalg.jets_from_components(fd.val[:, 1, :], fd.jac[:, 1, :, :])
 
@@ -128,25 +124,15 @@ def transfer_metric(metric: MetricField, xi: Distribution, eta: Distribution,
                 acc = term if acc is None else acc + term
             gt[i][j] = acc
 
-    val = jetalg.matrix_values(gt)
-    dval = jetalg.matrix_partials(gt)
-    m1 = val[..., 0, 0]
-    m2 = val[..., 0, 0] * val[..., 1, 1] - val[..., 0, 1] ** 2
-    m3 = (val[..., 0, 0] * (val[..., 1, 1] * val[..., 2, 2] - val[..., 1, 2] ** 2)
-          - val[..., 0, 1] * (val[..., 0, 1] * val[..., 2, 2] - val[..., 1, 2] * val[..., 0, 2])
-          + val[..., 0, 2] * (val[..., 0, 1] * val[..., 1, 2] - val[..., 1, 1] * val[..., 0, 2]))
-    minors = np.stack([m1, m2, m3], axis=-1)
-    spd = (m1 > 0) & (m2 > 0) & (m3 > 0)
-    mj_new = MetricJets(val=val, dval=dval, spd=spd, minors=minors)
+    mj_new = MetricJets.from_arrays(jetalg.matrix_values(gt),
+                                    jetalg.matrix_partials(gt))
 
     # B of xi under g in the orthonormal frame
     arrs_xi = curvature_arrays(mj, _frame_from_jets(x1, x2),
                                jetalg.vector_values(n_xi))
     # B of eta under the new metric in the projected frame
     n_eta, ok = normal_arrays(mj_new, eta, pts)
-    if not np.all(ok & spd):
-        i = int(np.argmax(~(ok & spd)))
-        raise DegenerateDistributionError(pts[:, i], "transferred metric degenerate")
+    _require_plane(ok & mj_new.spd, pts, "transferred metric degenerate")
     arrs_eta = curvature_arrays(mj_new, _frame_from_jets(p1, p2), n_eta)
 
     form_res = np.maximum.reduce([
@@ -165,5 +151,5 @@ def transfer_metric(metric: MetricField, xi: Distribution, eta: Distribution,
         max_det_residual=float(np.max(det_res)),
         mean_det_residual=float(np.mean(det_res)),
         min_transversality=float(np.min(np.abs(trans))),
-        new_metric_spd=bool(np.all(spd)),
+        new_metric_spd=bool(np.all(mj_new.spd)),
     )

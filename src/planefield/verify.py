@@ -270,11 +270,8 @@ def _op_frame_invariance(params: dict, jobs: int) -> CheckResult:
 
 
 def _frame_gram_h_ke(model, dist, pts, frame):
-    from .distributions import curvature_arrays, distribution_frames, normal_arrays
-    mj = model.metric.eval(pts)
-    fd = distribution_frames(dist, pts, frame)
-    nval, _ = normal_arrays(mj, dist, pts)
-    arrs = curvature_arrays(mj, fd, nval)
+    from .distributions import _block_arrays
+    arrs, _, _ = _block_arrays(model.metric.eval(pts), dist, pts, frame)
     return arrs["det_gram"], arrs["h"], arrs["k_e"]
 
 
@@ -297,8 +294,7 @@ def _reframe(model, dist, frame, a):
 
 def _op_h_divergence_pointwise(params: dict, jobs: int) -> CheckResult:
     from . import jetalg
-    from .distributions import (curvature_arrays, distribution_frames,
-                                normal_arrays, normal_jets)
+    from .distributions import _block_arrays, _normal_jets
     from .geometry import divergence_raw
     tol = params.get("tolerance", 1e-9)
     n = params.get("n_points", 100)
@@ -310,10 +306,8 @@ def _op_h_divergence_pointwise(params: dict, jobs: int) -> CheckResult:
         dist = Distribution.kernel(alpha)
         pts = model.chart.random_points(n, seed=1000 + seed)
         mj = model.metric.eval(pts)
-        fd = distribution_frames(dist, pts)
-        nval, _ = normal_arrays(mj, dist, pts)
-        arrs = curvature_arrays(mj, fd, nval)
-        njets = normal_jets(mj, dist, pts)
+        arrs, aval, ajac = _block_arrays(mj, dist, pts)
+        njets = _normal_jets(mj, aval, ajac, dist.co_orientation)
         div_n = divergence_raw(mj, jetalg.vector_values(njets),
                                jetalg.vector_jacobian(njets))
         worst = max(worst, float(np.max(np.abs(arrs["h"] + div_n))))

@@ -1,0 +1,22 @@
+"""The CI workflow runs the Tier-1 suite and the benchmark self-check on
+every supported Python."""
+
+from pathlib import Path
+
+import pytest
+
+yaml = pytest.importorskip("yaml")
+
+WORKFLOW = Path(__file__).resolve().parents[1] / ".github" / "workflows" / "tests.yml"
+
+
+def test_workflow_runs_tier1_and_selfcheck_on_python_310_and_311():
+    workflow = yaml.safe_load(WORKFLOW.read_text(encoding="utf-8"))
+    job = workflow["jobs"]["tests"]
+    assert job["strategy"]["matrix"]["python-version"] == ["3.10", "3.11"]
+    assert any(step.get("with", {}).get("python-version")
+               == "${{ matrix.python-version }}" for step in job["steps"])
+    runs = [step.get("run", "") for step in job["steps"]]
+    assert ("PYTHONPATH=src${PYTHONPATH:+:$PYTHONPATH} "
+            "python -m pytest -q --continue-on-collection-errors") in runs
+    assert "python3 perfbench/selfcheck.py" in runs

@@ -15,7 +15,10 @@ from planefield.distributions import (Distribution, classify, contact_volume,
                                       integral_mean_curvature, mean_curvature,
                                       normal_arrays, normal_field,
                                       second_fundamental_form, tangent_frame)
-from planefield.errors import ConfigError, DegenerateDistributionError
+from planefield.distributions import _annihilator
+from planefield.errors import (ConfigError, DegenerateDistributionError,
+                               NonSPDPathError, NotSPDError,
+                               NotTransverseError)
 from planefield.geometry import (Chart, MetricField, OneForm, VectorField,
                                  christoffel)
 from planefield.expr import Num
@@ -60,6 +63,58 @@ def test_degenerate_form_rejected(torus):
     dist = Distribution.kernel(vanishing)
     with pytest.raises(DegenerateDistributionError):
         tangent_frame(torus.metric, dist, np.array([0.5, 0.1, 0.1]))
+
+
+_POINT_APIS = [normal_field, mean_curvature, extrinsic_curvature,
+               second_fundamental_form, frobenius_residual]
+_BATCH = np.array([[0.5, -0.5], [0.1, 0.2], [0.3, 0.4]])
+
+
+@pytest.mark.parametrize("api", _POINT_APIS, ids=lambda f: f.__name__)
+def test_point_api_names_the_non_spd_point_of_a_batch(api):
+    chart = Chart(("x", "y", "z"), ((-1.0, 1.0),) * 3, (False,) * 3)
+    metric = MetricField.from_strings(chart, ("x", "0", "0", "1", "0", "1"))
+    dist = Distribution.kernel(OneForm(chart, ("0", "0", "1")))
+    with pytest.raises(NotSPDError) as err:
+        api(metric, dist, _BATCH)
+    assert err.value.point == (-0.5, 0.2, 0.4)
+    assert (err.value.minor_index, err.value.minor_value) == (0, -0.5)
+    assert str(err.value) == ("metric is not positive definite at "
+                              "(-0.5, 0.2, 0.4): leading minor 1 = -0.5")
+
+
+@pytest.mark.parametrize("api", _POINT_APIS + [tangent_frame],
+                         ids=lambda f: f.__name__)
+def test_point_api_names_the_degenerate_point_of_a_batch(api, torus):
+    dist = Distribution.kernel(OneForm(torus.chart, ("0", "0", "x + 0.5")))
+    with pytest.raises(DegenerateDistributionError) as err:
+        api(torus.metric, dist, _BATCH)
+    assert err.value.point == (-0.5, 0.2, 0.4)
+    assert str(err.value).startswith("distribution degenerates at (-0.5, 0.2, 0.4)")
+
+
+def test_tangent_frame_names_the_point_of_a_degenerate_gram(torus):
+    s = VectorField(torus.chart, ("1", "0", "0"))
+    t = VectorField(torus.chart, ("1", "0", "x + 0.5"))
+    with pytest.raises(DegenerateDistributionError) as err:
+        tangent_frame(torus.metric, torus.distribution("vertical"), _BATCH,
+                      frame=(s, t))
+    assert str(err.value) == ("distribution degenerates at (-0.5, 0.2, 0.4): "
+                              "frame Gram degenerate")
+
+
+def test_error_messages_print_plain_floats():
+    p = np.array([0.5, 0.1, 0.3])
+    errors = [NotSPDError(p, np.int64(1), np.float64(-2.0)),
+              DegenerateDistributionError(p, "detail"),
+              NotTransverseError(p, np.float64(0.25)),
+              NonSPDPathError(np.float64(0.75), p, 3)]
+    for err in errors:
+        assert "(0.5, 0.1, 0.3)" in str(err) and "np." not in str(err)
+        assert all(type(x) is float for x in err.point)
+    assert "leading minor 2 = -2.0" in str(errors[0])
+    assert "angle 0.25 rad" in str(errors[2])
+    assert "t=0.75," in str(errors[3])
 
 
 def test_normal_of_horizontal_foliation(torus):
@@ -427,3 +482,118 @@ def test_integral_h_small_for_generic_periodic_plane_field(torus):
 def test_integral_h_requires_periodic_chart(reeb):
     with pytest.raises(ConfigError):
         integral_mean_curvature(reeb.metric, reeb.distribution(), grid=(4, 4, 4))
+
+
+# ---------------------------------------------------------------------------
+# the component-wise curvature kernel against the einsum formula
+
+
+def _oracle_inverse(mj):
+    eye = np.broadcast_to(np.eye(3), mj.val.shape)
+    return np.linalg.inv(np.where(mj.spd[..., None, None], mj.val, eye))
+
+
+def _einsum_curvature_oracle(mj, fd, nval):
+    """B, Gram, H, K_e and the residual from the second-kind Christoffel
+    symbols, ``np.linalg.inv`` and einsum: an independent reference for
+    ``curvature_arrays``."""
+    dg = mj.dval
+    c = dg + np.swapaxes(dg, -3, -2) - np.moveaxis(dg, -3, -1)
+    gamma = 0.5 * np.einsum("...kl,...ijl->...kij", _oracle_inverse(mj), c)
+    e0, e1 = fd.val[..., 0, :], fd.val[..., 1, :]
+    j0, j1 = fd.jac[..., 0, :, :], fd.jac[..., 1, :, :]
+
+    def cov(xv, yv, yj):
+        return (np.einsum("...i,...ik->...k", xv, yj)
+                + np.einsum("...kij,...i,...j->...k", gamma, xv, yv))
+
+    def gdot(u, v):
+        return np.einsum("...ij,...i,...j->...", mj.val, u, v)
+
+    out = {"b00": gdot(cov(e0, e0, j0), nval),
+           "b01": 0.5 * (gdot(cov(e0, e1, j1), nval) + gdot(cov(e1, e0, j0), nval)),
+           "b11": gdot(cov(e1, e1, j1), nval),
+           "gram00": gdot(e0, e0), "gram01": gdot(e0, e1), "gram11": gdot(e1, e1)}
+    det_gram = out["gram00"] * out["gram11"] - out["gram01"] ** 2
+    bracket = (np.einsum("...i,...ik->...k", e0, j1)
+               - np.einsum("...i,...ik->...k", e1, j0))
+    b00, b01, b11 = out["b00"], out["b01"], out["b11"]
+    with np.errstate(invalid="ignore", divide="ignore"):
+        out["h"] = (b00 * out["gram11"] + b11 * out["gram00"]
+                    - 2.0 * b01 * out["gram01"]) / det_gram
+        out["k_e"] = (b00 * b11 - b01 ** 2) / det_gram
+        out["frobenius_residual"] = gdot(bracket, nval) / np.sqrt(det_gram)
+    out["b_norm"] = np.sqrt(b00 ** 2 + 2.0 * b01 ** 2 + b11 ** 2)
+    out["det_gram"] = det_gram
+    out["ok"] = fd.ok & mj.spd & (
+        det_gram > 1e-12 * np.maximum(out["gram00"] * out["gram11"], 1e-300))
+    return out
+
+
+_BOX = Chart(("x", "y", "z"), ((-1.0, 1.0),) * 3, (False,) * 3, chart_id="box")
+# non-constant off-diagonal entries; not SPD where x is near -1
+_WARPED_ENTRIES = ("2 + x", "0.3*sin(y)", "0.2*x*z", "1 + y*y",
+                   "0.1*x*z + 0.2*y", "x + 0.5")
+_WARPED = MetricField.from_strings(_BOX, _WARPED_ENTRIES)
+_WARPED_PLANES = {
+    # alpha vanishes on the line y = z = 0
+    "kernel": Distribution.kernel(OneForm(_BOX, ("x*z", "y", "z"))),
+    # T is parallel to S on the line y = z = 0
+    "span": Distribution.span(VectorField(_BOX, ("1", "0.5*z", "0")),
+                              VectorField(_BOX, ("0.2*x", "y", "z"))),
+}
+
+
+@pytest.mark.parametrize("kind", sorted(_WARPED_PLANES))
+def test_curvature_arrays_match_einsum_oracle(kind):
+    dist = _WARPED_PLANES[kind]
+    axis = np.array([-0.9, -0.6, -0.3, 0.0, 0.3, 0.6, 0.9])
+    pts = np.stack([m.ravel() for m in np.meshgrid(axis, axis, axis,
+                                                    indexing="ij")])
+    mj = _WARPED.eval(pts)
+    fd = distribution_frames(dist, pts)
+    nval, nok = normal_arrays(mj, dist, pts)
+    got = curvature_arrays(mj, fd, nval)
+    want = _einsum_curvature_oracle(mj, fd, nval)
+
+    assert np.array_equal(got["ok"], want["ok"])
+    ok = got["ok"] & nok
+    assert np.any(~mj.spd), "grid should include non-SPD points"
+    assert np.any(mj.spd & ~got["ok"]), "grid should include degenerate frames"
+    assert np.count_nonzero(ok) > 100
+    for key in want:
+        if key == "ok":
+            continue
+        scale = np.max(np.abs(want[key][ok]))
+        np.testing.assert_allclose(got[key][ok], want[key][ok], rtol=1e-12,
+                                   atol=1e-12 * scale, err_msg=key)
+
+    aval, _ = _annihilator(dist, pts)
+    raised = np.einsum("...kl,...l->...k", _oracle_inverse(mj), aval)
+    norm2 = np.einsum("...k,...k->...", aval, raised)
+    assert np.array_equal(nok, mj.spd & (norm2 > 0.0))
+    with np.errstate(invalid="ignore", divide="ignore"):
+        want_n = dist.co_orientation * raised / np.sqrt(norm2)[:, None]
+    np.testing.assert_allclose(nval[nok], want_n[nok], rtol=1e-12, atol=1e-12)
+
+
+@pytest.mark.parametrize("which", ["reeb", "warped"])
+def test_single_point_api_bit_identical_to_block_sweep(which, reeb):
+    """A point alone through the single-point API and the same point inside
+    one full 4,096-point sweep block give the same bits for H, K_e and B."""
+    if which == "reeb":
+        metric, dist = reeb.metric, reeb.distribution()
+    else:
+        chart = Chart(("x", "y", "z"), ((0.0, 1.0),) * 3, (False,) * 3)
+        metric = MetricField.from_strings(chart, _WARPED_ENTRIES)
+        dist = Distribution.kernel(OneForm(chart, ("x*z + 1", "y", "z")))
+    rep = classify(metric, dist, grid=(16, 16, 16), keep_points=True)
+    assert rep.n_points == geometry.BLOCK_POINTS == rep.n_valid
+    for i in range(0, rep.n_points, 97):
+        p = rep.points[:, i]
+        b = second_fundamental_form(metric, dist, p)
+        got = [mean_curvature(metric, dist, p), extrinsic_curvature(metric, dist, p),
+               b[0, 0], b[0, 1], b[1, 0], b[1, 1]]
+        want = [rep.per_point[k][i] for k in ("h", "k_e", "b00", "b01", "b01", "b11")]
+        assert np.array_equal(np.array(got).view(np.uint64),
+                              np.array(want).view(np.uint64)), i

@@ -104,6 +104,66 @@ def test_metric_batch_flags_invalid_points():
     assert np.array_equal(mj.spd, pts[0] > 1.0)
 
 
+def _random_symmetric(n, seed):
+    """Random symmetric 3x3 matrices, about half of them SPD."""
+    rng = np.random.default_rng(seed)
+    a = rng.normal(size=(n, 3, 3))
+    m = a @ np.swapaxes(a, -1, -2) + rng.uniform(-1.5, 1.5, size=(n, 1, 1)) * np.eye(3)
+    return 0.5 * (m + np.swapaxes(m, -1, -2))
+
+
+def _bits(x):
+    return np.asarray(x, dtype=float).view(np.uint64)
+
+
+def test_leading_minors_bit_identical_to_cofactor_expansions():
+    """Minors and the SPD mask equal, bit for bit, the cofactor expansions
+    that MetricField.eval and the transferred metric wrote out before the
+    adjugate helper: the general ``_det3`` and the symmetric-entry form."""
+    m = _random_symmetric(20000, seed=11)
+    mj = geometry.MetricJets.from_arrays(m, np.zeros(m.shape[:-2] + (3, 3, 3)))
+    det3 = (m[..., 0, 0] * (m[..., 1, 1] * m[..., 2, 2] - m[..., 1, 2] * m[..., 2, 1])
+            - m[..., 0, 1] * (m[..., 1, 0] * m[..., 2, 2] - m[..., 1, 2] * m[..., 2, 0])
+            + m[..., 0, 2] * (m[..., 1, 0] * m[..., 2, 1] - m[..., 1, 1] * m[..., 2, 0]))
+    det_sym = (m[..., 0, 0] * (m[..., 1, 1] * m[..., 2, 2] - m[..., 1, 2] ** 2)
+               - m[..., 0, 1] * (m[..., 0, 1] * m[..., 2, 2] - m[..., 1, 2] * m[..., 0, 2])
+               + m[..., 0, 2] * (m[..., 0, 1] * m[..., 1, 2] - m[..., 1, 1] * m[..., 0, 2]))
+    m1 = m[..., 0, 0]
+    m2 = m[..., 0, 0] * m[..., 1, 1] - m[..., 0, 1] ** 2
+    assert np.array_equal(_bits(mj.minors), _bits(np.stack([m1, m2, det3], axis=-1)))
+    assert np.array_equal(_bits(det3), _bits(det_sym))
+    assert np.array_equal(mj.spd, (m1 > 0) & (m2 > 0) & (det3 > 0))
+    assert 0.2 < np.mean(mj.spd) < 0.8
+
+
+def test_closed_form_inverse_matches_linalg_and_is_identity_off_spd():
+    m = _random_symmetric(5000, seed=12)
+    mj = geometry.MetricJets.from_arrays(m, np.zeros(m.shape[:-2] + (3, 3, 3)))
+    inv = mj.inv()
+    spd = mj.spd
+    assert np.any(spd) and np.any(~spd)
+    want = np.linalg.inv(m[spd])
+    cond = np.linalg.cond(m[spd])[:, None, None]
+    scale = cond * np.abs(want).max(axis=(-2, -1), keepdims=True)
+    assert np.all(np.abs(inv[spd] - want) <= 1e-13 * scale)
+    assert np.array_equal(inv[~spd], np.broadcast_to(np.eye(3), inv[~spd].shape))
+    single = geometry.MetricJets.from_arrays(m[0], np.zeros((3, 3, 3)))
+    assert single.inv().shape == (3, 3)
+    assert np.array_equal(single.inv(), inv[0])
+
+
+def test_christoffel_matches_second_kind_einsum():
+    chart = box_chart()
+    g = MetricField.from_strings(chart, ("2 + sin(x)^2", "0.2*x*y", "0.1*z*x",
+                                         "1.5 + 0.3*cos(z)", "0.1*y", "1 + x*x"))
+    pts = np.random.default_rng(5).uniform(-0.9, 0.9, size=(3, 50))
+    mj = g.eval(pts)
+    dg = mj.dval
+    c = dg + np.swapaxes(dg, -3, -2) - np.moveaxis(dg, -3, -1)
+    want = 0.5 * np.einsum("...kl,...ijl->...kij", np.linalg.inv(mj.val), c)
+    np.testing.assert_allclose(christoffel(g, pts), want, rtol=1e-12, atol=1e-13)
+
+
 # ---------------------------------------------------------------------------
 # connection
 
@@ -302,6 +362,15 @@ def test_integral_on_open_chart_needs_explicit_support_claim():
     out = integrate_scalar(g, lambda p: np.ones(p.shape[1]), (4, 4, 4),
                            assume_compact_support=True)
     assert out == pytest.approx(8.0)
+
+
+def test_integral_rejects_a_metric_that_is_not_spd_despite_positive_det():
+    # diag(-1, -1, 1) has det 1 but fails the first leading minor
+    g = MetricField.from_strings(torus_chart(), ("-1", "0", "0", "-1", "0", "1"))
+    with pytest.raises(NotSPDError) as err:
+        integrate_scalar(g, lambda p: np.ones(p.shape[1]), (4, 4, 4))
+    assert err.value.point == (0.125, 0.125, 0.125)
+    assert (err.value.minor_index, err.value.minor_value) == (0, -1.0)
 
 
 def test_quadrature_weight_includes_volume_element(polar_metric):
