@@ -152,20 +152,20 @@ def _load(path: Path):
 
 
 def _cmd_check(args, full: bool) -> int:
+    csv = full and args.format == "csv"
+    if csv and args.output is None:
+        raise ConfigError("--format csv requires --output")
     model = _load(args.chart)
     dist = model.distribution(args.distribution)
     start = time.perf_counter()
     rep = classify_op(model.metric, dist, grid=args.grid, tol=args.tol,
-                      jobs=args.jobs,
-                      keep_points=full and args.format == "csv")
+                      jobs=args.jobs, keep_points=csv)
     elapsed = time.perf_counter() - start
     body = rep.body()
     body["distribution"] = args.distribution or model.foliation
     if not full:
         body.pop("worst_points")
-    if full and args.format == "csv":
-        if args.output is None:
-            raise ConfigError("--format csv requires --output")
+    if csv:
         rep.write_csv(args.output)
         return _OK if not rep.errors else _CHECK_FAILURE
     _emit_report(body, {"seconds": elapsed}, "report", args.output)
@@ -239,7 +239,7 @@ def _cmd_integrate_h(args) -> int:
 
 
 def _cmd_plotdata(args) -> int:
-    from .distributions import extrinsic_curvature, mean_curvature
+    from .distributions import _point_arrays
     model = _load(args.chart)
     dist = model.distribution(args.distribution)
     chart = model.chart
@@ -257,8 +257,8 @@ def _cmd_plotdata(args) -> int:
     pts[axis] = line
     for i, v in zip(others, fixed):
         pts[i] = v
-    k_e = extrinsic_curvature(model.metric, dist, pts)
-    h = mean_curvature(model.metric, dist, pts)
+    arrs = _point_arrays(model.metric, dist, pts)
+    k_e, h = arrs["k_e"], arrs["h"]
     lines = [f"{args.along},k_e,h"]
     for j in range(args.n):
         lines.append(f"{float(line[j])!r},{float(k_e[j])!r},{float(h[j])!r}")

@@ -29,10 +29,10 @@ import numpy as np
 from . import jetalg
 from .errors import ConfigError, DegenerateDistributionError
 from .expr import jet_sqrt
-from .geometry import (LEVI, ExactSum, MetricField, MetricJets, OneForm,
+from .geometry import (ExactSum, MetricField, MetricJets, OneForm,
                        VectorField, christoffel_contract, chunked_eval,
-                       components, d_oneform_raw, divergence_raw, dot3,
-                       wedge3)
+                       components, d_oneform_raw, divergence_raw, wedge3)
+from .jetalg import adjugate3, cross, det3, dot3, matvec
 
 __all__ = [
     "Distribution", "FrameData", "CurvatureReport",
@@ -99,7 +99,7 @@ class FrameData:
     desc: str
 
 
-_COMPLEMENT = ((1, 2), (0, 2), (0, 1))
+_COMPLEMENT = np.array(((1, 2), (0, 2), (0, 1)))
 
 
 def _kernel_frame(aval: np.ndarray, ajac: np.ndarray) -> FrameData:
@@ -109,19 +109,14 @@ def _kernel_frame(aval: np.ndarray, ajac: np.ndarray) -> FrameData:
     n = aval.shape[0]
     val = np.zeros((n, 2, 3))
     jac = np.zeros((n, 2, 3, 3))
-    idx = np.argmax(np.abs(aval), axis=-1)
-    am = np.take_along_axis(aval, idx[:, None], axis=-1)[:, 0]
-    ok = np.abs(am) > 0.0
-    for m in range(3):
-        mask = idx == m
-        if not np.any(mask):
-            continue
-        j1, j2 = _COMPLEMENT[m]
-        for a, j in ((0, j1), (1, j2)):
-            val[mask, a, j] = aval[mask, m]
-            val[mask, a, m] = -aval[mask, j]
-            jac[mask, a, :, j] = ajac[mask, :, m]
-            jac[mask, a, :, m] = -ajac[mask, :, j]
+    rows = np.arange(n)
+    m = np.argmax(np.abs(aval), axis=-1)
+    for a, j in enumerate(_COMPLEMENT[m].T):
+        val[rows, a, j] = aval[rows, m]
+        val[rows, a, m] = -aval[rows, j]
+        jac[rows, a, :, j] = ajac[rows, :, m]
+        jac[rows, a, :, m] = -ajac[rows, :, j]
+    ok = np.abs(aval[rows, m]) > 0.0
     return FrameData(val=val, jac=jac, ok=ok, desc="kernel-coordinate-planes")
 
 
@@ -135,9 +130,12 @@ def _span_frame(s: tuple, t: tuple, desc: str) -> FrameData:
 def _cross(s: tuple, t: tuple) -> tuple:
     """Covector eps_ijk S^j T^k (values, Jacobian) from evaluated fields."""
     (sval, sjac), (tval, tjac) = s, t
-    bval = np.einsum("ljk,...j,...k->...l", LEVI, sval, tval)
-    bjac = (np.einsum("ljk,...ij,...k->...il", LEVI, sjac, tval)
-            + np.einsum("ljk,...j,...ik->...il", LEVI, sval, tjac))
+    bval = np.stack(cross(components(sval, 1), components(tval, 1)), axis=-1)
+    # d_i (S x T) = (d_i S) x T + S x (d_i T), with i kept as a batch axis
+    s_i, t_i = components(sval[..., None, :], 1), components(tval[..., None, :], 1)
+    bjac = np.stack([p + q for p, q in zip(cross(components(sjac, 1), t_i),
+                                           cross(s_i, components(tjac, 1)))],
+                    axis=-1)
     return bval, bjac
 
 
@@ -168,8 +166,8 @@ def _annihilator(dist: Distribution, points: np.ndarray) -> tuple:
 
 
 def _unit_normal(mj: MetricJets, aval: np.ndarray, co_orientation: int) -> tuple:
-    inv, a = components(mj.inv(), 2), components(aval, 1)
-    raised = [dot3(inv[k], a) for k in range(3)]
+    a = components(aval, 1)
+    raised = matvec(components(mj.inv(), 2), a)
     norm2 = dot3(a, raised)
     ok = mj.spd & (norm2 > 0.0)
     with np.errstate(invalid="ignore", divide="ignore"):
@@ -195,10 +193,9 @@ def _normal_jets(mj: MetricJets, aval: np.ndarray, ajac: np.ndarray,
                  co_orientation: int) -> list:
     a = jetalg.jets_from_components(aval, ajac)
     g = jetalg.jets_from_metric(mj)
-    adj = jetalg.adjugate3(g)
-    det = jetalg.det3(g)
-    w = jetalg.matvec(adj, a)
-    denom = jet_sqrt(det * jetalg.raw_dot(a, w))
+    adj = adjugate3(g)
+    w = matvec(adj, a)
+    denom = jet_sqrt(det3(g, adj) * dot3(a, w))
     return [float(co_orientation) * c / denom for c in w]
 
 
@@ -206,15 +203,14 @@ def curvature_arrays(mj: MetricJets, fd: FrameData, nval: np.ndarray) -> dict:
     """All pointwise curvature quantities for a frame and unit normal,
     assembled one component at a time (formulas in the module docstring)."""
     g, e, n = components(mj.val, 2), components(fd.val, 2), components(nval, 1)
-    ej = components(fd.jac, 3)                  # ej[a][i][k] = d_i E_a^k
-    nu = [dot3(g[k], n) for k in range(3)]      # lowered normal g n
+    de = components(np.swapaxes(fd.jac, -2, -1), 3)   # de[b][k][i] = d_i E_b^k
+    nu = matvec(g, n)                           # lowered normal g n
     m = christoffel_contract(components(mj.dval, 3), n)
     # w[a][b]^k = E_a^i d_i E_b^k, the derivative of E_b along E_a
-    w = [[[dot3(e[a], ej[b][:, k]) for k in range(3)] for b in range(2)]
-         for a in range(2)]
+    w = [[matvec(de[b], e[a]) for b in range(2)] for a in range(2)]
     d = [[dot3(w[a][b], nu) for b in range(2)] for a in range(2)]
-    me = [[dot3(m[i], e[b]) for i in range(3)] for b in range(2)]
-    ge = [[dot3(g[i], e[b]) for i in range(3)] for b in range(2)]
+    me = [matvec(m, e[b]) for b in range(2)]
+    ge = [matvec(g, e[b]) for b in range(2)]
     b00 = d[0][0] + dot3(e[0], me[0])
     b01 = 0.5 * (d[0][1] + d[1][0]) + dot3(e[0], me[1])
     b11 = d[1][1] + dot3(e[1], me[1])
@@ -244,13 +240,15 @@ def _block_arrays(mj: MetricJets, dist: Distribution, points: np.ndarray,
     ``arrays["ok"]`` includes a well-defined unit normal."""
     if dist.kind == "kernel":
         aval, ajac = dist.alpha.eval(points)
-        fd = _kernel_frame(aval, ajac)
     else:
         s, t = (f.eval(points) for f in dist.span_fields)
-        fd = _span_frame(s, t, "span")
         aval, ajac = _cross(s, t)
     if frame is not None:
         fd = distribution_frames(dist, points, frame)
+    elif dist.kind == "kernel":
+        fd = _kernel_frame(aval, ajac)
+    else:
+        fd = _span_frame(s, t, "span")
     nval, nok = _unit_normal(mj, aval, dist.co_orientation)
     arrs = curvature_arrays(mj, fd, nval)
     arrs["ok"] &= nok

@@ -10,6 +10,10 @@ shape in front of their index slots.  Index conventions:
 * Christoffel symbols ``Gamma[..., k, i, j]``; ``MetricJets.inv``, the one
   matrix inverse, is the closed-form adjugate over the determinant
 
+The 3x3 algebra itself (dot, mat-vec, adjugate, determinant) is
+:mod:`planefield.jetalg`'s, applied here to component-first batch columns:
+``components`` turns ``x[..., i, j]`` into the nested ``x[i][j]`` it takes.
+
 Grid sweeps walk the points in fixed blocks of ``BLOCK_POINTS`` and
 reduce each block to a small result.  Block sums are kept exactly
 (``ExactSum``) and totals are correctly rounded, so results do not depend
@@ -27,6 +31,7 @@ import numpy as np
 
 from . import expr
 from .errors import ConfigError, NotSPDError, SingularSampleError
+from .jetalg import adjugate3, det3, dot3, matvec
 
 __all__ = [
     "SingularLocus", "Chart", "GridSample", "MetricField", "MetricJets",
@@ -284,18 +289,6 @@ class MetricField:
         return mj.val, mj.dval
 
 
-def _adjugate_sym(m: np.ndarray) -> tuple:
-    """Upper entries (a00, a01, a02, a11, a12, a22) of the (symmetric)
-    adjugate of symmetric 3x3 matrices ``m[..., i, j]``, and their
-    determinant as the expansion of the adjugate along row 0."""
-    m00, m01, m02 = m[..., 0, 0], m[..., 0, 1], m[..., 0, 2]
-    m11, m12, m22 = m[..., 1, 1], m[..., 1, 2], m[..., 2, 2]
-    adj = (m11 * m22 - m12 * m12, m02 * m12 - m01 * m22,
-           m01 * m12 - m02 * m11, m00 * m22 - m02 * m02,
-           m01 * m02 - m00 * m12, m00 * m11 - m01 * m01)
-    return adj, m00 * adj[0] + m01 * adj[1] + m02 * adj[2]
-
-
 @dataclass
 class MetricJets:
     """Metric values and exact first partials on a point batch."""
@@ -304,28 +297,28 @@ class MetricJets:
     dval: np.ndarray    # (..., l, i, j) = d_l g_ij
     spd: np.ndarray     # (...,) bool
     minors: np.ndarray  # (..., 3) leading principal minors
+    adj: list           # adj[i][j], batch columns of the adjugate
     _inv: np.ndarray = field(default=None, repr=False)
 
     @classmethod
     def from_arrays(cls, val: np.ndarray, dval: np.ndarray) -> "MetricJets":
         """Jets of a symmetric metric; SPD by its leading principal minors."""
-        adj, det = _adjugate_sym(val)
-        minors = np.stack([val[..., 0, 0], adj[5], det], axis=-1)
+        m = components(val, 2)
+        adj = adjugate3(m)
+        minors = np.stack([val[..., 0, 0], adj[2][2], det3(m, adj)], axis=-1)
         return cls(val=val, dval=dval, spd=np.all(minors > 0, axis=-1),
-                   minors=minors)
+                   minors=minors, adj=adj)
 
     def det(self) -> np.ndarray:
         return self.minors[..., 2]
 
     def inv(self) -> np.ndarray:
-        """Closed-form inverse: the adjugate over the determinant; the
-        identity where the metric is not SPD."""
+        """Closed-form inverse: the adjugate kept by ``from_arrays`` over
+        the determinant; the identity where the metric is not SPD."""
         if self._inv is None:
-            (a00, a01, a02, a11, a12, a22), det = _adjugate_sym(self.val)
-            adj = np.stack([a00, a01, a02, a01, a11, a12, a02, a12, a22], axis=-1)
-            det = np.where(self.spd, det, 1.0)[..., None]
-            self._inv = np.where(self.spd[..., None], adj / det,
-                                 np.eye(3).ravel()).reshape(self.val.shape)
+            adj = np.stack([np.stack(row, axis=-1) for row in self.adj], axis=-2)
+            det = np.where(self.spd, self.det(), 1.0)[..., None, None]
+            self._inv = np.where(self.spd[..., None, None], adj / det, np.eye(3))
         return self._inv
 
     def require_spd(self, points: np.ndarray) -> None:
@@ -338,7 +331,9 @@ class MetricJets:
             raise NotSPDError(np.reshape(points, (3, -1))[:, bad[0]], k, minors[k])
 
     def dot(self, u: np.ndarray, v: np.ndarray) -> np.ndarray:
-        return np.einsum("...ij,...i,...j->...", self.val, u, v)
+        """g(u, v) for vectors ``u[..., i]`` and ``v[..., j]``."""
+        return dot3(components(u, 1),
+                    matvec(components(self.val, 2), components(v, 1)))
 
 
 @dataclass
@@ -382,17 +377,12 @@ def components(x: np.ndarray, rank: int) -> np.ndarray:
     return x.transpose([*range(x.ndim - rank, x.ndim), *range(x.ndim - rank)])
 
 
-def dot3(u, v):
-    """u_0 v_0 + u_1 v_1 + u_2 v_2 over component-first columns."""
-    return u[0] * v[0] + u[1] * v[1] + u[2] * v[2]
-
-
 def christoffel_contract(dg, v) -> list:
     """M_ij = v^l Gamma_{l,ij} for the Christoffel symbols of the first kind
     Gamma_{l,ij} = (d_i g_jl + d_j g_il - d_l g_ij) / 2, one column at a
     time.  ``dg[l][i][j] = d_l g_ij`` and ``v`` are component-first; M is
     returned as a symmetric nested list of columns."""
-    p = [[dot3(dg[i][j], v) for j in range(3)] for i in range(3)]   # v^l d_i g_jl
+    p = [matvec(dg[i], v) for i in range(3)]    # p[i][j] = v^l d_i g_jl
     m = [[None] * 3 for _ in range(3)]
     for i, j in _UPPER:
         m[i][j] = m[j][i] = 0.5 * (p[i][j] + p[j][i] - dot3(dg[:, i, j], v))

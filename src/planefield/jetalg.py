@@ -1,10 +1,13 @@
-"""Small dense linear algebra over first-order jets.
+"""The package's 3x3 algebra, written once over component-first entries.
 
-A jet-vector is a list of three :class:`~planefield.expr.Jet1` scalars, a
-jet-matrix a 3x3 nested list.  Carrying the chart partials through the
-algebra gives exact Jacobians for derived fields (unit normals, frame
-pushforwards, transferred metrics) without any symbolic blow-up: only
-first derivatives of the primitive fields are ever consumed.
+A matrix is a nested list ``m[i][j]`` and a vector a list ``v[k]`` whose
+entries are either batch columns (numpy arrays of one point-batch shape)
+or first-order jets (:class:`~planefield.expr.Jet1`).  The formulas are
+plain arithmetic on entries, so the same code gives metric minors and
+inverses on sweep columns and, on jets, exact Jacobians for derived fields
+(unit normals, frame pushforwards, transferred metrics) without any
+symbolic blow-up: only first derivatives of the primitive fields are ever
+consumed.
 """
 
 from __future__ import annotations
@@ -14,10 +17,43 @@ import numpy as np
 from .expr import Jet1
 
 __all__ = [
+    "dot3", "matvec", "cross", "adjugate3", "det3",
     "jets_from_metric", "jets_from_components", "vector_values",
-    "vector_jacobian", "matvec", "dot", "raw_dot", "adjugate3", "det3",
-    "normalize", "scale", "add", "sub", "matrix_values", "matrix_partials",
+    "vector_jacobian", "matrix_values", "matrix_partials",
 ]
+
+
+def dot3(u, v):
+    """u_0 v_0 + u_1 v_1 + u_2 v_2."""
+    return u[0] * v[0] + u[1] * v[1] + u[2] * v[2]
+
+
+def matvec(m, v) -> list:
+    """(m v)_i = m_ij v_j."""
+    return [dot3(m[i], v) for i in range(3)]
+
+
+def cross(u, v) -> list:
+    """(u x v)_l = eps_ljk u_j v_k."""
+    return [u[(l + 1) % 3] * v[(l + 2) % 3] - u[(l + 2) % 3] * v[(l + 1) % 3]
+            for l in range(3)]
+
+
+def adjugate3(m) -> list:
+    """Transposed cofactor matrix, so m^-1 = adjugate / det.  With cyclic
+    row and column indices every 2x2 minor already carries its sign."""
+    adj = [[None] * 3 for _ in range(3)]
+    for i in range(3):
+        i1, i2 = (i + 1) % 3, (i + 2) % 3
+        for j in range(3):
+            j1, j2 = (j + 1) % 3, (j + 2) % 3
+            adj[j][i] = m[i1][j1] * m[i2][j2] - m[i1][j2] * m[i2][j1]
+    return adj
+
+
+def det3(m, adj):
+    """det m as the expansion of m along row 0 against its adjugate."""
+    return m[0][0] * adj[0][0] + m[0][1] * adj[1][0] + m[0][2] * adj[2][0]
 
 
 def jets_from_metric(mj) -> list:
@@ -45,62 +81,6 @@ def vector_values(v: list) -> np.ndarray:
 def vector_jacobian(v: list) -> np.ndarray:
     """jac[..., i, k] = d_i v^k."""
     return np.stack([np.moveaxis(c.gradient, 0, -1) for c in v], axis=-1)
-
-
-def matvec(m: list, v: list) -> list:
-    return [m[i][0] * v[0] + m[i][1] * v[1] + m[i][2] * v[2] for i in range(3)]
-
-
-def dot(g: list, u: list, v: list) -> Jet1:
-    acc = None
-    for i in range(3):
-        for j in range(3):
-            term = g[i][j] * u[i] * v[j]
-            acc = term if acc is None else acc + term
-    return acc
-
-
-def raw_dot(u: list, v: list) -> Jet1:
-    return u[0] * v[0] + u[1] * v[1] + u[2] * v[2]
-
-
-def det3(m: list) -> Jet1:
-    return (m[0][0] * (m[1][1] * m[2][2] - m[1][2] * m[2][1])
-            - m[0][1] * (m[1][0] * m[2][2] - m[1][2] * m[2][0])
-            + m[0][2] * (m[1][0] * m[2][1] - m[1][1] * m[2][0]))
-
-
-def adjugate3(m: list) -> list:
-    """Transposed cofactor matrix, so inv = adjugate / det."""
-    c = [[None] * 3 for _ in range(3)]
-    idx = [(0, 1, 2), (1, 2, 0), (2, 0, 1)]
-    for a in range(3):
-        for b in range(3):
-            i1, i2 = [x for x in range(3) if x != a]
-            j1, j2 = [x for x in range(3) if x != b]
-            minor = m[i1][j1] * m[i2][j2] - m[i1][j2] * m[i2][j1]
-            sign = -1.0 if (a + b) % 2 else 1.0
-            c[b][a] = minor * sign
-    return c
-
-
-def add(u: list, v: list) -> list:
-    return [a + b for a, b in zip(u, v)]
-
-
-def sub(u: list, v: list) -> list:
-    return [a - b for a, b in zip(u, v)]
-
-
-def scale(s: Jet1, v: list) -> list:
-    return [s * c for c in v]
-
-
-def normalize(g: list, v: list):
-    """Unit jet-vector under the jet-metric g; returns (unit, norm)."""
-    from .expr import jet_sqrt
-    norm = jet_sqrt(dot(g, v, v))
-    return [c / norm for c in v], norm
 
 
 def matrix_values(m: list) -> np.ndarray:

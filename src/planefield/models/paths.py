@@ -147,6 +147,13 @@ class RankOnePath:
         return np.abs(mu[..., 1] - mu[..., 0]) < self.crossing_tol
 
 
+def _leading_minors(g: np.ndarray) -> np.ndarray:
+    """Leading principal minors ``(..., 2)`` of symmetric 2x2 matrices
+    ``g[..., i, j]``; g is SPD exactly where both are positive."""
+    return np.stack([g[..., 0, 0],
+                     g[..., 0, 0] * g[..., 1, 1] - g[..., 0, 1] ** 2], axis=-1)
+
+
 def _spd_failure(path, grid) -> Optional[tuple]:
     """First (t, p) where a path metric leaves the SPD cone, or None."""
     nu, nv, nt = grid
@@ -156,9 +163,7 @@ def _spd_failure(path, grid) -> Optional[tuple]:
     mu, mv, mt = np.meshgrid(upts, vpts, tline, indexing="ij")
     pts = np.stack([mu.reshape(-1), mv.reshape(-1), mt.reshape(-1)], axis=0)
     g, _ = path.eval(pts)
-    m1 = g[..., 0, 0]
-    m2 = g[..., 0, 0] * g[..., 1, 1] - g[..., 0, 1] ** 2
-    bad = ~((m1 > 0) & (m2 > 0))
+    bad = ~np.all(_leading_minors(g) > 0, axis=-1)
     if np.any(bad):
         i = int(np.argmax(bad))
         return float(pts[2, i]), (float(pts[0, i]), float(pts[1, i]))
@@ -209,12 +214,12 @@ def verify_metric_path(path, grid=(9, 9, 17), det_tol: float = 1e-8,
     pts = sample.points
     g, dg = path.eval(pts)
 
-    m1 = g[..., 0, 0]
-    m2 = g[..., 0, 0] * g[..., 1, 1] - g[..., 0, 1] ** 2
-    bad = ~((m1 > 0) & (m2 > 0))
+    minors = _leading_minors(g)
+    bad = ~np.all(minors > 0, axis=-1)
     if np.any(bad):
         i = int(np.argmax(bad))
-        raise NotSPDError((pts[0, i], pts[1, i], pts[2, i]), 1, float(m2[i]))
+        k = int(np.argmax(~(minors[i] > 0)))
+        raise NotSPDError(pts[:, i], k, minors[i, k])
 
     det_dt = dg[..., 0, 0] * dg[..., 1, 1] - dg[..., 0, 1] ** 2
     flagged = path.crossing_mask(pts)

@@ -33,6 +33,7 @@ from ..distributions import (Distribution, FrameData, _require_plane,
 from ..errors import NotTransverseError
 from ..expr import jet_sqrt
 from ..geometry import MetricField, MetricJets
+from ..jetalg import adjugate3, det3, dot3, matvec
 
 __all__ = ["TransferReport", "transfer_metric"]
 
@@ -87,42 +88,39 @@ def transfer_metric(metric: MetricField, xi: Distribution, eta: Distribution,
     v1 = jetalg.jets_from_components(fd.val[:, 0, :], fd.jac[:, 0, :, :])
     v2 = jetalg.jets_from_components(fd.val[:, 1, :], fd.jac[:, 1, :, :])
 
+    def inner(u, v):
+        return dot3(u, matvec(g, v))
+
+    def project(x, unit):
+        """x minus its g-component along the unit vector ``unit``."""
+        c = inner(x, unit)
+        return [p - c * q for p, q in zip(x, unit)]
+
     # g-orthonormal frame of xi
-    n1 = jet_sqrt(jetalg.dot(g, v1, v1))
+    n1 = jet_sqrt(inner(v1, v1))
     x1 = [c / n1 for c in v1]
-    c12 = jetalg.dot(g, v2, x1)
-    w2 = jetalg.sub(v2, jetalg.scale(c12, x1))
-    n2 = jet_sqrt(jetalg.dot(g, w2, w2))
+    w2 = project(v2, x1)
+    n2 = jet_sqrt(inner(w2, w2))
     x2 = [c / n2 for c in w2]
 
     n_xi = normal_jets(mj, xi, pts)
     m_eta = normal_jets(mj, eta, pts)
 
-    trans = jetalg.dot(g, n_xi, m_eta).value
+    trans = inner(n_xi, m_eta).value
     if np.any(np.abs(trans) < transversality_tol):
         i = int(np.argmax(np.abs(trans) < transversality_tol))
         angle = float(np.arccos(np.clip(np.abs(trans[i]), 0.0, 1.0)))
         raise NotTransverseError(pts[:, i], angle)
 
-    def project(x):
-        c = jetalg.dot(g, x, m_eta)
-        return jetalg.sub(x, jetalg.scale(c, m_eta))
+    p1, p2 = project(x1, m_eta), project(x2, m_eta)
 
-    p1, p2 = project(x1), project(x2)
-
-    # declare (p1, p2, n_xi) orthonormal: g~ = F^-T F^-1 for F = [p1 p2 n]
+    # declare (p1, p2, n_xi) orthonormal: g~ = F^-T F^-1 for F = [p1 p2 n],
+    # so g~_ij is the dot product of columns i and j of F^-1 = adj(F) / det F
     f = [[p1[i], p2[i], n_xi[i]] for i in range(3)]
-    det_f = jetalg.det3(f)
-    adj = jetalg.adjugate3(f)
-    finv = [[adj[r][c] / det_f for c in range(3)] for r in range(3)]
-    gt = [[None] * 3 for _ in range(3)]
-    for i in range(3):
-        for j in range(3):
-            acc = None
-            for k in range(3):
-                term = finv[k][i] * finv[k][j]
-                acc = term if acc is None else acc + term
-            gt[i][j] = acc
+    adj = adjugate3(f)
+    det_f = det3(f, adj)
+    cols = [[adj[k][i] / det_f for k in range(3)] for i in range(3)]
+    gt = [[dot3(cols[i], cols[j]) for j in range(3)] for i in range(3)]
 
     mj_new = MetricJets.from_arrays(jetalg.matrix_values(gt),
                                     jetalg.matrix_partials(gt))

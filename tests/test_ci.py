@@ -1,6 +1,7 @@
 """The CI workflow runs the Tier-1 suite and the benchmark self-check on
 every supported Python."""
 
+import re
 from pathlib import Path
 
 import pytest
@@ -20,3 +21,14 @@ def test_workflow_runs_tier1_and_selfcheck_on_python_310_and_311():
     assert ("PYTHONPATH=src${PYTHONPATH:+:$PYTHONPATH} "
             "python -m pytest -q --continue-on-collection-errors") in runs
     assert "python3 perfbench/selfcheck.py" in runs
+
+
+def test_ci_and_the_test_extra_install_pyyaml():
+    """Without PyYAML the workflow check above is skipped."""
+    workflow = yaml.safe_load(WORKFLOW.read_text(encoding="utf-8"))
+    installs = [step.get("run", "") for step in workflow["jobs"]["tests"]["steps"]
+                if "pip install" in step.get("run", "")]
+    assert any('"pyyaml' in run for run in installs)
+    pyproject = (WORKFLOW.parents[2] / "pyproject.toml").read_text(encoding="utf-8")
+    test_extra = re.search(r"^test = \[(.*)\]$", pyproject, re.MULTILINE)
+    assert test_extra and '"pyyaml' in test_extra.group(1)

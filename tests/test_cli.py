@@ -76,6 +76,15 @@ def test_check_csv_dump(reeb_file, tmp_path, monkeypatch):
         == points.T.tolist()
 
 
+def test_check_csv_without_output_fails_before_the_sweep(reeb_file, monkeypatch,
+                                                       capsys):
+    from planefield import cli
+    monkeypatch.setattr(cli, "classify_op",
+                        lambda *a, **k: pytest.fail("the sweep ran"))
+    assert main(["check", str(reeb_file), "--format", "csv"]) == 2
+    assert "--format csv requires --output" in capsys.readouterr().err
+
+
 def test_missing_file_is_usage_error(capsys):
     assert main(["check", "missing.json"]) == 2
     assert "missing.json" in capsys.readouterr().err
@@ -171,6 +180,32 @@ def test_plotdata_csv(reeb_file, tmp_path):
     values = np.array([[float(v) for v in line.split(",")]
                        for line in lines[1:]])
     assert np.max(np.abs(values[:, 1])) <= 1e-8   # parabolic along the line
+
+
+def test_plotdata_evaluates_each_field_once(reeb_file, tmp_path, monkeypatch):
+    """One pass over the line: 6 metric entries and 3 form components; the
+    CSV holds the single-point API's K_e and H."""
+    from planefield import expr
+    from planefield.distributions import extrinsic_curvature, mean_curvature
+    model = load_model(reeb_file)
+    chart, dist = model.chart, model.distribution(None)
+    line, _ = chart.axis_points(0, 16, margin=1e-3)
+    pts = np.zeros((3, 16))
+    pts[0] = line
+    pts[1:] = [[0.5 * sum(chart.domain[i])] for i in (1, 2)]
+    k_e = extrinsic_curvature(model.metric, dist, pts)
+    h = mean_curvature(model.metric, dist, pts)
+    want = "r,k_e,h\n" + "".join(f"{float(line[j])!r},{float(k_e[j])!r},{float(h[j])!r}\n"
+                                  for j in range(16))
+    calls = []
+    real = expr.eval_jet
+    monkeypatch.setattr(expr, "eval_jet",
+                        lambda node, p: calls.append(node) or real(node, p))
+    out = tmp_path / "line.csv"
+    assert main(["plotdata", str(reeb_file), "--along", "r", "--n", "16",
+                 "--output", str(out)]) == 0
+    assert len(calls) == 9
+    assert out.read_text(encoding="utf-8") == want
 
 
 def test_model_atlas_emit(tmp_path):

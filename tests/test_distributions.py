@@ -15,7 +15,7 @@ from planefield.distributions import (Distribution, classify, contact_volume,
                                       integral_mean_curvature, mean_curvature,
                                       normal_arrays, normal_field,
                                       second_fundamental_form, tangent_frame)
-from planefield.distributions import _annihilator
+from planefield.distributions import _annihilator, _kernel_frame
 from planefield.errors import (ConfigError, DegenerateDistributionError,
                                NonSPDPathError, NotSPDError,
                                NotTransverseError)
@@ -44,6 +44,39 @@ def test_frame_annihilates_the_form(contact_box):
     aval, _ = alpha.eval(pts)
     pairing = np.einsum("...ak,...k->...a", fd.val, aval)
     assert np.max(np.abs(pairing)) < 1e-12
+
+
+def _oracle_kernel_frame(aval, ajac):
+    """The kernel frame written with one boolean-mask scatter per plane."""
+    n = aval.shape[0]
+    val = np.zeros((n, 2, 3))
+    jac = np.zeros((n, 2, 3, 3))
+    idx = np.argmax(np.abs(aval), axis=-1)
+    am = np.take_along_axis(aval, idx[:, None], axis=-1)[:, 0]
+    for m, (j1, j2) in enumerate(((1, 2), (0, 2), (0, 1))):
+        mask = idx == m
+        for a, j in ((0, j1), (1, j2)):
+            val[mask, a, j] = aval[mask, m]
+            val[mask, a, m] = -aval[mask, j]
+            jac[mask, a, :, j] = ajac[mask, :, m]
+            jac[mask, a, :, m] = -ajac[mask, :, j]
+    return val, jac, np.abs(am) > 0.0
+
+
+def test_kernel_frame_matches_the_mask_scatter(reeb, torus, contact_box):
+    cases = [(reeb.form(), reeb.chart.random_points(400, seed=1)),
+             (random_periodic_form(2), torus.chart.random_points(400, seed=2))]
+    pts = np.random.default_rng(3).uniform(-0.9, 0.9, size=(3, 400))
+    cases.append((OneForm(contact_box.chart, ("-y", "0", "1")), pts))
+    for alpha, p in cases:
+        aval, ajac = alpha.eval(p)
+        if alpha is cases[-1][0]:
+            aval[::7], ajac[::7] = 0.0, 0.0        # vanishing form
+        fd = _kernel_frame(aval, ajac)
+        for got, want in zip((fd.val, fd.jac, fd.ok),
+                             _oracle_kernel_frame(aval, ajac)):
+            assert got.tobytes() == want.tobytes()
+    assert not np.all(fd.ok) and np.any(fd.ok)
 
 
 def test_span_frame_returned_unchanged(reeb):

@@ -7,7 +7,8 @@ from planefield.distributions import (Distribution, classify,
                                       frobenius_residual,
                                       second_fundamental_form)
 from planefield.errors import (ConfigError, DomainError, NonSPDPathError,
-                               NotTransverseError, OverlapMismatchError)
+                               NotSPDError, NotTransverseError,
+                               OverlapMismatchError)
 from planefield.expr import smoothstep, smoothstep_deriv
 from planefield.geometry import OneForm
 from planefield.models import (ExprMetricPath, SurfaceMetric, TwistSpec,
@@ -217,6 +218,19 @@ def test_constant_path_verifies_clean():
     assert rep["max_abs_det_dt"] == 0.0
     assert rep["collar0_residual"] == 0.0
     assert rep["collar1_residual"] == 0.0
+
+
+@pytest.mark.parametrize("entries, index, value", [
+    (("-1", "0", "-1"), 0, -1.0),      # g11 < 0: the first minor fails
+    (("1", "2", "1"), 1, -3.0),        # g11 g22 - g12^2 = 1 - 4
+])
+def test_non_spd_path_names_its_failing_minor(entries, index, value):
+    path = ExprMetricPath(torus_surface_chart(), entries)
+    with pytest.raises(NotSPDError) as err:
+        verify_metric_path(path, grid=(3, 3, 3))
+    assert err.value.minor_index == index
+    assert err.value.minor_value == value
+    assert f"leading minor {index + 1} = {value!r}" in str(err.value)
 
 
 def test_single_direction_stretch_is_degenerate_but_breaks_collars():
