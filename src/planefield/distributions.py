@@ -233,11 +233,23 @@ def curvature_arrays(mj: MetricJets, fd: FrameData, nval: np.ndarray) -> dict:
     }
 
 
+@dataclass
+class _Block:
+    """A plane field evaluated once on a batch (see ``_block_arrays``)."""
+
+    arrs: dict            # curvature_arrays; "ok" includes a well-defined normal
+    frame: FrameData
+    gram_ok: np.ndarray   # frame defined, metric SPD, frame Gram non-degenerate
+    normal: np.ndarray
+    normal_ok: np.ndarray
+    aval: np.ndarray      # the annihilator and its Jacobian
+    ajac: np.ndarray
+
+
 def _block_arrays(mj: MetricJets, dist: Distribution, points: np.ndarray,
-                  frame: Optional[tuple] = None) -> tuple:
-    """Curvature arrays at a batch from one evaluation of the plane's
-    defining fields; returns (arrays, annihilator values, its Jacobian).
-    ``arrays["ok"]`` includes a well-defined unit normal."""
+                  frame: Optional[tuple] = None) -> _Block:
+    """Curvature arrays, frame and unit normal at a batch from one
+    evaluation of the plane's defining fields."""
     if dist.kind == "kernel":
         aval, ajac = dist.alpha.eval(points)
     else:
@@ -251,8 +263,9 @@ def _block_arrays(mj: MetricJets, dist: Distribution, points: np.ndarray,
         fd = _span_frame(s, t, "span")
     nval, nok = _unit_normal(mj, aval, dist.co_orientation)
     arrs = curvature_arrays(mj, fd, nval)
-    arrs["ok"] &= nok
-    return arrs, aval, ajac
+    gram_ok = arrs["ok"]
+    arrs["ok"] = gram_ok & nok
+    return _Block(arrs, fd, gram_ok, nval, nok, aval, ajac)
 
 
 # ---------------------------------------------------------------------------
@@ -273,39 +286,38 @@ def _require_plane(ok: np.ndarray, points: np.ndarray, detail: str = "") -> None
         raise DegenerateDistributionError(points[:, int(np.argmax(~ok))], detail)
 
 
+def _point_block(metric: MetricField, dist: Distribution, point,
+                 frame: Optional[tuple] = None) -> tuple:
+    """The sweep's block kernel at a point or a small batch, after the SPD
+    check: (block, points as (3, N), whether the input was one point)."""
+    p, squeeze = _single(point)
+    mj = metric.eval(p)
+    mj.require_spd(p)
+    return _block_arrays(mj, dist, p, frame), p, squeeze
+
+
 def tangent_frame(metric: MetricField, dist: Distribution, point,
                   frame: Optional[tuple] = None) -> tuple:
     """Two vectors spanning the plane at a point."""
-    p, squeeze = _single(point)
-    fd = distribution_frames(dist, p, frame)
-    _require_plane(fd.ok, p, "vanishing defining form")
-    mj = metric.eval(p)
-    e0, e1 = fd.val[..., 0, :], fd.val[..., 1, :]
-    g00, g01, g11 = mj.dot(e0, e0), mj.dot(e0, e1), mj.dot(e1, e1)
-    det_gram = g00 * g11 - g01 ** 2
-    _require_plane(~(det_gram <= _DEGENERATE_REL * np.maximum(g00 * g11, 1e-300)),
-                  p, "frame Gram degenerate")
+    b, p, squeeze = _point_block(metric, dist, point, frame)
+    _require_plane(b.frame.ok, p, "vanishing defining form")
+    _require_plane(b.gram_ok, p, "frame Gram degenerate")
+    e0, e1 = b.frame.val[..., 0, :], b.frame.val[..., 1, :]
     return (e0[0], e1[0]) if squeeze else (e0, e1)
 
 
 def normal_field(metric: MetricField, dist: Distribution, point) -> np.ndarray:
     """Unit normal at a point, signed by the co-orientation."""
-    p, squeeze = _single(point)
-    mj = metric.eval(p)
-    mj.require_spd(p)
-    nval, ok = normal_arrays(mj, dist, p)
-    _require_plane(ok, p, "vanishing defining form")
-    return nval[0] if squeeze else nval
+    b, p, squeeze = _point_block(metric, dist, point)
+    _require_plane(b.normal_ok, p, "vanishing defining form")
+    return b.normal[0] if squeeze else b.normal
 
 
 def _point_arrays(metric, dist, point, frame=None) -> dict:
-    p, squeeze = _single(point)
-    mj = metric.eval(p)
-    mj.require_spd(p)
-    arrs, _, _ = _block_arrays(mj, dist, p, frame)
-    _require_plane(arrs["ok"], p, "degenerate plane field")
-    arrs["_squeeze"] = squeeze
-    return arrs
+    b, p, squeeze = _point_block(metric, dist, point, frame)
+    _require_plane(b.arrs["ok"], p, "degenerate plane field")
+    b.arrs["_squeeze"] = squeeze
+    return b.arrs
 
 
 def _point_value(key, metric, dist, point, frame):
@@ -468,9 +480,9 @@ def classify(metric: MetricField, dist: Distribution, grid=(16, 16, 16),
 
     def kernel(pts):
         mj = metric.eval(pts)
-        arrs, aval, ajac = _block_arrays(mj, dist, pts, frame)
-        arrs["contact_volume"] = wedge3(aval, d_oneform_raw(ajac))
-        return _summarise(arrs, mj.spd, keep_points)
+        b = _block_arrays(mj, dist, pts, frame)
+        b.arrs["contact_volume"] = wedge3(b.aval, d_oneform_raw(b.ajac))
+        return _summarise(b.arrs, mj.spd, keep_points)
 
     blocks = chunked_eval(kernel, sample.points, jobs)
     offsets = np.cumsum([0] + [b.n_points for b in blocks[:-1]])
@@ -543,14 +555,14 @@ def integral_mean_curvature(metric: MetricField, dist: Distribution,
     def kernel(pts):
         mj = metric.eval(pts)
         mj.require_spd(pts)
-        arrs, aval, ajac = _block_arrays(mj, dist, pts)
-        _require_plane(arrs["ok"], pts)
-        out = {"weighted_h": ExactSum(arrs["h"] * np.sqrt(mj.det()))}
+        b = _block_arrays(mj, dist, pts)
+        _require_plane(b.arrs["ok"], pts)
+        out = {"weighted_h": ExactSum(b.arrs["h"] * np.sqrt(mj.det()))}
         if defect:
-            njets = _normal_jets(mj, aval, ajac, dist.co_orientation)
+            njets = _normal_jets(mj, b.aval, b.ajac, dist.co_orientation)
             div_n = divergence_raw(mj, jetalg.vector_values(njets),
                                    jetalg.vector_jacobian(njets))
-            out["defect"] = np.max(np.abs(arrs["h"] + div_n))
+            out["defect"] = np.max(np.abs(b.arrs["h"] + div_n))
         return out
 
     blocks = chunked_eval(kernel, sample.points, jobs)

@@ -45,10 +45,15 @@ class ArityError(ParseError):
 
 class DomainError(PlanefieldError):
     """Evaluation left the real domain of a function (sqrt of a negative,
-    division by zero, non-integer power of a non-positive base, ...)."""
+    division by zero, non-integer power of a non-positive base, ...).
+    Field evaluation names the first failing point of its batch and the
+    argument value there."""
 
-    def __init__(self, function: str, value, message: str = ""):
+    def __init__(self, function: str, value, message: str = "", point=None):
+        self.point = None if point is None else tuple(map(float, point))
         detail = f"{function}: argument value {value!r} outside domain"
+        if self.point is not None:
+            detail += f" at {self.point}"
         if message:
             detail += f" ({message})"
         super().__init__(detail)

@@ -6,6 +6,17 @@ Expressions are parsed once into an immutable AST and evaluated with
 first-order jets (value plus the three chart partials), so downstream
 geometry sees exact derivatives instead of finite differences.
 
+Evaluation runs a :class:`Tape`: each field compiles all its component
+expressions once into one straight-line program of forward-mode jet
+operations (Griewank & Walther, *Evaluating Derivatives*, 2008) and runs
+it once per point batch.  Compiling shares equal subexpressions (hash
+consing), folds constant subtrees to plain floats with the IEEE operations
+a batch would apply, and tracks structural zeros: a partial along a
+coordinate the value does not depend on is ``None`` and never computed.
+Values are those of the dense computation bit for bit; a partial may
+differ from it in the sign of a zero, and is an exact zero where the dense
+computation multiplied a non-finite derivative by a zero partial.
+
 Grammar::
 
     expr   := term (('+'|'-') term)*
@@ -35,14 +46,14 @@ from __future__ import annotations
 import math
 import re
 from dataclasses import dataclass
-from typing import Callable, Mapping, Sequence
+from typing import Mapping, Sequence
 
 import numpy as np
 
 from .errors import ArityError, DomainError, ParseError, UnknownIdentifierError
 
 __all__ = [
-    "Jet1", "Node", "Num", "Coord", "Const", "Neg", "BinOp", "Call",
+    "Jet1", "Tape", "Node", "Num", "Coord", "Const", "Neg", "BinOp", "Call",
     "parse", "eval_jet", "evaluate", "to_string", "substitute",
     "smoothstep", "smoothstep_deriv", "coord_indices",
     "CONSTANTS", "FUNCTIONS",
@@ -58,134 +69,171 @@ FUNCTIONS: dict[str, int] = {
 
 
 # ---------------------------------------------------------------------------
-# first-order jets
+# first-order jets: each operation takes jets or plain numbers, and the
+# ``(3, ...)`` batch being evaluated, if any, for its domain errors to name
+
+_NO_PARTIALS = (None, None, None)
+
+
+def _jet(value, partials) -> "Jet1":
+    out = Jet1.__new__(Jet1)
+    out.value, out.partials = value, tuple(partials)
+    return out
+
+
+def _split(x) -> tuple:
+    return (x.value, x.partials) if isinstance(x, Jet1) else (x, _NO_PARTIALS)
+
+
+def _plus(d, e):
+    return e if d is None else d if e is None else d + e
+
+
+def _minus(d, e):
+    return d if e is None else -e if d is None else d - e
+
+
+def _times(c, d):
+    return None if d is None else c * d
+
+
+def _require(bad, arg, points, function: str, message: str = "") -> None:
+    """Raise DomainError at the first point where ``bad`` holds, with the
+    offending argument ``arg`` there."""
+    if np.any(bad):
+        shape = np.shape(bad) if points is None else np.shape(points)[1:]
+        bad, arg = (np.broadcast_to(x, shape).ravel() for x in (bad, arg))
+        if bad.any():       # else a constant argument over an empty batch
+            i = int(np.argmax(bad))
+            raise DomainError(function, float(arg[i]), message, None if points is None
+                              else np.reshape(points, (3, -1))[:, i])
+
+
+def _add(x, y, points=None) -> "Jet1":
+    (xv, xp), (yv, yp) = _split(x), _split(y)
+    return _jet(xv + yv, map(_plus, xp, yp))
+
+
+def _sub(x, y, points=None) -> "Jet1":
+    (xv, xp), (yv, yp) = _split(x), _split(y)
+    return _jet(xv - yv, map(_minus, xp, yp))
+
+
+def _neg(x, points=None) -> "Jet1":
+    xv, xp = _split(x)
+    return _jet(-xv, [None if a is None else -a for a in xp])
+
+
+def _mul(x, y, points=None) -> "Jet1":
+    (xv, xp), (yv, yp) = _split(x), _split(y)
+    return _jet(xv * yv, [_plus(_times(yv, a), _times(xv, b)) for a, b in zip(xp, yp)])
+
+
+def _div(x, y, points=None) -> "Jet1":
+    (xv, xp), (yv, yp) = _split(x), _split(y)
+    _require(yv == 0.0, yv, points, "divide", "division by zero")
+    inv = 1.0 / yv
+    val = xv * inv
+    return _jet(val, [_times(inv, _minus(a, _times(val, b))) for a, b in zip(xp, yp)])
+
+
+def _chain(x, value, deriv) -> "Jet1":
+    """f(x) from the value and the derivative of f at the value of x."""
+    return _jet(value, [_times(deriv, a) for a in _split(x)[1]])
+
+
+def _unary(f, df):
+    return lambda x, points=None: _chain(x, f(_split(x)[0]), df(_split(x)[0]))
+
+
+_sin = _unary(np.sin, np.cos)
+_cos = _unary(np.cos, lambda v: -np.sin(v))
+_exp = _unary(np.exp, np.exp)
+
+
+def _sqrt(x, points=None) -> "Jet1":
+    v, xp = _split(x)
+    _require(v < 0.0, v, points, "sqrt")
+    root = np.sqrt(v)
+    d = np.where(root > 0.0, 0.5 / np.where(root > 0.0, root, 1.0), np.inf)
+    # 0 * inf at the apex of sqrt: a constant argument has zero gradient there
+    return _jet(root, [None if a is None else np.where(a == 0.0, 0.0, d * a)
+                       for a in xp])
+
+
+jet_sqrt = _sqrt
+
+
+def _pow_number(base, e, points=None) -> "Jet1":
+    """base ^ e for an exponent written as a literal number."""
+    v, e = np.asarray(_split(base)[0]), float(e)
+    if e.is_integer():
+        n = int(e)
+        if n == 0:
+            return _jet(np.ones(v.shape), _NO_PARTIALS)
+        if n < 0:
+            _require(v == 0.0, v, points, "power", f"0 raised to {n}")
+        return _chain(base, v ** n, n * v ** (n - 1))
+    _require(v <= 0.0, v, points, "power", "non-integer exponent requires a positive base")
+    val = v ** e
+    return _chain(base, val, e * val / v)
+
+
+def _pow(base, expo, points=None) -> "Jet1":
+    """base ^ expo = exp(expo log base), for any other exponent."""
+    (bv, bp), (ev, ep) = _split(base), _split(expo)
+    _require(bv <= 0.0, bv, points, "power", "non-integer exponent requires a positive base")
+    logb = np.log(bv)
+    val = np.exp(ev * logb)
+    q = ev / bv
+    return _jet(val, [_times(val, _plus(_times(logb, a), _times(q, b)))
+                      for a, b in zip(ep, bp)])
 
 
 class Jet1:
     """Value of a scalar together with its three chart partials.
 
-    ``value`` has an arbitrary batch shape S and ``gradient`` has shape
-    ``(3,) + S``; all arithmetic obeys the exact product/quotient/chain
-    rules, never finite differences.  Instances are cheap containers and
-    are safe to share between threads (nothing mutates them).
+    ``value`` has a batch shape S.  ``partials[l]``, the partial along
+    coordinate l, is ``None`` where structurally zero, a plain float where
+    it does not vary, or an array of shape S; ``gradient`` is the dense
+    ``(3,) + S`` array.  Arithmetic obeys the exact product, quotient and
+    chain rules and takes plain numbers as constants.  Nothing mutates a
+    jet, so jets are safe to share between threads.
     """
 
-    __slots__ = ("value", "gradient")
+    __slots__ = ("value", "partials")
 
-    def __init__(self, value, gradient):
+    def __init__(self, value, partials):
+        if len(partials) != 3:
+            raise ValueError(f"need 3 partials, got {len(partials)}")
         self.value = np.asarray(value, dtype=float)
-        self.gradient = np.asarray(gradient, dtype=float)
+        self.partials = tuple(None if d is None else np.asarray(d, dtype=float)
+                              for d in partials)
 
-    @classmethod
-    def constant(cls, value, shape=()):
-        v = np.broadcast_to(np.asarray(value, dtype=float), shape).copy()
-        return cls(v, np.zeros((3,) + shape))
+    @property
+    def gradient(self) -> np.ndarray:
+        return np.stack([np.broadcast_to(0.0 if d is None else d, np.shape(self.value))
+                         for d in self.partials])
 
-    def _lift(self, other) -> "Jet1":
-        if isinstance(other, Jet1):
-            return other
-        return Jet1.constant(other, self.value.shape)
-
-    def __add__(self, other):
-        o = self._lift(other)
-        return Jet1(self.value + o.value, self.gradient + o.gradient)
-
-    __radd__ = __add__
-
-    def __sub__(self, other):
-        o = self._lift(other)
-        return Jet1(self.value - o.value, self.gradient - o.gradient)
+    __add__ = __radd__ = _add
+    __sub__ = _sub
+    __mul__ = __rmul__ = _mul
+    __truediv__ = _div
+    __neg__ = _neg
 
     def __rsub__(self, other):
-        o = self._lift(other)
-        return Jet1(o.value - self.value, o.gradient - self.gradient)
-
-    def __mul__(self, other):
-        o = self._lift(other)
-        return Jet1(self.value * o.value,
-                    self.gradient * o.value + self.value * o.gradient)
-
-    __rmul__ = __mul__
-
-    def __truediv__(self, other):
-        o = self._lift(other)
-        if np.any(o.value == 0.0):
-            raise DomainError("divide", 0.0, "division by zero")
-        inv = 1.0 / o.value
-        return Jet1(self.value * inv,
-                    (self.gradient - self.value * inv * o.gradient) * inv)
+        return _sub(other, self)
 
     def __rtruediv__(self, other):
-        return self._lift(other) / self
-
-    def __neg__(self):
-        return Jet1(-self.value, -self.gradient)
+        return _div(other, self)
 
     def __pow__(self, exponent):
         if not isinstance(exponent, (int, float)):
             raise TypeError("Jet1 ** expects a plain number")
-        return _jet_pow_number(self, float(exponent))
+        return _pow_number(self, exponent)
 
     def __repr__(self):  # pragma: no cover - debugging aid
-        return f"Jet1(value={self.value!r}, gradient={self.gradient!r})"
-
-
-def _jet_unary(j: Jet1, f: Callable, fd: Callable) -> Jet1:
-    """Chain rule for a scalar function with known derivative."""
-    return Jet1(f(j.value), fd(j.value) * j.gradient)
-
-
-def jet_sin(j: Jet1) -> Jet1:
-    return _jet_unary(j, np.sin, np.cos)
-
-
-def jet_cos(j: Jet1) -> Jet1:
-    return _jet_unary(j, np.cos, lambda v: -np.sin(v))
-
-
-def jet_exp(j: Jet1) -> Jet1:
-    return _jet_unary(j, np.exp, np.exp)
-
-
-def jet_sqrt(j: Jet1) -> Jet1:
-    v = j.value
-    if np.any(v < 0.0):
-        raise DomainError("sqrt", float(np.min(v)))
-    root = np.sqrt(v)
-    with np.errstate(divide="ignore"):
-        d = np.where(root > 0.0, 0.5 / np.where(root > 0.0, root, 1.0), np.inf)
-    # 0 * inf at the apex of sqrt: a constant argument has zero gradient there
-    grad = np.where(j.gradient == 0.0, 0.0, d * j.gradient)
-    return Jet1(root, grad)
-
-
-def _jet_pow_number(base: Jet1, e: float) -> Jet1:
-    if float(e).is_integer():
-        n = int(e)
-        if n == 0:
-            return Jet1.constant(1.0, base.value.shape)
-        if n < 0 and np.any(base.value == 0.0):
-            raise DomainError("power", 0.0, f"0 raised to {n}")
-        val = base.value ** n
-        dval = n * base.value ** (n - 1)
-        return Jet1(val, dval * base.gradient)
-    if np.any(base.value <= 0.0):
-        raise DomainError("power", float(np.min(base.value)),
-                          "non-integer exponent requires a positive base")
-    val = base.value ** e
-    return Jet1(val, e * val / base.value * base.gradient)
-
-
-def _jet_pow(base: Jet1, expo: Jet1) -> Jet1:
-    # general b^e = exp(e log b); only reached for a non-constant exponent
-    if np.any(base.value <= 0.0):
-        raise DomainError("power", float(np.min(base.value)),
-                          "non-integer exponent requires a positive base")
-    logb = np.log(base.value)
-    val = np.exp(expo.value * logb)
-    grad = val * (expo.gradient * logb
-                  + expo.value / base.value * base.gradient)
-    return Jet1(val, grad)
+        return f"Jet1(value={self.value!r}, partials={self.partials!r})"
 
 
 # ---------------------------------------------------------------------------
@@ -244,15 +292,7 @@ def smoothstep(a, b, x):
     """C-infinity step: 0 for x <= a, 1 for x >= b, strictly increasing
     in between.  Accepts floats, arrays or :class:`Jet1` in any slot."""
     if any(isinstance(v, Jet1) for v in (a, b, x)):
-        shape = next(v.value.shape for v in (a, b, x) if isinstance(v, Jet1))
-        ja = a if isinstance(a, Jet1) else Jet1.constant(a, shape)
-        jb = b if isinstance(b, Jet1) else Jet1.constant(b, shape)
-        jx = x if isinstance(x, Jet1) else Jet1.constant(x, shape)
-        if not np.all(ja.value < jb.value):
-            raise DomainError("smoothstep", (float(np.max(ja.value - jb.value))),
-                              "requires a < b")
-        w = (jx - ja) / (jb - ja)
-        return _jet_unary(w, _transition, _transition_d1)
+        return _smoothstep(a, b, x)
     a = np.asarray(a, dtype=float)
     b = np.asarray(b, dtype=float)
     if not np.all(a < b):
@@ -271,16 +311,22 @@ def smoothstep_deriv(a, b, x):
     return float(out) if out.ndim == 0 else out
 
 
-def _jet_smoothstep(ja: Jet1, jb: Jet1, jx: Jet1) -> Jet1:
-    return smoothstep(ja, jb, jx)
+def _step_arg(a, b, x, points) -> Jet1:
+    """w = (x - a) / (b - a), after checking a < b."""
+    av, bv = _split(a)[0], _split(b)[0]
+    _require(~np.less(av, bv), np.subtract(av, bv), points, "smoothstep", "requires a < b")
+    return _div(_sub(x, a), _sub(b, a), points)
 
 
-def _jet_dsmoothstep(ja: Jet1, jb: Jet1, jx: Jet1) -> Jet1:
-    if not np.all(ja.value < jb.value):
-        raise DomainError("smoothstep", float(np.max(ja.value - jb.value)),
-                          "requires a < b")
-    w = (jx - ja) / (jb - ja)
-    return _jet_unary(w, _transition_d1, _transition_d2) / (jb - ja)
+def _smoothstep(a, b, x, points=None) -> Jet1:
+    w = _step_arg(a, b, x, points)
+    return _chain(w, _transition(w.value), _transition_d1(w.value))
+
+
+def _dsmoothstep(a, b, x, points=None) -> Jet1:
+    w = _step_arg(a, b, x, points)
+    return _div(_chain(w, _transition_d1(w.value), _transition_d2(w.value)),
+                _sub(b, a), points)
 
 
 # ---------------------------------------------------------------------------
@@ -538,62 +584,129 @@ def parse(text: str, coords: Sequence[str]) -> Node:
 
 
 # ---------------------------------------------------------------------------
-# evaluation
+# evaluation: the jet tape
+
+_BINARY = {"+": _add, "-": _sub, "*": _mul, "/": _div, "^": _pow}
+_CALLS = {"sin": _sin, "cos": _cos, "exp": _exp, "sqrt": _sqrt,
+          "smoothstep": _smoothstep, "dsmoothstep": _dsmoothstep}
+_UNIT = ((1.0, None, None), (None, 1.0, None), (None, None, 1.0))
+
+
+def _check_points(points) -> np.ndarray:
+    p = np.asarray(points, dtype=float)
+    if p.ndim < 1 or p.shape[0] != 3:
+        raise ValueError(f"point must have shape (3, ...), got {p.shape}")
+    finite = np.isfinite(p)
+    if not finite.all():
+        first = np.take_along_axis(p, np.argmin(finite, axis=0)[None], axis=0)[0]
+        _require(~finite.all(axis=0), first, p, "point", "point must be finite")
+    return p
+
+
+class Tape:
+    """One straight-line jet program for a tuple of expressions.
+
+    Compiling walks each AST once and keys every node by its operation and
+    operand registers, so equal subtrees share one register.  Operations on
+    constants only are folded by running them on 0-d arrays; a fold that
+    leaves the function's domain stays an operation and raises at run time,
+    at the first point of the batch.  Registers are released after their
+    last use.  A tape is immutable and may run on several threads at once.
+    """
+
+    __slots__ = ("_consts", "_leaves", "_code", "_outputs")
+
+    def __init__(self, exprs: Sequence[Node]):
+        self._consts, self._leaves, code, keys = [], [], [], {}
+        self._outputs = [self._lower(e, code, keys) for e in exprs]
+        last = {r: step for step, (_, _, args) in enumerate(code) for r in args}
+        free = [[] for _ in code]
+        for r, step in last.items():
+            if self._consts[r] is None and r not in self._outputs:
+                free[step].append(r)
+        self._code = [(reg, op, args, f) for (reg, op, args), f in zip(code, free)]
+
+    def _lower(self, node: Node, code: list, keys: dict) -> int:
+        if isinstance(node, (Num, Const)):
+            value = float(node.value if isinstance(node, Num) else CONSTANTS[node.name])
+            return self._register(keys, ("const", value.hex()), value)
+        if isinstance(node, Coord):
+            return self._register(keys, ("coord", node.index), leaf=node.index)
+        if isinstance(node, Neg):
+            op, args = _neg, (node.arg,)
+        elif isinstance(node, BinOp):
+            # a literal exponent takes the power rule, any other exp(e log b)
+            literal = node.op == "^" and isinstance(node.right, Num)
+            op, args = _pow_number if literal else _BINARY[node.op], (node.left, node.right)
+        elif isinstance(node, Call):
+            op, args = _CALLS[node.func], node.args
+        else:
+            raise TypeError(f"not an expression node: {node!r}")
+        key = (op, tuple(self._lower(a, code, keys) for a in args))
+        if key not in keys:
+            value = self._fold(*key)
+            if value is None:
+                code.append((self._register(keys, key),) + key)
+            else:
+                keys[key] = self._register(keys, ("const", value.hex()), value)
+        return keys[key]
+
+    def _fold(self, op, regs: tuple):
+        """The float an operation on constants gives, or None."""
+        consts = [self._consts[r] for r in regs]
+        if any(c is None for c in consts):
+            return None
+        try:
+            return float(op(*map(np.asarray, consts)).value)
+        except DomainError:     # kept as an operation, to raise at run time
+            return None
+
+    def _register(self, keys: dict, key, const=None, leaf=None) -> int:
+        if key not in keys:
+            keys[key] = len(self._consts)
+            self._consts.append(const)
+            if leaf is not None:
+                self._leaves.append((keys[key], leaf))
+        return keys[key]
+
+    def run(self, points) -> list:
+        """Jets of the expressions at a point ``(3,)`` or a batch ``(3,
+        ...)``; a constant expression gives a scalar value, no partials."""
+        p = _check_points(points)
+        regs = list(self._consts)
+        for reg, index in self._leaves:
+            regs[reg] = _jet(p[index, ...].copy(), _UNIT[index])
+        for reg, op, args, free in self._code:
+            regs[reg] = op(*[regs[a] for a in args], points=p)
+            for r in free:
+                regs[r] = None
+        return [x if isinstance(x, Jet1) else _jet(np.float64(x), _NO_PARTIALS)
+                for x in (regs[r] for r in self._outputs)]
+
+    def arrays(self, points) -> tuple:
+        """Values ``(..., m)`` and Jacobian ``(..., i, k) = d_i e_k`` of the
+        tape's m expressions e_k, as dense arrays."""
+        jets, shape = self.run(points), np.shape(points)[1:]
+        val, jac = np.empty(shape + (len(jets),)), np.zeros(shape + (3, len(jets)))
+        for k, jet in enumerate(jets):
+            val[..., k] = jet.value
+            for i, d in enumerate(jet.partials):
+                if d is not None:
+                    jac[..., i, k] = d
+        return val, jac
 
 
 def eval_jet(expr: Node, point) -> Jet1:
     """Evaluate ``expr`` at a point (shape ``(3,)``) or a batch of points
     (shape ``(3, ...)``), returning value plus exact partials."""
-    p = np.asarray(point, dtype=float)
-    if p.ndim < 1 or p.shape[0] != 3:
-        raise ValueError(f"point must have shape (3, ...), got {p.shape}")
-    if not np.all(np.isfinite(p)):
-        raise DomainError("point", "non-finite", "point must be finite")
-    return _eval(expr, p, p.shape[1:])
+    jet = Tape((expr,)).run(point)[0]
+    return Jet1(np.broadcast_to(jet.value, np.shape(point)[1:]).copy(), jet.partials)
 
 
 def evaluate(expr: Node, point) -> float:
     """Value-only convenience wrapper around :func:`eval_jet`."""
     out = eval_jet(expr, point).value
     return float(out) if out.ndim == 0 else out
-
-
-_UNARY_JETS = {"sin": jet_sin, "cos": jet_cos, "exp": jet_exp, "sqrt": jet_sqrt}
-
-
-def _eval(expr: Node, p: np.ndarray, shape: tuple) -> Jet1:
-    if isinstance(expr, Num):
-        return Jet1.constant(expr.value, shape)
-    if isinstance(expr, Coord):
-        grad = np.zeros((3,) + shape)
-        grad[expr.index] = 1.0
-        return Jet1(np.broadcast_to(p[expr.index], shape).copy(), grad)
-    if isinstance(expr, Const):
-        return Jet1.constant(CONSTANTS[expr.name], shape)
-    if isinstance(expr, Neg):
-        return -_eval(expr.arg, p, shape)
-    if isinstance(expr, BinOp):
-        left = _eval(expr.left, p, shape)
-        if expr.op == "^":
-            if isinstance(expr.right, Num):
-                return _jet_pow_number(left, expr.right.value)
-            return _jet_pow(left, _eval(expr.right, p, shape))
-        right = _eval(expr.right, p, shape)
-        if expr.op == "+":
-            return left + right
-        if expr.op == "-":
-            return left - right
-        if expr.op == "*":
-            return left * right
-        return left / right
-    if isinstance(expr, Call):
-        args = [_eval(a, p, shape) for a in expr.args]
-        if expr.func in _UNARY_JETS:
-            return _UNARY_JETS[expr.func](args[0])
-        if expr.func == "smoothstep":
-            return _jet_smoothstep(*args)
-        return _jet_dsmoothstep(*args)
-    raise TypeError(f"not an expression node: {expr!r}")
 
 
 # ---------------------------------------------------------------------------

@@ -49,6 +49,7 @@ LEVI[0, 2, 1] = LEVI[2, 1, 0] = LEVI[1, 0, 2] = -1.0
 BLOCK_POINTS = 4096
 
 _UPPER = ((0, 0), (0, 1), (0, 2), (1, 1), (1, 2), (2, 2))
+_SYMMETRIC = [[0, 1, 2], [1, 3, 4], [2, 4, 5]]   # (i, j) -> index in _UPPER
 
 
 def _fsum(values: list) -> float:
@@ -256,11 +257,13 @@ class MetricField:
 
     chart: Chart
     entries: tuple   # 6 nodes, upper triangle row-major: g11 g12 g13 g22 g23 g33
+    _tape: expr.Tape = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         self.entries = _as_nodes(self.chart, self.entries)
         if len(self.entries) != 6:
             raise ConfigError(f"metric needs 6 upper-triangle entries, got {len(self.entries)}")
+        self._tape = expr.Tape(self.entries)
 
     @classmethod
     def from_strings(cls, chart: Chart, entries) -> "MetricField":
@@ -268,18 +271,7 @@ class MetricField:
 
     def eval(self, points) -> "MetricJets":
         p = np.asarray(points, dtype=float)
-        shape = p.shape[1:]
-        val = np.zeros(shape + (3, 3))
-        dval = np.zeros(shape + (3, 3, 3))
-        for node, (i, j) in zip(self.entries, _UPPER):
-            jet = expr.eval_jet(node, p)
-            val[..., i, j] = jet.value
-            grad = np.moveaxis(jet.gradient, 0, -1)   # (..., l)
-            dval[..., :, i, j] = grad
-            if i != j:
-                val[..., j, i] = jet.value
-                dval[..., :, j, i] = grad
-        return MetricJets.from_arrays(val, dval)
+        return MetricJets.from_entries(self._tape.run(p), p.shape[1:])
 
     def matrix_at(self, point) -> tuple:
         """Single-point API: (matrix, entry gradients); raises NotSPD."""
@@ -297,28 +289,49 @@ class MetricJets:
     dval: np.ndarray    # (..., l, i, j) = d_l g_ij
     spd: np.ndarray     # (...,) bool
     minors: np.ndarray  # (..., 3) leading principal minors
-    adj: list           # adj[i][j], batch columns of the adjugate
+    adj: list           # adj[i][j], batch columns (scalars where constant)
+    jets: list          # jets[i][j], the entry jets with structural zeros
     _inv: np.ndarray = field(default=None, repr=False)
 
     @classmethod
-    def from_arrays(cls, val: np.ndarray, dval: np.ndarray) -> "MetricJets":
-        """Jets of a symmetric metric; SPD by its leading principal minors."""
-        m = components(val, 2)
+    def from_entries(cls, entries, shape: tuple) -> "MetricJets":
+        """Jets of a symmetric metric from its six upper-triangle entry jets
+        (row-major); SPD by its leading principal minors.  Adjugate and
+        minors of constant entries are scalar arithmetic."""
+        val, dval = np.empty(shape + (3, 3)), np.zeros(shape + (3, 3, 3))
+        jets = [[entries[k] for k in row] for row in _SYMMETRIC]
+        for jet, (i, j) in zip(entries, _UPPER):
+            val[..., i, j] = val[..., j, i] = jet.value
+            for l, d in enumerate(jet.partials):
+                if d is not None:
+                    dval[..., l, i, j] = dval[..., l, j, i] = d
+        m = [[jet.value for jet in row] for row in jets]
         adj = adjugate3(m)
-        minors = np.stack([val[..., 0, 0], adj[2][2], det3(m, adj)], axis=-1)
+        minors = np.stack([np.broadcast_to(x, shape)
+                           for x in (m[0][0], adj[2][2], det3(m, adj))], axis=-1)
         return cls(val=val, dval=dval, spd=np.all(minors > 0, axis=-1),
-                   minors=minors, adj=adj)
+                   minors=minors, adj=adj, jets=jets)
+
+    @classmethod
+    def from_arrays(cls, val: np.ndarray, dval: np.ndarray) -> "MetricJets":
+        """Jets of a symmetric metric given as dense arrays."""
+        entries = [expr.Jet1(val[..., i, j], [dval[..., l, i, j] for l in range(3)])
+                   for i, j in _UPPER]
+        return cls.from_entries(entries, val.shape[:-2])
 
     def det(self) -> np.ndarray:
         return self.minors[..., 2]
 
     def inv(self) -> np.ndarray:
-        """Closed-form inverse: the adjugate kept by ``from_arrays`` over
+        """Closed-form inverse: the adjugate kept by ``from_entries`` over
         the determinant; the identity where the metric is not SPD."""
         if self._inv is None:
-            adj = np.stack([np.stack(row, axis=-1) for row in self.adj], axis=-2)
-            det = np.where(self.spd, self.det(), 1.0)[..., None, None]
-            self._inv = np.where(self.spd[..., None, None], adj / det, np.eye(3))
+            det = np.where(self.spd, self.det(), 1.0)
+            inv = np.empty(self.val.shape)
+            for i in range(3):
+                for j in range(3):
+                    inv[..., i, j] = self.adj[i][j] / det
+            self._inv = np.where(self.spd[..., None, None], inv, np.eye(3))
         return self._inv
 
     def require_spd(self, points: np.ndarray) -> None:
@@ -342,19 +355,17 @@ class VectorField:
 
     chart: Chart
     components: tuple
+    _tape: expr.Tape = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         self.components = _as_nodes(self.chart, self.components)
         if len(self.components) != 3:
             raise ConfigError("vector field needs 3 components")
+        self._tape = expr.Tape(self.components)
 
     def eval(self, points) -> tuple:
         """Returns (values ``(..., k)``, Jacobian ``(..., i, k) = d_i X^k``)."""
-        p = np.asarray(points, dtype=float)
-        jets = [expr.eval_jet(c, p) for c in self.components]
-        val = np.stack([j.value for j in jets], axis=-1)
-        jac = np.stack([np.moveaxis(j.gradient, 0, -1) for j in jets], axis=-1)
-        return val, jac
+        return self._tape.arrays(points)
 
 
 class OneForm(VectorField):

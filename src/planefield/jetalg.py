@@ -19,7 +19,7 @@ from .expr import Jet1
 __all__ = [
     "dot3", "matvec", "cross", "adjugate3", "det3",
     "jets_from_metric", "jets_from_components", "vector_values",
-    "vector_jacobian", "matrix_values", "matrix_partials",
+    "vector_jacobian",
 ]
 
 
@@ -57,20 +57,16 @@ def det3(m, adj):
 
 
 def jets_from_metric(mj) -> list:
-    """3x3 jet-matrix from a :class:`MetricJets` batch."""
-    out = []
-    for i in range(3):
-        row = []
-        for j in range(3):
-            grad = np.moveaxis(mj.dval[..., :, i, j], -1, 0)
-            row.append(Jet1(mj.val[..., i, j], grad))
-        out.append(row)
-    return out
+    """3x3 jet-matrix of a :class:`MetricJets` batch: its entry jets, with
+    their structural zeros."""
+    return mj.jets
 
 
 def jets_from_components(val: np.ndarray, jac: np.ndarray) -> list:
-    """Jet-vector from field evaluation arrays (values, Jacobian)."""
-    return [Jet1(val[..., k], np.moveaxis(jac[..., :, k], -1, 0))
+    """Jet-vector from field evaluation arrays (values, Jacobian), with
+    contiguous partials."""
+    return [Jet1(np.ascontiguousarray(val[..., k]),
+                 [np.ascontiguousarray(jac[..., i, k]) for i in range(3)])
             for k in range(3)]
 
 
@@ -81,22 +77,3 @@ def vector_values(v: list) -> np.ndarray:
 def vector_jacobian(v: list) -> np.ndarray:
     """jac[..., i, k] = d_i v^k."""
     return np.stack([np.moveaxis(c.gradient, 0, -1) for c in v], axis=-1)
-
-
-def matrix_values(m: list) -> np.ndarray:
-    shape = m[0][0].value.shape
-    out = np.zeros(shape + (3, 3))
-    for i in range(3):
-        for j in range(3):
-            out[..., i, j] = m[i][j].value
-    return out
-
-
-def matrix_partials(m: list) -> np.ndarray:
-    """dval[..., l, i, j] = d_l m_ij, matching MetricJets layout."""
-    shape = m[0][0].value.shape
-    out = np.zeros(shape + (3, 3, 3))
-    for i in range(3):
-        for j in range(3):
-            out[..., :, i, j] = np.moveaxis(m[i][j].gradient, 0, -1)
-    return out

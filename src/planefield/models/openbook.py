@@ -21,7 +21,7 @@ import numpy as np
 
 from ..distributions import classify, distribution_frames
 from ..errors import ConfigError, OverlapMismatchError
-from ..expr import eval_jet
+from ..expr import Tape
 from ..geometry import Chart, MetricField, OneForm, VectorField
 from .base import Model
 from .collar import collar_model
@@ -91,12 +91,11 @@ def check_transition(src: Model, dst: Model, tr: Transition,
     """Pull the target metric and foliation back through the transition and
     compare against the source on the overlap."""
     pts = _overlap_grid(tr, counts)
-    jets = [eval_jet(node, pts) for node in tr.forward]
-    qpts = np.stack([j.value for j in jets], axis=0)
+    qval, jac = Tape(tr.forward).arrays(pts)
+    qpts = np.moveaxis(qval, -1, 0)
     if not np.all(dst.chart.contains(qpts)):
         raise ConfigError(
             f"transition {tr.source}->{tr.target} leaves the target domain")
-    jac = np.stack([np.moveaxis(j.gradient, 0, -1) for j in jets], axis=-1)
 
     g_dst = dst.metric.eval(qpts).val
     pulled = np.einsum("...ik,...kl,...jl->...ij", jac, g_dst, jac)

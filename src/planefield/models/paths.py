@@ -34,18 +34,13 @@ __all__ = ["ExprMetricPath", "RankOnePath", "rank_one_path",
 
 
 def _entry_eval(nodes, points) -> tuple:
-    """(G (..., 2, 2), dG/dt (..., 2, 2)) for 3 upper-triangle entries."""
-    shape = points.shape[1:]
-    g = np.zeros(shape + (2, 2))
-    dg = np.zeros(shape + (2, 2))
-    for node, (i, j) in zip(nodes, ((0, 0), (0, 1), (1, 1))):
-        jet = expr.eval_jet(node, points)
-        g[..., i, j] = jet.value
-        dg[..., i, j] = jet.gradient[2]
-        if i != j:
-            g[..., j, i] = jet.value
-            dg[..., j, i] = jet.gradient[2]
-    return g, dg
+    """(G (..., 2, 2), dG/dt (..., 2, 2)) for 3 upper-triangle entries,
+    given as nodes or as their compiled tape."""
+    tape = nodes if isinstance(nodes, expr.Tape) else expr.Tape(nodes)
+    val, jac = tape.arrays(points)
+    rows = ([0, 1], [1, 2])
+    return (np.stack([val[..., r] for r in rows], axis=-2),
+            np.stack([jac[..., 2, r] for r in rows], axis=-2))
 
 
 @dataclass
@@ -57,6 +52,7 @@ class ExprMetricPath:
     delta0: float = 0.05
     delta1: float = 0.05
     boundary_margin: float = 0.1
+    _tape: expr.Tape = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         parsed = []
@@ -65,9 +61,10 @@ class ExprMetricPath:
         self.entries = tuple(parsed)
         if len(self.entries) != 3:
             raise ConfigError("metric path needs (g11, g12, g22)")
+        self._tape = expr.Tape(self.entries)
 
     def eval(self, points) -> tuple:
-        return _entry_eval(self.entries, points)
+        return _entry_eval(self._tape, points)
 
     def crossing_mask(self, points) -> np.ndarray:
         return np.zeros(points.shape[1:], dtype=bool)
@@ -97,8 +94,11 @@ class RankOnePath:
     boundary_margin: float = 0.1
     crossing_tol: float = 1e-8
     _cuts: np.ndarray = field(default=None, repr=False)
+    _base: expr.Tape = field(init=False, repr=False, compare=False)
+    _diff: expr.Tape = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
+        self._base, self._diff = expr.Tape(self.base_entries), expr.Tape(self.diff_entries)
         if self.substeps:
             self._cuts = np.linspace(self.delta0, 1.0 - self.delta1,
                                      2 * self.substeps + 1)
@@ -108,8 +108,8 @@ class RankOnePath:
         return 2 * self.substeps
 
     def _spectral(self, points) -> tuple:
-        gb, _ = _entry_eval(self.base_entries, points)
-        d, _ = _entry_eval(self.diff_entries, points)
+        gb, _ = _entry_eval(self._base, points)
+        d, _ = _entry_eval(self._diff, points)
         mu, u = np.linalg.eigh(d)
         return gb, mu, u
 
@@ -128,7 +128,7 @@ class RankOnePath:
     def eval(self, points) -> tuple:
         points = np.asarray(points, dtype=float)
         if self.substeps == 0:
-            gb, _ = _entry_eval(self.base_entries, points)
+            gb, _ = _entry_eval(self._base, points)
             return gb, np.zeros_like(gb)
         gb, mu, u = self._spectral(points)
         coef, dcoef = self._time_weights(points[2])
@@ -142,7 +142,7 @@ class RankOnePath:
         points = np.asarray(points, dtype=float)
         if self.substeps == 0:
             return np.zeros(points.shape[1:], dtype=bool)
-        d, _ = _entry_eval(self.diff_entries, points)
+        d, _ = _entry_eval(self._diff, points)
         mu = np.linalg.eigvalsh(d)
         return np.abs(mu[..., 1] - mu[..., 0]) < self.crossing_tol
 

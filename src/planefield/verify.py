@@ -271,7 +271,7 @@ def _op_frame_invariance(params: dict, jobs: int) -> CheckResult:
 
 def _frame_gram_h_ke(model, dist, pts, frame):
     from .distributions import _block_arrays
-    arrs, _, _ = _block_arrays(model.metric.eval(pts), dist, pts, frame)
+    arrs = _block_arrays(model.metric.eval(pts), dist, pts, frame).arrs
     return arrs["det_gram"], arrs["h"], arrs["k_e"]
 
 
@@ -306,11 +306,11 @@ def _op_h_divergence_pointwise(params: dict, jobs: int) -> CheckResult:
         dist = Distribution.kernel(alpha)
         pts = model.chart.random_points(n, seed=1000 + seed)
         mj = model.metric.eval(pts)
-        arrs, aval, ajac = _block_arrays(mj, dist, pts)
-        njets = _normal_jets(mj, aval, ajac, dist.co_orientation)
+        b = _block_arrays(mj, dist, pts)
+        njets = _normal_jets(mj, b.aval, b.ajac, dist.co_orientation)
         div_n = divergence_raw(mj, jetalg.vector_values(njets),
                                jetalg.vector_jacobian(njets))
-        worst = max(worst, float(np.max(np.abs(arrs["h"] + div_n))))
+        worst = max(worst, float(np.max(np.abs(b.arrs["h"] + div_n))))
     return CheckResult(name="", passed=worst <= tol, measured=worst, bound=tol,
                        detail={"seeds": list(seeds), "n_points": n})
 

@@ -1,5 +1,5 @@
 """The CI workflow runs the Tier-1 suite and the benchmark self-check on
-every supported Python."""
+every supported Python, and once on the oldest supported numpy."""
 
 import re
 from pathlib import Path
@@ -32,3 +32,16 @@ def test_ci_and_the_test_extra_install_pyyaml():
     pyproject = (WORKFLOW.parents[2] / "pyproject.toml").read_text(encoding="utf-8")
     test_extra = re.search(r"^test = \[(.*)\]$", pyproject, re.MULTILINE)
     assert test_extra and '"pyyaml' in test_extra.group(1)
+
+
+def test_workflow_runs_tier1_on_the_numpy_floor():
+    """pyproject.toml declares numpy>=1.24; one leg installs exactly 1.24."""
+    workflow = yaml.safe_load(WORKFLOW.read_text(encoding="utf-8"))
+    job = workflow["jobs"]["tests"]
+    matrix = job["strategy"]["matrix"]
+    assert matrix["numpy"] == [">=1.24"]
+    assert {"python-version": "3.10", "numpy": "==1.24.*"} in matrix["include"]
+    installs = [step["run"] for step in job["steps"] if "pip install" in step.get("run", "")]
+    assert any('"numpy${{ matrix.numpy }}"' in run for run in installs)
+    pyproject = (WORKFLOW.parents[2] / "pyproject.toml").read_text(encoding="utf-8")
+    assert '"numpy>=1.24"' in pyproject

@@ -183,8 +183,9 @@ def test_plotdata_csv(reeb_file, tmp_path):
 
 
 def test_plotdata_evaluates_each_field_once(reeb_file, tmp_path, monkeypatch):
-    """One pass over the line: 6 metric entries and 3 form components; the
-    CSV holds the single-point API's K_e and H."""
+    """One pass over the line: one tape run for the 6 metric entries and
+    one for the 3 form components; the CSV holds the single-point API's K_e
+    and H."""
     from planefield import expr
     from planefield.distributions import extrinsic_curvature, mean_curvature
     model = load_model(reeb_file)
@@ -198,13 +199,13 @@ def test_plotdata_evaluates_each_field_once(reeb_file, tmp_path, monkeypatch):
     want = "r,k_e,h\n" + "".join(f"{float(line[j])!r},{float(k_e[j])!r},{float(h[j])!r}\n"
                                   for j in range(16))
     calls = []
-    real = expr.eval_jet
-    monkeypatch.setattr(expr, "eval_jet",
-                        lambda node, p: calls.append(node) or real(node, p))
+    real = expr.Tape.run
+    monkeypatch.setattr(expr.Tape, "run",
+                        lambda tape, p: calls.append(tape) or real(tape, p))
     out = tmp_path / "line.csv"
     assert main(["plotdata", str(reeb_file), "--along", "r", "--n", "16",
                  "--output", str(out)]) == 0
-    assert len(calls) == 9
+    assert len(calls) == 2
     assert out.read_text(encoding="utf-8") == want
 
 

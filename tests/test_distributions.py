@@ -17,7 +17,7 @@ from planefield.distributions import (Distribution, classify, contact_volume,
                                       second_fundamental_form, tangent_frame)
 from planefield.distributions import _annihilator, _kernel_frame
 from planefield.errors import (ConfigError, DegenerateDistributionError,
-                               NonSPDPathError, NotSPDError,
+                               DomainError, NonSPDPathError, NotSPDError,
                                NotTransverseError)
 from planefield.geometry import (Chart, MetricField, OneForm, VectorField,
                                  christoffel)
@@ -103,7 +103,7 @@ _POINT_APIS = [normal_field, mean_curvature, extrinsic_curvature,
 _BATCH = np.array([[0.5, -0.5], [0.1, 0.2], [0.3, 0.4]])
 
 
-@pytest.mark.parametrize("api", _POINT_APIS, ids=lambda f: f.__name__)
+@pytest.mark.parametrize("api", _POINT_APIS + [tangent_frame], ids=lambda f: f.__name__)
 def test_point_api_names_the_non_spd_point_of_a_batch(api):
     chart = Chart(("x", "y", "z"), ((-1.0, 1.0),) * 3, (False,) * 3)
     metric = MetricField.from_strings(chart, ("x", "0", "0", "1", "0", "1"))
@@ -333,6 +333,32 @@ def _not_spd_for_r_below_one() -> tuple:
                   (False, True, True))
     g = MetricField.from_strings(chart, ("r - 1", "0", "0", "1", "0", "1"))
     return g, Distribution.kernel(OneForm(chart, ("0", "0", "1")))
+
+
+_BOX3 = Chart(("x", "y", "z"), ((-1.0, 1.0),) * 3, (False,) * 3)
+_EUCLID = MetricField.from_strings(_BOX3, ("1", "0", "0", "1", "0", "1"))
+
+
+@pytest.mark.parametrize("component,message", [
+    ("sqrt(x)", "sqrt: argument value -0.75 outside domain at (-0.75, -0.75, -0.75)"),
+    # the first failing grid point, not the one with the smallest argument (-1.5)
+    ("sqrt(x - y)", "sqrt: argument value -0.5 outside domain at (-0.75, -0.25, -0.75)"),
+])
+def test_sweep_domain_error_names_the_first_failing_point(component, message):
+    dist = Distribution.kernel(OneForm(_BOX3, ("0", "0", component)))
+    with pytest.raises(DomainError) as err:
+        classify(_EUCLID, dist, grid=(4, 4, 4))
+    assert str(err.value) == message
+
+
+def test_point_api_domain_error_names_its_point():
+    dist = Distribution.kernel(OneForm(_BOX3, ("0", "0", "sqrt(x - y)")))
+    with pytest.raises(DomainError) as err:
+        mean_curvature(_EUCLID, dist, np.array([-0.5, 0.1, 0.2]))
+    assert str(err.value) == "sqrt: argument value -0.6 outside domain at (-0.5, 0.1, 0.2)"
+    with pytest.raises(DomainError) as err:
+        extrinsic_curvature(_EUCLID, dist, _BATCH)
+    assert (err.value.point, err.value.value) == ((-0.5, 0.2, 0.4), -0.7)
 
 
 def test_classify_records_invalid_points_without_aborting():

@@ -310,3 +310,259 @@ def test_substitute_coordinate_by_expression():
 def test_substitute_keeps_other_coordinates():
     node = parse("r + t", COORDS)
     assert substitute(node, {"phi": Num(0.0)}) == node
+
+
+# ---------------------------------------------------------------------------
+# the jet tape against the recursive evaluator it replaced
+#
+# The oracle is the old evaluator: every node gets a dense (3, N) gradient,
+# constants are full arrays, and shared subtrees are evaluated again.
+
+
+class _DenseJet:
+    def __init__(self, value, gradient):
+        self.value = np.asarray(value, dtype=float)
+        self.gradient = np.asarray(gradient, dtype=float)
+
+    @classmethod
+    def constant(cls, value, shape):
+        return cls(np.full(shape, float(value)), np.zeros((3,) + shape))
+
+    def __add__(self, o):
+        return _DenseJet(self.value + o.value, self.gradient + o.gradient)
+
+    def __sub__(self, o):
+        return _DenseJet(self.value - o.value, self.gradient - o.gradient)
+
+    def __mul__(self, o):
+        return _DenseJet(self.value * o.value,
+                         self.gradient * o.value + self.value * o.gradient)
+
+    def __truediv__(self, o):
+        if np.any(o.value == 0.0):
+            raise DomainError("divide", 0.0)
+        inv = 1.0 / o.value
+        return _DenseJet(self.value * inv,
+                         (self.gradient - self.value * inv * o.gradient) * inv)
+
+
+def _oracle_unary(j, f, fd):
+    return _DenseJet(f(j.value), fd(j.value) * j.gradient)
+
+
+def _oracle_sqrt(j):
+    if np.any(j.value < 0.0):
+        raise DomainError("sqrt", 0.0)
+    root = np.sqrt(j.value)
+    with np.errstate(divide="ignore"):
+        d = np.where(root > 0.0, 0.5 / np.where(root > 0.0, root, 1.0), np.inf)
+    return _DenseJet(root, np.where(j.gradient == 0.0, 0.0, d * j.gradient))
+
+
+def _oracle_pow_number(base, e, shape):
+    if float(e).is_integer():
+        n = int(e)
+        if n == 0:
+            return _DenseJet.constant(1.0, shape)
+        if n < 0 and np.any(base.value == 0.0):
+            raise DomainError("power", 0.0)
+        return _DenseJet(base.value ** n, n * base.value ** (n - 1) * base.gradient)
+    if np.any(base.value <= 0.0):
+        raise DomainError("power", 0.0)
+    val = base.value ** e
+    return _DenseJet(val, e * val / base.value * base.gradient)
+
+
+def _oracle_step(a, b, x, f, fd, derivative):
+    if not np.all(a.value < b.value):
+        raise DomainError("smoothstep", 0.0)
+    w = (x - a) / (b - a)
+    out = _oracle_unary(w, f, fd)
+    return out / (b - a) if derivative else out
+
+
+def _oracle_eval(node, p, shape):
+    if isinstance(node, Num):
+        return _DenseJet.constant(node.value, shape)
+    if isinstance(node, Const):
+        return _DenseJet.constant(expr.CONSTANTS[node.name], shape)
+    if isinstance(node, Coord):
+        grad = np.zeros((3,) + shape)
+        grad[node.index] = 1.0
+        return _DenseJet(np.broadcast_to(p[node.index], shape).copy(), grad)
+    if isinstance(node, Neg):
+        arg = _oracle_eval(node.arg, p, shape)
+        return _DenseJet(-arg.value, -arg.gradient)
+    if isinstance(node, BinOp):
+        left = _oracle_eval(node.left, p, shape)
+        if node.op == "^":
+            if isinstance(node.right, Num):
+                return _oracle_pow_number(left, node.right.value, shape)
+            ex = _oracle_eval(node.right, p, shape)
+            if np.any(left.value <= 0.0):
+                raise DomainError("power", 0.0)
+            logb = np.log(left.value)
+            val = np.exp(ex.value * logb)
+            return _DenseJet(val, val * (ex.gradient * logb
+                                         + ex.value / left.value * left.gradient))
+        right = _oracle_eval(node.right, p, shape)
+        return {"+": left.__add__, "-": left.__sub__, "*": left.__mul__,
+                "/": left.__truediv__}[node.op](right)
+    args = [_oracle_eval(a, p, shape) for a in node.args]
+    if node.func == "sin":
+        return _oracle_unary(args[0], np.sin, np.cos)
+    if node.func == "cos":
+        return _oracle_unary(args[0], np.cos, lambda v: -np.sin(v))
+    if node.func == "exp":
+        return _oracle_unary(args[0], np.exp, np.exp)
+    if node.func == "sqrt":
+        return _oracle_sqrt(args[0])
+    if node.func == "smoothstep":
+        return _oracle_step(*args, expr._transition, expr._transition_d1, False)
+    return _oracle_step(*args, expr._transition_d1, expr._transition_d2, True)
+
+
+def _assert_tape_matches_oracle(nodes, pts):
+    """Values bit for bit; partials bit for bit up to the sign of a zero and
+    the payload of a NaN.  A structural zero is exact where the dense
+    evaluation multiplied a non-finite derivative by a zero partial."""
+    with np.errstate(all="ignore"):
+        try:
+            want = [_oracle_eval(n, pts, pts.shape[1:]) for n in nodes]
+        except DomainError:
+            with pytest.raises(DomainError):
+                expr.Tape(nodes).run(pts)
+            return
+        got = expr.Tape(nodes).run(pts)
+    for node, g, w in zip(nodes, got, want):
+        value = np.broadcast_to(g.value, w.value.shape)
+        assert np.array_equal(value.view(np.uint64), w.value.view(np.uint64)), to_string(node)
+        for d, want in zip(g.partials, w.gradient):
+            if d is None:
+                assert np.all((want == 0.0) | np.isnan(want)), to_string(node)
+                continue
+            d = np.broadcast_to(d, want.shape)
+            same = ((d.view(np.uint64) == want.view(np.uint64))
+                    | ((d == 0.0) & (want == 0.0)) | (np.isnan(d) & np.isnan(want)))
+            assert np.all(same), to_string(node)
+
+
+def _model_fields():
+    from planefield.catalog import catalog_model, random_periodic_form
+    from planefield.models import assemble_open_book_demo, collar_model, reeb_solid_torus
+    from planefield.models.fibration import product_fibration, torus_surface_chart
+    from planefield.models.base import SurfaceMetric
+    models = [catalog_model(n) for n in ("flat-torus", "flat-torus-2pi", "polar-cylinder",
+                                         "spheres", "contact-box")]
+    models += [reeb_solid_torus(), collar_model(),
+               product_fibration(SurfaceMetric.from_strings(
+                   torus_surface_chart(), ("1 + 0.5*sin(u)^2", "0", "1")))]
+    book, transitions, _ = assemble_open_book_demo(classify_grid=(4, 4, 4))
+    models += book
+    for m in models:
+        yield m.model_id + ":metric", m.chart, m.metric.entries
+        for name, f in list(m.forms.items()) + list(m.vectors.items()):
+            yield f"{m.model_id}:{name}", m.chart, f.components
+        for name, (s, t) in m.named_frames.items():
+            yield f"{m.model_id}:{name}", m.chart, s.components + t.components
+    for tr in transitions:
+        yield f"{tr.source}->{tr.target}", None, tr.forward
+    flat = catalog_model("flat-torus").chart
+    for seed in range(6):
+        yield f"random-{seed}", flat, random_periodic_form(seed).components
+
+
+_FIELDS = list(_model_fields())
+
+
+@pytest.mark.parametrize("name,chart,nodes", _FIELDS, ids=[f[0] for f in _FIELDS])
+def test_tape_matches_recursive_oracle_on_model_fields(name, chart, nodes):
+    if chart is None:
+        pts = np.random.default_rng(1).uniform(0.2, 0.8, size=(3, 64))
+    else:
+        pts = chart.random_points(64, seed=7)
+    _assert_tape_matches_oracle(tuple(nodes), pts)
+
+
+_const_leaf = st.one_of(st.floats(min_value=0.1, max_value=3.0).map(Num),
+                        st.just(Const("pi")))
+
+
+@st.composite
+def _shared_expressions(draw):
+    """A few expressions drawn from one pool of subtrees, so they share
+    subtrees with each other and with themselves, including constant ones
+    (built from literals and pi) that the tape folds."""
+    pool = [Coord(n, i) for i, n in enumerate(COORDS)] + [draw(_const_leaf)]
+    consts = [pool[-1]]
+    for _ in range(draw(st.integers(4, 14))):
+        kind = draw(st.sampled_from(["bin", "bin", "call", "neg", "pow", "step", "const"]))
+        a, b = draw(st.sampled_from(pool)), draw(st.sampled_from(pool))
+        if kind == "bin":
+            node = BinOp(draw(st.sampled_from("+-*/")), a, b)
+        elif kind == "call":
+            node = Call(draw(st.sampled_from(["sin", "cos", "exp", "sqrt"])), (a,))
+        elif kind == "neg":
+            node = Neg(a)
+        elif kind == "pow":     # exp(a) keeps some bases positive
+            base = draw(st.sampled_from([a, Call("exp", (a,))]))
+            node = BinOp("^", base, draw(st.one_of(
+                st.sampled_from([Num(2.0), Num(3.0), Num(-1.0), Num(0.5), Num(0.0)]),
+                st.sampled_from(pool))))
+        elif kind == "step":
+            lo, hi = sorted(draw(st.lists(st.floats(-2.0, 2.0), min_size=2, max_size=2)))
+            fn = draw(st.sampled_from(["smoothstep", "dsmoothstep"]))
+            node = Call(fn, (Num(lo), Num(hi + 0.5), a))
+        else:
+            node = BinOp(draw(st.sampled_from("+-*/^")), draw(st.sampled_from(consts)),
+                         draw(_const_leaf))
+            node = Call(draw(st.sampled_from(["sin", "cos", "exp"])), (node,))
+            consts.append(node)
+        pool.append(node)
+    return tuple(draw(st.lists(st.sampled_from(pool[3:]), min_size=1, max_size=4)))
+
+
+@settings(max_examples=300, derandomize=True, deadline=None)
+@given(_shared_expressions())
+def test_tape_matches_recursive_oracle_on_shared_subtrees(nodes):
+    pts = np.random.default_rng(5).uniform(-1.8, 1.8, size=(3, 16))
+    _assert_tape_matches_oracle(nodes, pts)
+
+
+def test_tape_evaluates_a_shared_subtree_once_per_block(reeb, monkeypatch):
+    """smoothstep(1/3, 2/3, r) appears in two components of the Reeb form."""
+    calls = []
+    real = expr._transition
+    monkeypatch.setattr(expr, "_transition", lambda w: calls.append(1) or real(w))
+    alpha = reeb.form()
+    pts = reeb.chart.random_points(100, seed=3)
+    aval, _ = alpha.eval(pts)
+    assert len(calls) == 1
+    assert sum(to_string(c).count("smoothstep(") for c in alpha.components) == 2
+    with np.errstate(all="ignore"):
+        want = [_oracle_eval(c, pts, pts.shape[1:]).value for c in alpha.components]
+    assert np.array_equal(aval, np.stack(want, axis=-1))
+
+
+def test_constant_metric_jets_carry_no_array_partials(torus):
+    mj = torus.metric.eval(torus.chart.random_points(50, seed=2))
+    for row in mj.jets:
+        for jet in row:
+            assert np.ndim(jet.value) == 0
+            assert jet.partials == (None, None, None)
+    assert np.array_equal(mj.val, np.broadcast_to(np.eye(3), (50, 3, 3)))
+    assert not np.any(mj.dval)
+
+
+def test_domain_error_names_the_first_failing_point_and_its_own_value():
+    pts = np.array([[0.5, 0.2, -0.1, -0.9], [0.0, 0.3, 0.4, 0.0], [1.0, 1.0, 1.0, 1.0]])
+    with pytest.raises(DomainError) as err:
+        eval_jet(parse("sqrt(r - phi)", COORDS), pts)
+    assert err.value.point == (0.2, 0.3, 1.0)
+    assert err.value.value == pytest.approx(-0.1)
+    assert str(err.value) == ("sqrt: argument value -0.09999999999999998 outside "
+                              "domain at (0.2, 0.3, 1.0)")
+    with pytest.raises(DomainError, match=r"at \(-0.1, 0.4, 1.0\) \(division by zero\)"):
+        eval_jet(parse("1/(r + 0.1)", COORDS), pts)
+    with pytest.raises(DomainError, match=r"point: argument value inf .* at \(0.0, inf, 1.0\)"):
+        eval_jet(parse("r", COORDS), np.array([[1.0, 0.0], [0.0, np.inf], [1.0, 1.0]]))

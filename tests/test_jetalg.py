@@ -188,3 +188,20 @@ def test_metric_dot_is_the_g_inner_product():
     u, v = rng.normal(size=(2, 200, 3))
     want = np.einsum("...ij,...i,...j->...", mj.val, u, v)
     assert np.allclose(mj.dot(u, v), want, rtol=1e-14, atol=1e-14)
+
+
+def test_jets_hand_out_contiguous_partials_and_the_metric_entry_jets():
+    rng = np.random.default_rng(3)
+    val, jac = rng.normal(size=(50, 3)), rng.normal(size=(50, 3, 3))
+    for k, jet in enumerate(jetalg.jets_from_components(val, jac)):
+        assert jet.value.flags.c_contiguous and np.array_equal(jet.value, val[:, k])
+        for i, d in enumerate(jet.partials):
+            assert d.flags.c_contiguous and np.array_equal(d, jac[:, i, k])
+    torus = flat_torus_model()
+    mj = _curved_metric(torus.chart).eval(torus.chart.random_points(40, seed=4))
+    g = jetalg.jets_from_metric(mj)
+    for i in range(3):
+        for j in range(3):
+            assert g[i][j] is g[j][i] is mj.jets[i][j]
+            assert np.array_equal(g[i][j].value, mj.val[:, i, j])
+            assert np.array_equal(np.moveaxis(g[i][j].gradient, 0, -1), mj.dval[:, :, i, j])
