@@ -37,6 +37,7 @@ from .models import (SurfaceMetric, assemble_open_book_demo, collar_model,
 from .verify import builtin_suite, builtin_suite_names, run_suite, suite_from_payload
 
 _USAGE_ERROR, _CHECK_FAILURE, _OK = 2, 1, 0
+_JOBS_HELP = "worker processes (default: PLANEFIELD_JOBS or 1)"
 
 
 def _grid(text: str) -> tuple:
@@ -65,13 +66,6 @@ def _jobs(text: str) -> int:
     return jobs
 
 
-def _default_jobs() -> int:
-    try:
-        return max(1, int(os.environ.get("PLANEFIELD_JOBS", "1")))
-    except ValueError:
-        return 1
-
-
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="planefield",
@@ -83,8 +77,7 @@ def _build_parser() -> argparse.ArgumentParser:
                        help="axis counts n1,n2,n3")
         p.add_argument("--tol", type=float, default=1e-8,
                        help="classification tolerance on K_e")
-        p.add_argument("--jobs", type=_jobs, default=None,
-                       help="worker threads (default: PLANEFIELD_JOBS or 1)")
+        p.add_argument("--jobs", type=_jobs, default=None, help=_JOBS_HELP)
         p.add_argument("--output", type=Path, default=None,
                        help="write the JSON report here")
 
@@ -103,7 +96,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("verify", help="run a suite")
     p.add_argument("suite", help="file path or builtin:<name>; "
                                  f"builtins: {', '.join(builtin_suite_names())}")
-    p.add_argument("--jobs", type=_jobs, default=None)
+    p.add_argument("--jobs", type=_jobs, default=None, help=_JOBS_HELP)
     p.add_argument("--output", type=Path, default=None)
 
     p = sub.add_parser("model", help="emit a built-in model")
@@ -273,8 +266,11 @@ def _cmd_plotdata(args) -> int:
 def main(argv=None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
-    if getattr(args, "jobs", None) is None:
-        args.jobs = _default_jobs()
+    if "jobs" in vars(args) and args.jobs is None:
+        try:
+            args.jobs = _jobs(os.environ.get("PLANEFIELD_JOBS", "1"))
+        except (ValueError, argparse.ArgumentTypeError) as err:
+            parser.error(f"PLANEFIELD_JOBS: {err}")
     try:
         if args.command == "check":
             return _cmd_check(args, full=True)

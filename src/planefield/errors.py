@@ -4,7 +4,11 @@ from __future__ import annotations
 
 
 class PlanefieldError(Exception):
-    """Base class for every error raised by this package."""
+    """Base class for every error raised by this package.  Pickles as its
+    ``args`` and attributes, so it crosses from a worker process whole."""
+
+    def __reduce__(self):
+        return Exception.__new__, (type(self),) + self.args, self.__dict__
 
 
 class ParseError(PlanefieldError):

@@ -197,8 +197,7 @@ class Jet1:
     coordinate l, is ``None`` where structurally zero, a plain float where
     it does not vary, or an array of shape S; ``gradient`` is the dense
     ``(3,) + S`` array.  Arithmetic obeys the exact product, quotient and
-    chain rules and takes plain numbers as constants.  Nothing mutates a
-    jet, so jets are safe to share between threads.
+    chain rules and takes plain numbers as constants.
     """
 
     __slots__ = ("value", "partials")
@@ -240,52 +239,36 @@ class Jet1:
 # the C-infinity step and its first two derivatives
 
 
-def _bump(u: np.ndarray) -> np.ndarray:
-    """exp(-1/u) for u > 0, else 0."""
+def _bumps(u: np.ndarray, order: int) -> list:
+    """exp(-1/u) and its first ``order`` (at most 2) derivatives for u > 0,
+    else 0, all from one exp."""
     u = np.asarray(u, dtype=float)
-    out = np.zeros(u.shape)
-    pos = u > 0.0
-    out[pos] = np.exp(-1.0 / u[pos])
-    return out
-
-
-def _bump_d1(u: np.ndarray) -> np.ndarray:
-    u = np.asarray(u, dtype=float)
-    out = np.zeros(u.shape)
     pos = u > 0.0
     up = u[pos]
-    out[pos] = np.exp(-1.0 / up) / (up * up)
+    e = np.exp(-1.0 / up)
+    vals = [e, e / (up * up)] if order else [e]
+    if order > 1:
+        vals.append(e * (1.0 - 2.0 * up) / up ** 4)
+    outs = [np.zeros(u.shape) for _ in vals]
+    for out, v in zip(outs, vals):
+        out[pos] = v
+    return outs
+
+
+def _transition(w: np.ndarray, order: int) -> list:
+    """sigma(w) / (sigma(w) + sigma(1-w)) and its first ``order`` (at most
+    2) derivatives in w, from one bump on each side."""
+    n, m = _bumps(w, order), _bumps(1.0 - w, order)
+    d = n[0] + m[0]
+    out = [n[0] / d]
+    if order:
+        a = n[1] * m[0] + n[0] * m[1]
+        out.append(a / (d * d))
+    if order > 1:
+        a1 = n[2] * m[0] - n[0] * m[2]
+        d1 = n[1] - m[1]
+        out.append((a1 * d - 2.0 * a * d1) / d ** 3)
     return out
-
-
-def _bump_d2(u: np.ndarray) -> np.ndarray:
-    u = np.asarray(u, dtype=float)
-    out = np.zeros(u.shape)
-    pos = u > 0.0
-    up = u[pos]
-    out[pos] = np.exp(-1.0 / up) * (1.0 - 2.0 * up) / up ** 4
-    return out
-
-
-def _transition(w: np.ndarray) -> np.ndarray:
-    n = _bump(w)
-    return n / (n + _bump(1.0 - w))
-
-
-def _transition_d1(w: np.ndarray) -> np.ndarray:
-    n, m = _bump(w), _bump(1.0 - w)
-    d = n + m
-    return (_bump_d1(w) * m + n * _bump_d1(1.0 - w)) / (d * d)
-
-
-def _transition_d2(w: np.ndarray) -> np.ndarray:
-    n, m = _bump(w), _bump(1.0 - w)
-    n1, m1 = _bump_d1(w), _bump_d1(1.0 - w)
-    d = n + m
-    a = n1 * m + n * m1
-    a1 = _bump_d2(w) * m - n * _bump_d2(1.0 - w)
-    d1 = n1 - m1
-    return (a1 * d - 2.0 * a * d1) / d ** 3
 
 
 def smoothstep(a, b, x):
@@ -297,7 +280,7 @@ def smoothstep(a, b, x):
     b = np.asarray(b, dtype=float)
     if not np.all(a < b):
         raise DomainError("smoothstep", float(np.max(a - b)), "requires a < b")
-    out = _transition((np.asarray(x, dtype=float) - a) / (b - a))
+    out = _transition((np.asarray(x, dtype=float) - a) / (b - a), 0)[0]
     return float(out) if out.ndim == 0 else out
 
 
@@ -307,7 +290,7 @@ def smoothstep_deriv(a, b, x):
     b = np.asarray(b, dtype=float)
     if not np.all(a < b):
         raise DomainError("smoothstep", float(np.max(a - b)), "requires a < b")
-    out = _transition_d1((np.asarray(x, dtype=float) - a) / (b - a)) / (b - a)
+    out = _transition((np.asarray(x, dtype=float) - a) / (b - a), 1)[1] / (b - a)
     return float(out) if out.ndim == 0 else out
 
 
@@ -320,13 +303,12 @@ def _step_arg(a, b, x, points) -> Jet1:
 
 def _smoothstep(a, b, x, points=None) -> Jet1:
     w = _step_arg(a, b, x, points)
-    return _chain(w, _transition(w.value), _transition_d1(w.value))
+    return _chain(w, *_transition(w.value, 1))
 
 
 def _dsmoothstep(a, b, x, points=None) -> Jet1:
     w = _step_arg(a, b, x, points)
-    return _div(_chain(w, _transition_d1(w.value), _transition_d2(w.value)),
-                _sub(b, a), points)
+    return _div(_chain(w, *_transition(w.value, 2)[1:]), _sub(b, a), points)
 
 
 # ---------------------------------------------------------------------------
@@ -611,7 +593,7 @@ class Tape:
     constants only are folded by running them on 0-d arrays; a fold that
     leaves the function's domain stays an operation and raises at run time,
     at the first point of the batch.  Registers are released after their
-    last use.  A tape is immutable and may run on several threads at once.
+    last use.
     """
 
     __slots__ = ("_consts", "_leaves", "_code", "_outputs")

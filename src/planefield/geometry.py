@@ -15,15 +15,16 @@ The 3x3 algebra itself (dot, mat-vec, adjugate, determinant) is
 ``components`` turns ``x[..., i, j]`` into the nested ``x[i][j]`` it takes.
 
 Grid sweeps walk the points in fixed blocks of ``BLOCK_POINTS`` and
-reduce each block to a small result.  Block sums are kept exactly
-(``ExactSum``) and totals are correctly rounded, so results do not depend
-on the block size or on how blocks were split across threads.
+reduce each block to a small result, on forked worker processes when
+``jobs > 1``.  Block sums are kept exactly (``ExactSum``) and totals are
+correctly rounded, so results do not depend on the block size or on how
+blocks were split across workers.
 """
 
 from __future__ import annotations
 
 import math
-from concurrent.futures import ThreadPoolExecutor
+import threading
 from dataclasses import dataclass, field
 from typing import Callable
 
@@ -93,21 +94,38 @@ class ExactSum:
         return pairwise_sum(self.parts)
 
 
+_worker_job = None      # (fn, points, block size) in each pool worker
+
+
+def _start_worker(*job) -> None:
+    global _worker_job
+    _worker_job = job
+
+
+def _run_block(start: int):
+    fn, points, size = _worker_job
+    return fn(points[:, start:start + size])
+
+
 def chunked_eval(fn: Callable, points: np.ndarray, jobs: int = 1) -> list:
     """Apply ``fn`` to consecutive ``BLOCK_POINTS``-point blocks of a
     ``(3, N)`` point batch and return its results in block order.
 
-    Blocks run on ``min(jobs, number of blocks)`` threads; the blocks
-    themselves do not depend on ``jobs``.  ``fn`` sees only its block's
-    points, so callers that need global point indices add the offsets of
-    the earlier blocks when they merge the results."""
-    n = points.shape[1]
-    blocks = [points[:, i:i + BLOCK_POINTS] for i in range(0, n, BLOCK_POINTS)]
-    workers = min(jobs, len(blocks))
-    if workers <= 1:
-        return [fn(b) for b in blocks]
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(fn, blocks))
+    Blocks run on ``min(jobs, number of blocks)`` processes forked for this
+    call, which inherit ``fn`` (a closure is fine) and ``points`` and send
+    back pickled results; the first error in block order is raised.  They
+    run serially here without ``fork`` or with other Python threads alive.
+    ``fn`` sees only its block, so callers add earlier blocks' offsets."""
+    size = BLOCK_POINTS
+    starts = range(0, points.shape[1], size)
+    workers = min(jobs, len(starts))
+    if workers > 1 and threading.active_count() == 1:
+        import multiprocessing
+        if "fork" in multiprocessing.get_all_start_methods():
+            with multiprocessing.get_context("fork").Pool(
+                    workers, _start_worker, (fn, points, size)) as pool:
+                return list(pool.imap(_run_block, starts, chunksize=4))
+    return [fn(points[:, s:s + size]) for s in starts]
 
 
 # ---------------------------------------------------------------------------

@@ -121,8 +121,9 @@ class RankOnePath:
         for q in range(self.stages):
             lo, hi = self._cuts[q], self._cuts[q + 1]
             w = (t - lo) / (hi - lo)
-            coef[q % 2] += expr._transition(w) * inv_m
-            dcoef[q % 2] += expr._transition_d1(w) / (hi - lo) * inv_m
+            step, dstep = expr._transition(w, 1)
+            coef[q % 2] += step * inv_m
+            dcoef[q % 2] += dstep / (hi - lo) * inv_m
         return coef, dcoef
 
     def eval(self, points) -> tuple:

@@ -67,12 +67,8 @@ def _jsonable(value):
         return {k: _jsonable(v) for k, v in value.items()}
     if isinstance(value, (list, tuple)):
         return [_jsonable(v) for v in value]
-    if isinstance(value, np.bool_):
-        return bool(value)
-    if isinstance(value, np.integer):
-        return int(value)
-    if isinstance(value, np.floating):
-        return float(value)
+    if isinstance(value, np.generic):
+        return value.item()
     if isinstance(value, np.ndarray):
         return _jsonable(value.tolist())
     return value

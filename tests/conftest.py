@@ -1,3 +1,6 @@
+import contextlib
+import signal
+
 import numpy as np
 import pytest
 
@@ -39,3 +42,21 @@ def polar_chart():
 def polar_metric(polar_chart):
     return MetricField.from_strings(polar_chart,
                                     ("1", "0", "0", "r^2", "0", "1"))
+
+
+@pytest.fixture()
+def deadline():
+    """``with deadline(seconds):`` raises TimeoutError in a block that is
+    still running after ``seconds``, so a hung sweep fails its test."""
+    @contextlib.contextmanager
+    def within(seconds: int):
+        def expire(signum, frame):
+            raise TimeoutError(f"still running after {seconds} s")
+        previous = signal.signal(signal.SIGALRM, expire)
+        signal.alarm(seconds)
+        try:
+            yield
+        finally:
+            signal.alarm(0)
+            signal.signal(signal.SIGALRM, previous)
+    return within

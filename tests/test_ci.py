@@ -1,5 +1,6 @@
 """The CI workflow runs the Tier-1 suite and the benchmark self-check on
-every supported Python, and once on the oldest supported numpy."""
+every supported Python, once on the oldest supported numpy, and compares
+a suite's report bodies at one and two workers."""
 
 import re
 from pathlib import Path
@@ -45,3 +46,15 @@ def test_workflow_runs_tier1_on_the_numpy_floor():
     assert any('"numpy${{ matrix.numpy }}"' in run for run in installs)
     pyproject = (WORKFLOW.parents[2] / "pyproject.toml").read_text(encoding="utf-8")
     assert '"numpy>=1.24"' in pyproject
+
+
+def test_workflow_compares_suite_bodies_across_worker_counts():
+    """One step runs builtin:quadrature at --jobs 1 and 2 and fails unless
+    the two report bodies are equal."""
+    workflow = yaml.safe_load(WORKFLOW.read_text(encoding="utf-8"))
+    runs = [step.get("run", "") for step in workflow["jobs"]["tests"]["steps"]]
+    step = next(run for run in runs if "builtin:quadrature" in run)
+    for jobs in (1, 2):
+        assert ("PYTHONPATH=src python -m planefield.cli verify builtin:quadrature "
+                f"--jobs {jobs} --output jobs{jobs}.json") in step
+    assert "['body']" in step and "sys.exit(a != b)" in step

@@ -105,6 +105,18 @@ def test_jobs_below_one_is_usage_error(command, capsys):
         assert f"jobs must be at least 1, got {int(jobs)}" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("value", ["0", "-3", "abc"])
+def test_bad_env_jobs_is_usage_error(value, torus_file, capsys, monkeypatch):
+    monkeypatch.setenv("PLANEFIELD_JOBS", value)
+    for command in ("classify", "verify"):
+        with pytest.raises(SystemExit) as err:
+            main([command, str(torus_file)])
+        assert err.value.code == 2
+        assert "PLANEFIELD_JOBS" in capsys.readouterr().err
+    # an explicit --jobs does not read the variable
+    assert main(["classify", str(torus_file), "--grid", "4,4,4", "--jobs", "1"]) == 0
+
+
 def test_verify_builtin_suite(tmp_path):
     out = tmp_path / "suite.json"
     assert main(["verify", "builtin:contact-deformation",

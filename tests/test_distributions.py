@@ -20,7 +20,7 @@ from planefield.errors import (ConfigError, DegenerateDistributionError,
                                DomainError, NonSPDPathError, NotSPDError,
                                NotTransverseError)
 from planefield.geometry import (Chart, MetricField, OneForm, VectorField,
-                                 christoffel)
+                                 christoffel, integrate_scalar)
 from planefield.expr import Num
 
 
@@ -394,9 +394,15 @@ def _bodies_across_blocks(monkeypatch, sweep) -> set:
 
 
 def test_classify_body_independent_of_jobs_and_block_size(reeb, monkeypatch):
-    bodies = _bodies_across_blocks(monkeypatch, lambda jobs: classify(
-        reeb.metric, reeb.distribution(), grid=BLOCK_GRID, jobs=jobs).body())
-    assert len(bodies) == 1
+    """The body and the ``keep_points`` per-point arrays, byte for byte."""
+    def sweep(jobs):
+        rep = classify(reeb.metric, reeb.distribution(), grid=BLOCK_GRID,
+                       jobs=jobs, keep_points=True)
+        return {"body": rep.body(),
+                "per_point": {k: [str(v.dtype), v.shape, v.tobytes().hex()]
+                              for k, v in rep.per_point.items()}}
+
+    assert len(_bodies_across_blocks(monkeypatch, sweep)) == 1
 
 
 def test_classify_invalid_points_merge_across_blocks(monkeypatch):
@@ -423,6 +429,30 @@ def test_integral_h_independent_of_jobs_and_block_size(torus, monkeypatch):
                                                            grid=BLOCK_GRID,
                                                            jobs=jobs))
     assert len(bodies) == 1
+
+
+def test_integrate_scalar_independent_of_jobs_and_block_size(torus, monkeypatch):
+    def f(pts):
+        return np.sin(2 * np.pi * pts[0]) * np.cos(2 * np.pi * pts[1]) + pts[2]
+
+    bodies = _bodies_across_blocks(monkeypatch, lambda jobs: integrate_scalar(
+        torus.metric, f, BLOCK_GRID, jobs=jobs).hex())
+    assert len(bodies) == 1
+
+
+def test_worker_error_matches_the_serial_sweep(deadline):
+    """g_zz = sin(2 pi x) is negative from x = 1/2 on: at 32^3 the first 4
+    of the 8 blocks pass and the first failing point opens block 4."""
+    chart = Chart(("x", "y", "z"), ((0, 1),) * 3, (True,) * 3)
+    g = MetricField.from_strings(chart, ("1", "0", "0", "1", "0", "sin(2*pi*x)"))
+    dist = Distribution.kernel(OneForm(chart, ("0", "0", "1")))
+    raised = []
+    for jobs in (1, 2):
+        with deadline(30), pytest.raises(NotSPDError) as err:
+            integral_mean_curvature(g, dist, grid=(32, 32, 32), jobs=jobs)
+        raised.append((type(err.value), str(err.value), err.value.point))
+    assert raised[0] == raised[1]
+    assert raised[0][2] == (0.515625, 0.015625, 0.015625)
 
 
 def test_classify_peak_memory_below_one_grid_array(reeb):

@@ -198,6 +198,100 @@ def test_smoothstep_derivative_matches_finite_difference():
     assert np.allclose(smoothstep_deriv(0.0, 1.0, xs), fd, atol=1e-7)
 
 
+# The step as it was computed before the exp passes were fused: each bump
+# and bump derivative with its own masked exp.  Kept as the oracle of the
+# fused ``expr._transition``, which must give the same bits.
+
+
+def _old_bump(u):
+    u = np.asarray(u, dtype=float)
+    out = np.zeros(u.shape)
+    pos = u > 0.0
+    out[pos] = np.exp(-1.0 / u[pos])
+    return out
+
+
+def _old_bump_d1(u):
+    u = np.asarray(u, dtype=float)
+    out = np.zeros(u.shape)
+    pos = u > 0.0
+    up = u[pos]
+    out[pos] = np.exp(-1.0 / up) / (up * up)
+    return out
+
+
+def _old_bump_d2(u):
+    u = np.asarray(u, dtype=float)
+    out = np.zeros(u.shape)
+    pos = u > 0.0
+    up = u[pos]
+    out[pos] = np.exp(-1.0 / up) * (1.0 - 2.0 * up) / up ** 4
+    return out
+
+
+def _old_transition(w):
+    n = _old_bump(w)
+    return n / (n + _old_bump(1.0 - w))
+
+
+def _old_transition_d1(w):
+    n, m = _old_bump(w), _old_bump(1.0 - w)
+    d = n + m
+    return (_old_bump_d1(w) * m + n * _old_bump_d1(1.0 - w)) / (d * d)
+
+
+def _old_transition_d2(w):
+    n, m = _old_bump(w), _old_bump(1.0 - w)
+    n1, m1 = _old_bump_d1(w), _old_bump_d1(1.0 - w)
+    d = n + m
+    a = n1 * m + n * m1
+    a1 = _old_bump_d2(w) * m - n * _old_bump_d2(1.0 - w)
+    d1 = n1 - m1
+    return (a1 * d - 2.0 * a * d1) / d ** 3
+
+
+# both ends, the smallest steps inside and outside them, and the tails
+# where a bump or its fourth-power denominator underflows
+_EDGE_W = [0.0, 1.0, 5e-324, -5e-324, 1e-300, -1e-300, 1e-100, 1e-3, 0.5,
+           np.nextafter(1.0, 0.0), np.nextafter(1.0, 2.0), 1.0 - 1e-3,
+           -1.0, 2.0, 1e300, -1e300]
+
+
+def _same_bits(a, b) -> bool:
+    a, b = np.asarray(a, dtype=float), np.asarray(b, dtype=float)
+    return a.shape == b.shape and np.array_equal(a.view(np.uint64), b.view(np.uint64))
+
+
+def test_fused_transition_matches_separate_exp_passes_bit_for_bit():
+    ws = np.concatenate([np.random.default_rng(11).uniform(-0.5, 1.5, 4000),
+                         _EDGE_W])
+    with np.errstate(all="ignore"):
+        want = [f(ws) for f in (_old_transition, _old_transition_d1,
+                                _old_transition_d2)]
+        for order in (0, 1, 2):
+            got = expr._transition(ws, order)
+            assert len(got) == order + 1
+            assert all(_same_bits(g, w) for g, w in zip(got, want))
+        for w in _EDGE_W:      # 0-d arrays, as constant folding passes them
+            got = expr._transition(np.asarray(w), 2)
+            assert all(_same_bits(g, f(np.asarray(w))) for g, f in zip(
+                got, (_old_transition, _old_transition_d1, _old_transition_d2)))
+        assert _same_bits(smoothstep(0.0, 1.0, ws), want[0])
+        assert _same_bits(smoothstep_deriv(0.0, 1.0, ws), want[1])
+
+
+def test_fused_step_jets_match_oracle_on_edge_arguments():
+    """Values and partials of both steps through the tape, with w = r on
+    the edge values and w = r*phi + t off them."""
+    rng = np.random.default_rng(12)
+    n = len(_EDGE_W) + 200
+    pts = rng.uniform(-0.5, 1.5, size=(3, n))
+    pts[0, :len(_EDGE_W)] = _EDGE_W
+    nodes = [parse(f"{f}(0, 1, {arg})", COORDS)
+             for f in ("smoothstep", "dsmoothstep") for arg in ("r", "r*phi + t")]
+    _assert_tape_matches_oracle(nodes, pts)
+
+
 # ---------------------------------------------------------------------------
 # randomized jet/finite-difference agreement (1000 expressions)
 
@@ -418,8 +512,8 @@ def _oracle_eval(node, p, shape):
     if node.func == "sqrt":
         return _oracle_sqrt(args[0])
     if node.func == "smoothstep":
-        return _oracle_step(*args, expr._transition, expr._transition_d1, False)
-    return _oracle_step(*args, expr._transition_d1, expr._transition_d2, True)
+        return _oracle_step(*args, _old_transition, _old_transition_d1, False)
+    return _oracle_step(*args, _old_transition_d1, _old_transition_d2, True)
 
 
 def _assert_tape_matches_oracle(nodes, pts):
@@ -533,7 +627,8 @@ def test_tape_evaluates_a_shared_subtree_once_per_block(reeb, monkeypatch):
     """smoothstep(1/3, 2/3, r) appears in two components of the Reeb form."""
     calls = []
     real = expr._transition
-    monkeypatch.setattr(expr, "_transition", lambda w: calls.append(1) or real(w))
+    monkeypatch.setattr(expr, "_transition",
+                        lambda w, order: calls.append(1) or real(w, order))
     alpha = reeb.form()
     pts = reeb.chart.random_points(100, seed=3)
     aval, _ = alpha.eval(pts)

@@ -1,4 +1,5 @@
 import math
+import os
 import threading
 import time
 
@@ -434,15 +435,50 @@ def test_chunked_eval_is_worker_count_invariant(monkeypatch):
         assert all(np.array_equal(b, c) for b, c in zip(blocks, base))
 
 
-def test_chunked_eval_uses_no_more_threads_than_blocks(monkeypatch):
+def test_chunked_eval_uses_no_more_processes_than_blocks(monkeypatch):
     monkeypatch.setattr(geometry, "BLOCK_POINTS", 64)
     pts = torus_chart().quadrature_grid((8, 4, 4)).points
-    threads = set()
 
     def kernel(p):
-        threads.add(threading.get_ident())
-        time.sleep(0.05)
-        return p.shape[1]
+        return os.getpid()
 
-    assert chunked_eval(kernel, pts, jobs=8) == [64, 64]
-    assert 1 <= len(threads) <= 2
+    pids = chunked_eval(kernel, pts, jobs=8)
+    assert len(pids) == 2
+    assert 1 <= len(set(pids)) <= 2
+    assert os.getpid() not in pids
+    assert chunked_eval(kernel, pts, jobs=1) == [os.getpid()] * 2
+
+
+def test_chunked_eval_raises_the_first_error_in_block_order(monkeypatch, deadline):
+    monkeypatch.setattr(geometry, "BLOCK_POINTS", 16)
+    pts = torus_chart().quadrature_grid((8, 4, 4)).points     # 8 blocks
+
+    def kernel(p):
+        block = int(np.flatnonzero((pts == p[:, :1]).all(axis=0))[0]) // 16
+        if block == 3:
+            time.sleep(0.3)     # so that block 6 fails first on the other worker
+        if block in (3, 6):
+            raise NotSPDError(p[:, 0], block, -1.0)
+        return block
+
+    for jobs in (1, 2, 4):
+        with deadline(30), pytest.raises(NotSPDError) as err:
+            chunked_eval(kernel, pts, jobs=jobs)
+        assert err.value.minor_index == 3
+        assert err.value.point == tuple(pts[:, 48])
+
+
+def test_chunked_eval_runs_serially_while_other_threads_live(monkeypatch):
+    """Forking a process that runs other threads is unsafe."""
+    monkeypatch.setattr(geometry, "BLOCK_POINTS", 64)
+    pts = torus_chart().quadrature_grid((8, 4, 4)).points
+    release = threading.Event()
+    other = threading.Thread(target=release.wait, args=(30,))
+    other.start()
+    try:
+        pids = chunked_eval(lambda p: os.getpid(), pts, jobs=2)
+    finally:
+        release.set()
+        other.join(30)
+    assert not other.is_alive()
+    assert pids == [os.getpid()] * 2
