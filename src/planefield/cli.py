@@ -60,7 +60,10 @@ def _s_range(text: str) -> list:
 
 
 def _jobs(text: str) -> int:
-    jobs = int(text)
+    try:
+        jobs = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"jobs must be an integer, got {text!r}") from None
     if jobs < 1:
         raise argparse.ArgumentTypeError(f"jobs must be at least 1, got {jobs}")
     return jobs
@@ -269,7 +272,7 @@ def main(argv=None) -> int:
     if "jobs" in vars(args) and args.jobs is None:
         try:
             args.jobs = _jobs(os.environ.get("PLANEFIELD_JOBS", "1"))
-        except (ValueError, argparse.ArgumentTypeError) as err:
+        except argparse.ArgumentTypeError as err:
             parser.error(f"PLANEFIELD_JOBS: {err}")
     try:
         if args.command == "check":

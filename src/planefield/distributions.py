@@ -28,11 +28,12 @@ import numpy as np
 
 from . import jetalg
 from .errors import ConfigError, DegenerateDistributionError
-from .expr import jet_sqrt
+from .expr import Jet1, jet_sqrt
 from .geometry import (ExactSum, MetricField, MetricJets, OneForm,
                        VectorField, christoffel_contract, chunked_eval,
-                       components, d_oneform_raw, divergence_raw, wedge3)
-from .jetalg import adjugate3, cross, det3, dot3, matvec
+                       divergence_entries, wedge_entries)
+from .jetalg import (add, adjugate3, column, cross, dense, det3, div, dot3,
+                     matvec, mul, neg, sub)
 
 __all__ = [
     "Distribution", "FrameData", "CurvatureReport",
@@ -43,6 +44,7 @@ __all__ = [
 ]
 
 _DEGENERATE_REL = 1e-12
+_FRAME_DESC = {"kernel": "kernel-coordinate-planes", "span": "span", "explicit": "explicit"}
 
 
 @dataclass
@@ -99,44 +101,87 @@ class FrameData:
     desc: str
 
 
-_COMPLEMENT = np.array(((1, 2), (0, 2), (0, 1)))
+def _scalars(x):
+    """Columns of a one-point batch as floats, in nested lists and jets."""
+    if isinstance(x, list):
+        return [_scalars(c) for c in x]
+    if isinstance(x, Jet1):
+        return Jet1.of(_scalars(x.value), [_scalars(d) for d in x.partials])
+    return x[0] if isinstance(x, np.ndarray) else x
 
 
-def _kernel_frame(aval: np.ndarray, ajac: np.ndarray) -> FrameData:
-    """Two g-independent kernel vectors from the coordinate planes with the
-    largest form component: for m = argmax |alpha_i| and the remaining
-    indices j, the vector alpha_m e_j - alpha_j e_m annihilates alpha."""
-    n = aval.shape[0]
-    val = np.zeros((n, 2, 3))
-    jac = np.zeros((n, 2, 3, 3))
-    rows = np.arange(n)
-    m = np.argmax(np.abs(aval), axis=-1)
-    for a, j in enumerate(_COMPLEMENT[m].T):
-        val[rows, a, j] = aval[rows, m]
-        val[rows, a, m] = -aval[rows, j]
-        jac[rows, a, :, j] = ajac[rows, :, m]
-        jac[rows, a, :, m] = -ajac[rows, :, j]
-    ok = np.abs(aval[rows, m]) > 0.0
-    return FrameData(val=val, jac=jac, ok=ok, desc="kernel-coordinate-planes")
-
-
-def _span_frame(s: tuple, t: tuple, desc: str) -> FrameData:
-    """Frame from evaluated (values, Jacobian) pairs of two vector fields."""
-    return FrameData(val=np.stack([s[0], t[0]], axis=-2),
-                     jac=np.stack([s[1], t[1]], axis=-3),
-                     ok=np.ones(s[0].shape[0], dtype=bool), desc=desc)
+def _entries(f: VectorField, points: np.ndarray) -> tuple:
+    """A field's tape entries at a batch.  A one-point batch gives floats,
+    so the single-point API runs the kernel in scalar arithmetic, with the
+    bits of the same point in a sweep block."""
+    v, dv = f._tape.entries(points)
+    return (_scalars(v), _scalars(dv)) if points.shape[1:] == (1,) else (v, dv)
 
 
 def _cross(s: tuple, t: tuple) -> tuple:
-    """Covector eps_ijk S^j T^k (values, Jacobian) from evaluated fields."""
-    (sval, sjac), (tval, tjac) = s, t
-    bval = np.stack(cross(components(sval, 1), components(tval, 1)), axis=-1)
-    # d_i (S x T) = (d_i S) x T + S x (d_i T), with i kept as a batch axis
-    s_i, t_i = components(sval[..., None, :], 1), components(tval[..., None, :], 1)
-    bjac = np.stack([p + q for p, q in zip(cross(components(sjac, 1), t_i),
-                                           cross(s_i, components(tjac, 1)))],
-                    axis=-1)
-    return bval, bjac
+    """Entries of S x T and d_i (S x T) = d_i S x T + S x d_i T."""
+    (s, ds), (t, dt) = s, t
+    return cross(s, t), [list(map(add, cross(ds[i], t), cross(s, dt[i]))) for i in range(3)]
+
+
+def _covector(dist: Distribution, points: np.ndarray) -> tuple:
+    """Entries (a, da) of a covector whose kernel is the plane: alpha, or
+    S x T for a span."""
+    if dist.kind == "kernel":
+        return _entries(dist.alpha, points)
+    return _cross(*(_entries(f, points) for f in dist.span_fields))
+
+
+def _annihilator(dist: Distribution, points: np.ndarray) -> tuple:
+    """The covector as dense (values (N, 3), Jacobian (N, i, k))."""
+    return tuple(dense(x, points.shape[1:]) for x in _covector(dist, points))
+
+
+def _plane_frame(a: list, da: list, m: int) -> tuple:
+    """For each index j != m the vector alpha_m e_j - alpha_j e_m, which
+    annihilates alpha: entries e[b][k] and de[b][i][k] = d_i E_b^k."""
+    e, de = [], []
+    for j in [k for k in range(3) if k != m]:
+        e.append([None] * 3)
+        e[-1][j], e[-1][m] = a[m], neg(a[j])
+        de.append([[None] * 3 for _ in range(3)])
+        for dv, row in zip(de[-1], da):
+            dv[j], dv[m] = row[m], neg(row[j])
+    return e, de
+
+
+def _kernel_frame(a: list, da: list, shape: tuple) -> tuple:
+    """Kernel frame from the coordinate plane m of the largest |alpha_m|
+    (the first on ties), and where it is defined.  Where one plane wins at
+    every point the entries are the form's own, else each entry is chosen
+    point by point."""
+    mags = np.abs(np.stack([column(x, shape) for x in a]))
+    m = np.argmax(mags, axis=0)
+    ok = np.max(mags, axis=0) > 0.0
+    if m.size and m.min() == m.max():
+        return _plane_frame(a, da, int(m.flat[0])) + (ok,)
+    planes = [_plane_frame(a, da, p) for p in range(3)]
+
+    def pick(*xs):
+        if all(x is None for x in xs):
+            return None
+        return np.choose(m, [column(x, shape) for x in xs])
+
+    e = [[pick(*(p[0][b][k] for p in planes)) for k in range(3)] for b in range(2)]
+    de = [[[pick(*(p[1][b][i][k] for p in planes)) for k in range(3)] for i in range(3)]
+          for b in range(2)]
+    return e, de, ok
+
+
+def _frame(dist: Distribution, points: np.ndarray, cov: tuple,
+           frame: Optional[tuple] = None) -> tuple:
+    """Frame entries e[b][k], de[b][i][k] = d_i E_b^k and validity: the
+    kernel frame of the covector ``cov``, the span fields, or ``frame``."""
+    fields = frame if frame is not None else dist.span_fields
+    if fields is None:
+        return _kernel_frame(*cov, points.shape[1:])
+    e, de = zip(*(_entries(f, points) for f in fields))
+    return list(e), list(de), np.ones(points.shape[1:], dtype=bool)
 
 
 def distribution_frames(dist: Distribution, points: np.ndarray,
@@ -147,51 +192,40 @@ def distribution_frames(dist: Distribution, points: np.ndarray,
     vector fields (they are trusted to span the plane; classify checks
     Gram degeneracy downstream either way).
     """
-    if frame is not None:
-        return _span_frame(frame[0].eval(points), frame[1].eval(points),
-                           "explicit")
-    if dist.kind == "kernel":
-        return _kernel_frame(*dist.alpha.eval(points))
-    return _span_frame(dist.span_fields[0].eval(points),
-                       dist.span_fields[1].eval(points), "span")
+    cov = _covector(dist, points) if frame is None and dist.kind == "kernel" else None
+    e, de, ok = _frame(dist, points, cov, frame)
+    return FrameData(val=dense(e, points.shape[1:]), jac=dense(de, points.shape[1:]),
+                     ok=ok, desc=_FRAME_DESC[dist.kind if frame is None else "explicit"])
 
 
-def _annihilator(dist: Distribution, points: np.ndarray) -> tuple:
-    """Covector (values, Jacobian) whose kernel is the plane: alpha itself,
-    or eps_ijk S^j T^k for a span."""
-    if dist.kind == "kernel":
-        return dist.alpha.eval(points)
-    return _cross(dist.span_fields[0].eval(points),
-                  dist.span_fields[1].eval(points))
-
-
-def _unit_normal(mj: MetricJets, aval: np.ndarray, co_orientation: int) -> tuple:
-    a = components(aval, 1)
-    raised = matvec(components(mj.inv(), 2), a)
+def _unit_normal(mj: MetricJets, a: list, co_orientation: int) -> tuple:
+    """Unit normal entries co * g^-1 a / |a|_g and where they are defined;
+    g^-1 is the identity where the metric is not SPD."""
+    raised = matvec(mj.inv_entries(), a)
     norm2 = dot3(a, raised)
-    ok = mj.spd & (norm2 > 0.0)
     with np.errstate(invalid="ignore", divide="ignore"):
-        nval = co_orientation * np.stack(raised, axis=-1) / np.sqrt(norm2)[..., None]
-    return nval, ok
+        root = np.sqrt(norm2)
+        n = [div(mul(float(co_orientation), r), root) for r in raised]
+    return n, mj.spd & (norm2 > 0.0)
 
 
 def normal_arrays(mj: MetricJets, dist: Distribution,
                   points: np.ndarray) -> tuple:
     """Unit normal values (N, 3) and a validity mask."""
-    aval, _ = _annihilator(dist, points)
-    return _unit_normal(mj, aval, dist.co_orientation)
+    n, ok = _unit_normal(mj, _covector(dist, points)[0], dist.co_orientation)
+    return dense(n, points.shape[1:]), ok
 
 
 def normal_jets(mj: MetricJets, dist: Distribution,
                 points: np.ndarray) -> list:
     """Unit normal as a jet-vector (exact first partials); used for
-    divergence cross-checks.  n = adj(g) a / sqrt(det g * (a adj(g) a))."""
-    return _normal_jets(mj, *_annihilator(dist, points), dist.co_orientation)
+    divergence cross-checks."""
+    a = jetalg.jets_from_components(*_annihilator(dist, points))
+    return _normal_jets(mj, a, dist.co_orientation)
 
 
-def _normal_jets(mj: MetricJets, aval: np.ndarray, ajac: np.ndarray,
-                 co_orientation: int) -> list:
-    a = jetalg.jets_from_components(aval, ajac)
+def _normal_jets(mj: MetricJets, a: list, co_orientation: int) -> list:
+    """n = adj(g) a / sqrt(det g * (a adj(g) a)) for a covector jet-vector a."""
     g = jetalg.jets_from_metric(mj)
     adj = adjugate3(g)
     w = matvec(adj, a)
@@ -199,31 +233,43 @@ def _normal_jets(mj: MetricJets, aval: np.ndarray, ajac: np.ndarray,
     return [float(co_orientation) * c / denom for c in w]
 
 
-def curvature_arrays(mj: MetricJets, fd: FrameData, nval: np.ndarray) -> dict:
-    """All pointwise curvature quantities for a frame and unit normal,
-    assembled one component at a time (formulas in the module docstring)."""
-    g, e, n = components(mj.val, 2), components(fd.val, 2), components(nval, 1)
-    de = components(np.swapaxes(fd.jac, -2, -1), 3)   # de[b][k][i] = d_i E_b^k
+def _normal_divergence(mj: MetricJets, b: "_Block", co_orientation: int):
+    """div n of a block's unit normal on an SPD batch, from the covector's
+    tape jets."""
+    n = _normal_jets(mj, [Jet1(x, [row[k] for row in b.da]) for k, x in enumerate(b.a)],
+                     co_orientation)
+    return divergence_entries(mj, [c.value for c in n],
+                              [[c.partials[i] for c in n] for i in range(3)])
+
+
+def _curvature(mj: MetricJets, e: list, de: list, n: list,
+               frame_ok: np.ndarray) -> dict:
+    """All pointwise curvature quantities for frame entries e[b][k] with
+    de[b][i][k] = d_i E_b^k and unit normal entries n[k] (formulas in the
+    module docstring)."""
+    g = mj.g
     nu = matvec(g, n)                           # lowered normal g n
-    m = christoffel_contract(components(mj.dval, 3), n)
+    m = christoffel_contract(mj.dg, n)
     # w[a][b]^k = E_a^i d_i E_b^k, the derivative of E_b along E_a
-    w = [[matvec(de[b], e[a]) for b in range(2)] for a in range(2)]
+    w = [[matvec(list(zip(*de[b])), e[a]) for b in range(2)] for a in range(2)]
     d = [[dot3(w[a][b], nu) for b in range(2)] for a in range(2)]
     me = [matvec(m, e[b]) for b in range(2)]
     ge = [matvec(g, e[b]) for b in range(2)]
-    b00 = d[0][0] + dot3(e[0], me[0])
-    b01 = 0.5 * (d[0][1] + d[1][0]) + dot3(e[0], me[1])
-    b11 = d[1][1] + dot3(e[1], me[1])
+    b00, b01, b11, gram00, gram01, gram11, bracket = (column(x, mj.shape) for x in (
+        add(d[0][0], dot3(e[0], me[0])),
+        add(mul(0.5, add(d[0][1], d[1][0])), dot3(e[0], me[1])),
+        add(d[1][1], dot3(e[1], me[1])),
+        dot3(e[0], ge[0]), dot3(e[0], ge[1]), dot3(e[1], ge[1]),
+        dot3(list(map(sub, w[0][1], w[1][0])), nu)))
 
-    gram00, gram01, gram11 = dot3(e[0], ge[0]), dot3(e[0], ge[1]), dot3(e[1], ge[1])
     scale = gram00 * gram11
     det_gram = scale - gram01 ** 2
-    ok = fd.ok & mj.spd & (det_gram > _DEGENERATE_REL * np.maximum(scale, 1e-300))
+    ok = frame_ok & mj.spd & (det_gram > _DEGENERATE_REL * np.maximum(scale, 1e-300))
 
     with np.errstate(invalid="ignore", divide="ignore"):
         h = (b00 * gram11 + b11 * gram00 - 2.0 * b01 * gram01) / det_gram
         k_e = (b00 * b11 - b01 ** 2) / det_gram
-        frob = dot3([p - q for p, q in zip(w[0][1], w[1][0])], nu) / np.sqrt(det_gram)
+        frob = bracket / np.sqrt(det_gram)
     b_norm = np.sqrt(b00 ** 2 + 2.0 * b01 ** 2 + b11 ** 2)
     return {
         "b00": b00, "b01": b01, "b11": b11,
@@ -233,39 +279,45 @@ def curvature_arrays(mj: MetricJets, fd: FrameData, nval: np.ndarray) -> dict:
     }
 
 
+def curvature_arrays(mj: MetricJets, fd: FrameData, nval: np.ndarray) -> dict:
+    """All pointwise curvature quantities for a dense frame and unit normal."""
+    e = [[fd.val[..., b, k] for k in range(3)] for b in range(2)]
+    de = [[[fd.jac[..., b, i, k] for k in range(3)] for i in range(3)] for b in range(2)]
+    return _curvature(mj, e, de, [nval[..., k] for k in range(3)], fd.ok)
+
+
+def _contact_volume(a: list, da: list):
+    """alpha ^ d(alpha), with d(alpha)_jk = d_j a_k - d_k a_j."""
+    return wedge_entries(a, [[None if j == k else sub(da[j][k], da[k][j]) for k in range(3)]
+                             for j in range(3)])
+
+
 @dataclass
 class _Block:
-    """A plane field evaluated once on a batch (see ``_block_arrays``)."""
+    """A plane field evaluated once on a batch: curvature arrays and the
+    entries of frame, unit normal and covector (see ``_block_arrays``)."""
 
-    arrs: dict            # curvature_arrays; "ok" includes a well-defined normal
-    frame: FrameData
+    arrs: dict            # curvature arrays; "ok" includes a well-defined normal
+    e: list
+    frame_ok: np.ndarray
     gram_ok: np.ndarray   # frame defined, metric SPD, frame Gram non-degenerate
-    normal: np.ndarray
+    n: list
     normal_ok: np.ndarray
-    aval: np.ndarray      # the annihilator and its Jacobian
-    ajac: np.ndarray
+    a: list               # a[k] and da[i][k] = d_i a_k
+    da: list
 
 
 def _block_arrays(mj: MetricJets, dist: Distribution, points: np.ndarray,
                   frame: Optional[tuple] = None) -> _Block:
     """Curvature arrays, frame and unit normal at a batch from one
     evaluation of the plane's defining fields."""
-    if dist.kind == "kernel":
-        aval, ajac = dist.alpha.eval(points)
-    else:
-        s, t = (f.eval(points) for f in dist.span_fields)
-        aval, ajac = _cross(s, t)
-    if frame is not None:
-        fd = distribution_frames(dist, points, frame)
-    elif dist.kind == "kernel":
-        fd = _kernel_frame(aval, ajac)
-    else:
-        fd = _span_frame(s, t, "span")
-    nval, nok = _unit_normal(mj, aval, dist.co_orientation)
-    arrs = curvature_arrays(mj, fd, nval)
+    a, da = _covector(dist, points)
+    e, de, frame_ok = _frame(dist, points, (a, da), frame)
+    n, nok = _unit_normal(mj, a, dist.co_orientation)
+    arrs = _curvature(mj, e, de, n, frame_ok)
     gram_ok = arrs["ok"]
     arrs["ok"] = gram_ok & nok
-    return _Block(arrs, fd, gram_ok, nval, nok, aval, ajac)
+    return _Block(arrs, e, frame_ok, gram_ok, n, nok, a, da)
 
 
 # ---------------------------------------------------------------------------
@@ -291,7 +343,8 @@ def _point_block(metric: MetricField, dist: Distribution, point,
     """The sweep's block kernel at a point or a small batch, after the SPD
     check: (block, points as (3, N), whether the input was one point)."""
     p, squeeze = _single(point)
-    mj = metric.eval(p)
+    jets = metric._tape.run(p)
+    mj = MetricJets(_scalars(jets) if p.shape[1:] == (1,) else jets, p.shape[1:])
     mj.require_spd(p)
     return _block_arrays(mj, dist, p, frame), p, squeeze
 
@@ -300,9 +353,9 @@ def tangent_frame(metric: MetricField, dist: Distribution, point,
                   frame: Optional[tuple] = None) -> tuple:
     """Two vectors spanning the plane at a point."""
     b, p, squeeze = _point_block(metric, dist, point, frame)
-    _require_plane(b.frame.ok, p, "vanishing defining form")
+    _require_plane(b.frame_ok, p, "vanishing defining form")
     _require_plane(b.gram_ok, p, "frame Gram degenerate")
-    e0, e1 = b.frame.val[..., 0, :], b.frame.val[..., 1, :]
+    e0, e1 = (dense(e, p.shape[1:]) for e in b.e)
     return (e0[0], e1[0]) if squeeze else (e0, e1)
 
 
@@ -310,7 +363,8 @@ def normal_field(metric: MetricField, dist: Distribution, point) -> np.ndarray:
     """Unit normal at a point, signed by the co-orientation."""
     b, p, squeeze = _point_block(metric, dist, point)
     _require_plane(b.normal_ok, p, "vanishing defining form")
-    return b.normal[0] if squeeze else b.normal
+    n = dense(b.n, p.shape[1:])
+    return n[0] if squeeze else n
 
 
 def _point_arrays(metric, dist, point, frame=None) -> dict:
@@ -352,9 +406,8 @@ def frobenius_residual(metric: MetricField, dist: Distribution, point,
 def contact_volume(alpha: OneForm, point):
     """alpha ^ d(alpha) against the chart volume element dx1^dx2^dx3."""
     p, squeeze = _single(point)
-    aval, ajac = alpha.eval(p)
-    out = wedge3(aval, d_oneform_raw(ajac))
-    return float(out[0]) if squeeze else out
+    out = column(_contact_volume(*_entries(alpha, p)), p.shape[1:])
+    return float(out[0]) if squeeze else np.array(out)
 
 
 # ---------------------------------------------------------------------------
@@ -481,7 +534,7 @@ def classify(metric: MetricField, dist: Distribution, grid=(16, 16, 16),
     def kernel(pts):
         mj = metric.eval(pts)
         b = _block_arrays(mj, dist, pts, frame)
-        b.arrs["contact_volume"] = wedge3(b.aval, d_oneform_raw(b.ajac))
+        b.arrs["contact_volume"] = column(_contact_volume(b.a, b.da), pts.shape[1:])
         return _summarise(b.arrs, mj.spd, keep_points)
 
     blocks = chunked_eval(kernel, sample.points, jobs)
@@ -525,12 +578,10 @@ def classify(metric: MetricField, dist: Distribution, grid=(16, 16, 16),
     if keep_points:
         per_point = {k: np.concatenate([b.per_point[k] for b in blocks])
                      for k in blocks[0].per_point}
-    frame_desc = ("explicit" if frame is not None
-                  else ("span" if dist.kind == "span"
-                        else "kernel-coordinate-planes"))
     report = CurvatureReport(
         chart_id=chart.chart_id, grid=tuple(grid), tol=tol,
-        frame_desc=frame_desc, classification=classification,
+        frame_desc=_FRAME_DESC[dist.kind if frame is None else "explicit"],
+        classification=classification,
         aggregates=aggregates, worst_points=worst, errors=errors,
         n_points=n_points, n_valid=n_valid,
         per_point=per_point,
@@ -559,9 +610,7 @@ def integral_mean_curvature(metric: MetricField, dist: Distribution,
         _require_plane(b.arrs["ok"], pts)
         out = {"weighted_h": ExactSum(b.arrs["h"] * np.sqrt(mj.det()))}
         if defect:
-            njets = _normal_jets(mj, b.aval, b.ajac, dist.co_orientation)
-            div_n = divergence_raw(mj, jetalg.vector_values(njets),
-                                   jetalg.vector_jacobian(njets))
+            div_n = _normal_divergence(mj, b, dist.co_orientation)
             out["defect"] = np.max(np.abs(b.arrs["h"] + div_n))
         return out
 

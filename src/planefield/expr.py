@@ -190,6 +190,29 @@ def _pow(base, expo, points=None) -> "Jet1":
                       for a, b in zip(ep, bp)])
 
 
+def column(x, shape) -> np.ndarray:
+    """An entry (array, float or ``None`` for +0.0) as an array of the
+    batch shape."""
+    if isinstance(x, np.ndarray) and x.shape == shape:
+        return x
+    return np.full(shape, 0.0 if x is None else x)
+
+
+def dense(x, shape: tuple) -> np.ndarray:
+    """Nested lists of entries as one array, entry indices last."""
+    dims, y = (), x
+    while isinstance(y, list):
+        dims, y = dims + (len(y),), y[0]
+    out = np.zeros(shape + dims)
+    for index in np.ndindex(*dims):
+        y = x
+        for i in index:
+            y = y[i]
+        if y is not None:
+            out[(Ellipsis,) + index] = y
+    return out
+
+
 class Jet1:
     """Value of a scalar together with its three chart partials.
 
@@ -208,6 +231,11 @@ class Jet1:
         self.value = np.asarray(value, dtype=float)
         self.partials = tuple(None if d is None else np.asarray(d, dtype=float)
                               for d in partials)
+
+    @classmethod
+    def of(cls, value, partials) -> "Jet1":
+        """A jet holding ``value`` and ``partials`` as given, unconverted."""
+        return _jet(value, partials)
 
     @property
     def gradient(self) -> np.ndarray:
@@ -665,17 +693,17 @@ class Tape:
         return [x if isinstance(x, Jet1) else _jet(np.float64(x), _NO_PARTIALS)
                 for x in (regs[r] for r in self._outputs)]
 
+    def entries(self, points) -> tuple:
+        """Values ``v[k]`` and partials ``dv[i][k] = d_i e_k`` of the tape's
+        expressions e_k as entries: floats where constant, ``None`` where
+        structurally zero, else arrays."""
+        jets = self.run(points)
+        return [j.value for j in jets], [[j.partials[i] for j in jets] for i in range(3)]
+
     def arrays(self, points) -> tuple:
         """Values ``(..., m)`` and Jacobian ``(..., i, k) = d_i e_k`` of the
         tape's m expressions e_k, as dense arrays."""
-        jets, shape = self.run(points), np.shape(points)[1:]
-        val, jac = np.empty(shape + (len(jets),)), np.zeros(shape + (3, len(jets)))
-        for k, jet in enumerate(jets):
-            val[..., k] = jet.value
-            for i, d in enumerate(jet.partials):
-                if d is not None:
-                    jac[..., i, k] = d
-        return val, jac
+        return tuple(dense(x, np.shape(points)[1:]) for x in self.entries(points))
 
 
 def eval_jet(expr: Node, point) -> Jet1:

@@ -1,18 +1,20 @@
 """Charts, metric evaluation, connection coefficients and quadrature.
 
 Everything here is batched: a point batch is an array of shape ``(3, N)``
-(or plain ``(3,)`` for a single point) and all tensors carry the batch
-shape in front of their index slots.  Index conventions:
+(or plain ``(3,)`` for a single point).  Internally a metric is kept
+component-first, as :mod:`planefield.jetalg` entries ``g[i][j]`` and
+``dg[l][i][j] = d_l g_ij`` (columns, floats where constant, ``None`` where
+structurally zero), with the closed-form adjugate over the determinant as
+its inverse.  Dense arrays, with the batch shape in front of the index
+slots, are the public view only:
 
 * metric values ``g[..., i, j]``, partials ``dg[..., l, i, j] = d_l g_ij``
 * vector fields ``X[..., k]`` with Jacobian ``jac[..., i, k] = d_i X^k``
 * 1-forms ``a[..., k]`` with Jacobian ``jac[..., i, k] = d_i a_k``
-* Christoffel symbols ``Gamma[..., k, i, j]``; ``MetricJets.inv``, the one
-  matrix inverse, is the closed-form adjugate over the determinant
+* Christoffel symbols ``Gamma[..., k, i, j]``
 
-The 3x3 algebra itself (dot, mat-vec, adjugate, determinant) is
-:mod:`planefield.jetalg`'s, applied here to component-first batch columns:
-``components`` turns ``x[..., i, j]`` into the nested ``x[i][j]`` it takes.
+``components`` turns ``x[..., i, j]`` into the nested ``x[i][j]`` jetalg
+takes.
 
 Grid sweeps walk the points in fixed blocks of ``BLOCK_POINTS`` and
 reduce each block to a small result, on forked worker processes when
@@ -26,25 +28,30 @@ from __future__ import annotations
 import math
 import threading
 from dataclasses import dataclass, field
+from functools import cached_property, reduce
 from typing import Callable
 
 import numpy as np
 
 from . import expr
 from .errors import ConfigError, NotSPDError, SingularSampleError
-from .jetalg import adjugate3, det3, dot3, matvec
+from .jetalg import (add, adjugate3, column_signs, dense, det3, div, dot3, matvec,
+                     mul, sub)
 
 __all__ = [
     "SingularLocus", "Chart", "GridSample", "MetricField", "MetricJets",
     "VectorField", "OneForm", "LEVI",
     "metric_at", "christoffel", "covariant_derivative", "d_oneform",
-    "wedge3", "divergence", "divergence_raw", "integrate_scalar",
+    "wedge3", "wedge_entries", "divergence", "divergence_raw",
+    "divergence_entries", "integrate_scalar",
     "pairwise_sum", "ExactSum", "chunked_eval", "BLOCK_POINTS",
 ]
 
 LEVI = np.zeros((3, 3, 3))
 LEVI[0, 1, 2] = LEVI[1, 2, 0] = LEVI[2, 0, 1] = 1.0
 LEVI[0, 2, 1] = LEVI[2, 1, 0] = LEVI[1, 0, 2] = -1.0
+_LEVI_TERMS = ((0, 1, 2, add), (0, 2, 1, sub), (1, 0, 2, sub),
+               (1, 2, 0, add), (2, 0, 1, add), (2, 1, 0, sub))
 
 
 BLOCK_POINTS = 4096
@@ -104,7 +111,12 @@ def _start_worker(*job) -> None:
 
 def _run_block(start: int):
     fn, points, size = _worker_job
-    return fn(points[:, start:start + size])
+    return _in_block(fn, points[:, start:start + size])
+
+
+def _in_block(fn: Callable, block: np.ndarray):
+    with column_signs():
+        return fn(block)
 
 
 def chunked_eval(fn: Callable, points: np.ndarray, jobs: int = 1) -> list:
@@ -125,7 +137,7 @@ def chunked_eval(fn: Callable, points: np.ndarray, jobs: int = 1) -> list:
             with multiprocessing.get_context("fork").Pool(
                     workers, _start_worker, (fn, points, size)) as pool:
                 return list(pool.imap(_run_block, starts, chunksize=4))
-    return [fn(points[:, s:s + size]) for s in starts]
+    return [_in_block(fn, points[:, s:s + size]) for s in starts]
 
 
 # ---------------------------------------------------------------------------
@@ -289,7 +301,7 @@ class MetricField:
 
     def eval(self, points) -> "MetricJets":
         p = np.asarray(points, dtype=float)
-        return MetricJets.from_entries(self._tape.run(p), p.shape[1:])
+        return MetricJets(self._tape.run(p), p.shape[1:])
 
     def matrix_at(self, point) -> tuple:
         """Single-point API: (matrix, entry gradients); raises NotSPD."""
@@ -299,36 +311,31 @@ class MetricField:
         return mj.val, mj.dval
 
 
-@dataclass
 class MetricJets:
-    """Metric values and exact first partials on a point batch."""
+    """Metric values and exact first partials on a point batch.
 
-    val: np.ndarray     # (..., 3, 3)
-    dval: np.ndarray    # (..., l, i, j) = d_l g_ij
-    spd: np.ndarray     # (...,) bool
-    minors: np.ndarray  # (..., 3) leading principal minors
-    adj: list           # adj[i][j], batch columns (scalars where constant)
-    jets: list          # jets[i][j], the entry jets with structural zeros
-    _inv: np.ndarray = field(default=None, repr=False)
+    Component-first: ``g[i][j]`` and ``dg[l][i][j] = d_l g_ij`` are jetalg
+    entries (columns, floats where constant, ``None`` where structurally
+    zero), ``jets[i][j]`` the entry jets and ``adj`` the adjugate; the SPD
+    mask comes from the leading principal minors.  ``val`` ``(..., 3, 3)``,
+    ``dval`` ``(..., l, i, j)`` and ``inv()`` are the dense arrays of the
+    public API, built on first use; sweeps use the entries only."""
+
+    def __init__(self, entries, shape: tuple):
+        self.shape = shape
+        self.jets = [[entries[k] for k in row] for row in _SYMMETRIC]
+        self.g = [[jet.value for jet in row] for row in self.jets]
+        self.dg = [[[jet.partials[l] for jet in row] for row in self.jets] for l in range(3)]
+        self.adj = adjugate3(self.g)
+        self.minors_entries = (self.g[0][0], self.adj[2][2], det3(self.g, self.adj))
+        m0, m1, m2 = (np.greater(m, 0.0) for m in self.minors_entries)
+        self.spd = np.broadcast_to(m0 & m1 & m2, shape)
 
     @classmethod
     def from_entries(cls, entries, shape: tuple) -> "MetricJets":
         """Jets of a symmetric metric from its six upper-triangle entry jets
-        (row-major); SPD by its leading principal minors.  Adjugate and
-        minors of constant entries are scalar arithmetic."""
-        val, dval = np.empty(shape + (3, 3)), np.zeros(shape + (3, 3, 3))
-        jets = [[entries[k] for k in row] for row in _SYMMETRIC]
-        for jet, (i, j) in zip(entries, _UPPER):
-            val[..., i, j] = val[..., j, i] = jet.value
-            for l, d in enumerate(jet.partials):
-                if d is not None:
-                    dval[..., l, i, j] = dval[..., l, j, i] = d
-        m = [[jet.value for jet in row] for row in jets]
-        adj = adjugate3(m)
-        minors = np.stack([np.broadcast_to(x, shape)
-                           for x in (m[0][0], adj[2][2], det3(m, adj))], axis=-1)
-        return cls(val=val, dval=dval, spd=np.all(minors > 0, axis=-1),
-                   minors=minors, adj=adj, jets=jets)
+        (row-major)."""
+        return cls(entries, shape)
 
     @classmethod
     def from_arrays(cls, val: np.ndarray, dval: np.ndarray) -> "MetricJets":
@@ -337,20 +344,35 @@ class MetricJets:
                    for i, j in _UPPER]
         return cls.from_entries(entries, val.shape[:-2])
 
+    @cached_property
+    def val(self) -> np.ndarray:
+        return dense(self.g, self.shape)
+
+    @cached_property
+    def dval(self) -> np.ndarray:
+        return dense(self.dg, self.shape)
+
+    @property
+    def minors(self) -> np.ndarray:
+        """Leading principal minors ``(..., 3)``."""
+        return np.stack([np.broadcast_to(x, self.shape) for x in self.minors_entries], axis=-1)
+
     def det(self) -> np.ndarray:
-        return self.minors[..., 2]
+        return np.broadcast_to(self.minors_entries[2], self.shape)
+
+    def inv_entries(self) -> list:
+        """g^-1 as entries: the adjugate over the determinant, the identity
+        where the metric is not SPD."""
+        det = self.minors_entries[2]
+        if self.spd.all():
+            return [[div(x, det) for x in row] for row in self.adj]
+        det = np.where(self.spd, det, 1.0)
+        return [[np.where(self.spd, div(x, det), float(i == j)) for j, x in enumerate(row)]
+                for i, row in enumerate(self.adj)]
 
     def inv(self) -> np.ndarray:
-        """Closed-form inverse: the adjugate kept by ``from_entries`` over
-        the determinant; the identity where the metric is not SPD."""
-        if self._inv is None:
-            det = np.where(self.spd, self.det(), 1.0)
-            inv = np.empty(self.val.shape)
-            for i in range(3):
-                for j in range(3):
-                    inv[..., i, j] = self.adj[i][j] / det
-            self._inv = np.where(self.spd[..., None, None], inv, np.eye(3))
-        return self._inv
+        """Closed-form inverse ``(..., 3, 3)``, dense."""
+        return dense(self.inv_entries(), self.shape)
 
     def require_spd(self, points: np.ndarray) -> None:
         """Raise NotSPDError naming the first point of ``points`` (shape
@@ -363,8 +385,7 @@ class MetricJets:
 
     def dot(self, u: np.ndarray, v: np.ndarray) -> np.ndarray:
         """g(u, v) for vectors ``u[..., i]`` and ``v[..., j]``."""
-        return dot3(components(u, 1),
-                    matvec(components(self.val, 2), components(v, 1)))
+        return dot3(components(u, 1), matvec(self.g, components(v, 1)))
 
 
 @dataclass
@@ -414,7 +435,8 @@ def christoffel_contract(dg, v) -> list:
     p = [matvec(dg[i], v) for i in range(3)]    # p[i][j] = v^l d_i g_jl
     m = [[None] * 3 for _ in range(3)]
     for i, j in _UPPER:
-        m[i][j] = m[j][i] = 0.5 * (p[i][j] + p[j][i] - dot3(dg[:, i, j], v))
+        q = dot3([dg[l][i][j] for l in range(3)], v)
+        m[i][j] = m[j][i] = mul(0.5, sub(add(p[i][j], p[j][i]), q))
     return m
 
 
@@ -450,20 +472,52 @@ def d_oneform_raw(ajac: np.ndarray) -> np.ndarray:
     return ajac - np.swapaxes(ajac, -2, -1)
 
 
+def wedge_entries(a: list, w: list):
+    """(1/2) eps_ijk a_i w_jk for entries a[i] and w[j][k], summed over the
+    nonzero eps_ijk in index order from +0.0, as the Levi-Civita einsum
+    adds them."""
+    out = 0.0
+    for i, j, k, sign in _LEVI_TERMS:
+        out = sign(out, mul(a[i], w[j][k]))
+    return mul(0.5, out)
+
+
 def wedge3(alpha_val, omega_val) -> np.ndarray:
     """Coefficient of dx1 ^ dx2 ^ dx3 in (1-form) ^ (2-form); normalised so
     that wedge3(dx1, dx2 ^ dx3) = 1."""
     a = np.asarray(alpha_val, dtype=float)
     w = np.asarray(omega_val, dtype=float)
-    out = 0.5 * np.einsum("ijk,...i,...jk->...", LEVI, a, w)
+    out = dense(wedge_entries(list(components(a, 1)), list(components(w, 2))), a.shape[:-1])
     return float(out) if out.ndim == 0 else out
+
+
+def _lane_sum(terms: list):
+    """Sum of entries in the order numpy's einsum reduction adds them (two
+    SSE2 lanes of alternate terms; blocks of eight added back to front, the
+    rest pair by pair; lanes summed last, from +0.0)."""
+    lanes = [0.0, 0.0]
+    head = len(terms) // 8 * 8
+    for s in [s + k for s in range(0, head, 8) for k in (6, 4, 2, 0)] + list(
+            range(head, len(terms), 2)):
+        for lane in (0, 1):
+            lanes[lane] = add(terms[s + lane] if s + lane < len(terms) else 0.0, lanes[lane])
+    return add(0.0, add(*lanes))
+
+
+def divergence_entries(mj: MetricJets, x: list, dx: list):
+    """div X = d_i X^i + X^i d_i log sqrt(det g), with d_i log sqrt(det g) =
+    g^lm d_i g_lm / 2, for entries x[k] and dx[i][k] = d_i X^k."""
+    inv = sum(mj.inv_entries(), [])
+    dlog = [mul(0.5, _lane_sum(list(map(mul, inv, sum(mj.dg[i], []))))) for i in range(3)]
+    trace = reduce(add, (dx[i][i] for i in range(3)), 0.0)
+    return add(trace, _lane_sum(list(map(mul, x, dlog))))
 
 
 def divergence_raw(mj: MetricJets, xval: np.ndarray, xjac: np.ndarray) -> np.ndarray:
     """div X = d_i X^i + X^i * (d_i log sqrt(det g)), exactly from jets."""
-    tr_jac = np.einsum("...ii->...", xjac)
-    dlog = 0.5 * np.einsum("...lm,...ilm->...i", mj.inv(), mj.dval)
-    return tr_jac + np.einsum("...i,...i->...", xval, dlog)
+    x = [xval[..., k] for k in range(3)]
+    dx = [[xjac[..., i, k] for k in range(3)] for i in range(3)]
+    return dense(divergence_entries(mj, x, dx), np.shape(xval)[:-1])
 
 
 def divergence(g, x: VectorField, points) -> np.ndarray:

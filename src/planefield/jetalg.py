@@ -1,31 +1,131 @@
 """The package's 3x3 algebra, written once over component-first entries.
 
 A matrix is a nested list ``m[i][j]`` and a vector a list ``v[k]`` whose
-entries are either batch columns (numpy arrays of one point-batch shape)
-or first-order jets (:class:`~planefield.expr.Jet1`).  The formulas are
-plain arithmetic on entries, so the same code gives metric minors and
-inverses on sweep columns and, on jets, exact Jacobians for derived fields
-(unit normals, frame pushforwards, transferred metrics) without any
-symbolic blow-up: only first derivatives of the primitive fields are ever
-consumed.
+entries are batch columns (numpy arrays of one point-batch shape), floats
+constant over the batch, ``None`` for a structural zero, or first-order
+jets (:class:`~planefield.expr.Jet1`).  The formulas are plain arithmetic
+on entries, so the same code gives metric minors and inverses on sweep
+columns and, on jets, exact Jacobians for derived fields (unit normals,
+frame pushforwards, transferred metrics) without any symbolic blow-up:
+only first derivatives of the primitive fields are ever consumed.
+
+On columns, floats and ``None`` (``mul``, ``add``, ``sub``, ``div``) a
+result has the bits of the same operation on dense arrays holding the
+constants and ``+0.0`` for ``None``, signs of zeros included.  Constants
+fold in Python, and a zero times a finite column of one sign is that
+signed zero, so structural zeros and the zeros they produce cost no array
+work.
 """
 
 from __future__ import annotations
 
+from contextlib import contextmanager
+from contextvars import ContextVar
+from functools import reduce
+from math import copysign
+
 import numpy as np
 
-from .expr import Jet1
+from .expr import Jet1, column, dense
 
 __all__ = [
-    "dot3", "matvec", "cross", "adjugate3", "det3",
-    "jets_from_metric", "jets_from_components", "vector_values",
-    "vector_jacobian",
+    "dot3", "matvec", "cross", "adjugate3", "det3", "mul", "add", "sub", "column_signs",
+    "div", "neg", "column", "dense", "jets_from_metric", "jets_from_components",
+    "vector_values", "vector_jacobian",
 ]
+
+_INF_BITS = 0x7FF0000000000000       # int64 bits of +inf; -inf is -2**52
+_NEG_INF_BITS = -0x0010000000000000
+_ARRAYS = (np.ndarray, Jet1)
+
+
+_SIGNS: ContextVar = ContextVar("column_signs", default=None)
+
+
+@contextmanager
+def column_signs():
+    """Remember the sign test of each column inside the block: a batch's
+    few columns meet many structural zeros."""
+    token = _SIGNS.set({})
+    try:
+        yield
+    finally:
+        _SIGNS.reset(token)
+
+
+def _one_sign(x):
+    """0.0 or -0.0 if the column x is finite with that sign bit throughout
+    (so a zero times it is that zero, with no NaN to propagate), else None."""
+    memo = _SIGNS.get()
+    if memo is not None and id(x) in memo:
+        return memo[id(x)][1]
+    bits = x.view(np.int64)
+    lo, hi = np.minimum.reduce(bits, axis=None), np.maximum.reduce(bits, axis=None)
+    sign = 0.0 if lo >= 0 and hi < _INF_BITS else -0.0 if hi < _NEG_INF_BITS else None
+    if memo is not None:
+        memo[id(x)] = (x, sign)      # holding x keeps its id from being reused
+    return sign
+
+
+def mul(u, v):
+    """u * v on entries."""
+    if isinstance(u, _ARRAYS):
+        if isinstance(v, _ARRAYS):
+            return u * v
+        c, x = (0.0 if v is None else v), u
+    else:
+        c, x = (0.0 if u is None else u), v
+        if not isinstance(v, _ARRAYS):
+            return c * (0.0 if v is None else v)
+    if c == 1.0:
+        return x
+    if c == 0.0 and isinstance(x, np.ndarray):
+        sign = _one_sign(x)
+        if sign is not None:
+            return c * sign
+    return c * x
+
+
+def add(u, v):
+    """u + v on entries; adding -0.0 changes nothing, +0.0 only -0.0."""
+    u, v = (0.0 if u is None else u), (0.0 if v is None else v)
+    if not isinstance(v, _ARRAYS):
+        if isinstance(u, _ARRAYS) and v == 0.0 and copysign(1.0, v) < 0.0:
+            return u
+    elif not isinstance(u, _ARRAYS) and u == 0.0 and copysign(1.0, u) < 0.0:
+        return v
+    return u + v
+
+
+def neg(u):
+    return -0.0 if u is None else -u
+
+
+def sub(u, v):
+    """u - v on entries."""
+    if v is None or (not isinstance(v, _ARRAYS) and v == 0.0):
+        return add(u, neg(v))
+    return (0.0 if u is None else u) - v
+
+
+def div(u, v):
+    """u / v on entries; a zero over a finite column of one sign without
+    zeros is a signed zero."""
+    u = 0.0 if u is None else u
+    if isinstance(u, _ARRAYS):
+        return u / v
+    if not isinstance(v, _ARRAYS):
+        return np.divide(np.float64(u), v)
+    if u == 0.0 and isinstance(v, np.ndarray):
+        sign = _one_sign(v)
+        if sign is not None and v.all():
+            return u * sign
+    return u / v
 
 
 def dot3(u, v):
     """u_0 v_0 + u_1 v_1 + u_2 v_2."""
-    return u[0] * v[0] + u[1] * v[1] + u[2] * v[2]
+    return reduce(add, map(mul, u, v))
 
 
 def matvec(m, v) -> list:
@@ -35,7 +135,7 @@ def matvec(m, v) -> list:
 
 def cross(u, v) -> list:
     """(u x v)_l = eps_ljk u_j v_k."""
-    return [u[(l + 1) % 3] * v[(l + 2) % 3] - u[(l + 2) % 3] * v[(l + 1) % 3]
+    return [sub(mul(u[(l + 1) % 3], v[(l + 2) % 3]), mul(u[(l + 2) % 3], v[(l + 1) % 3]))
             for l in range(3)]
 
 
@@ -47,13 +147,13 @@ def adjugate3(m) -> list:
         i1, i2 = (i + 1) % 3, (i + 2) % 3
         for j in range(3):
             j1, j2 = (j + 1) % 3, (j + 2) % 3
-            adj[j][i] = m[i1][j1] * m[i2][j2] - m[i1][j2] * m[i2][j1]
+            adj[j][i] = sub(mul(m[i1][j1], m[i2][j2]), mul(m[i1][j2], m[i2][j1]))
     return adj
 
 
 def det3(m, adj):
     """det m as the expansion of m along row 0 against its adjugate."""
-    return m[0][0] * adj[0][0] + m[0][1] * adj[1][0] + m[0][2] * adj[2][0]
+    return dot3(m[0], [adj[0][0], adj[1][0], adj[2][0]])
 
 
 def jets_from_metric(mj) -> list:

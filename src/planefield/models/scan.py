@@ -17,6 +17,7 @@ import numpy as np
 from ..distributions import _unit_normal
 from ..errors import ConfigError
 from ..geometry import MetricField, OneForm, d_oneform_raw, wedge3
+from ..jetalg import dense
 
 __all__ = ["ScanReport", "contact_deformation_scan"]
 
@@ -39,6 +40,11 @@ class ScanReport:
         }
 
 
+def _normal(mj, aval: np.ndarray) -> tuple:
+    n, ok = _unit_normal(mj, [aval[..., k] for k in range(3)], 1)
+    return dense(n, aval.shape[:-1]), ok
+
+
 def contact_deformation_scan(metric: MetricField, alpha0: OneForm,
                              beta: OneForm, s_values, grid=(16, 16, 16),
                              margin: float = 1e-3,
@@ -54,7 +60,7 @@ def contact_deformation_scan(metric: MetricField, alpha0: OneForm,
     mj = metric.eval(pts)
     aval0, ajac0 = alpha0.eval(pts)
     bval, bjac = beta.eval(pts)
-    n0, ok0 = _unit_normal(mj, aval0, 1)
+    n0, ok0 = _normal(mj, aval0)
     if not np.all(ok0 & mj.spd):
         raise ConfigError("base form or metric degenerates on the grid")
 
@@ -63,7 +69,7 @@ def contact_deformation_scan(metric: MetricField, alpha0: OneForm,
         aval = aval0 + s * bval
         ajac = ajac0 + s * bjac
         cv = wedge3(aval, d_oneform_raw(ajac))
-        ns, good = _unit_normal(mj, aval, 1)
+        ns, good = _normal(mj, aval)
         n_degenerate = int(np.count_nonzero(~good))
         if np.any(good):
             cosang = np.abs(mj.dot(ns, n0))[good]

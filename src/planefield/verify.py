@@ -289,9 +289,7 @@ def _reframe(model, dist, frame, a):
 
 
 def _op_h_divergence_pointwise(params: dict, jobs: int) -> CheckResult:
-    from . import jetalg
-    from .distributions import _block_arrays, _normal_jets
-    from .geometry import divergence_raw
+    from .distributions import _block_arrays, _normal_divergence
     tol = params.get("tolerance", 1e-9)
     n = params.get("n_points", 100)
     seeds = params.get("seeds", [1, 2, 3])
@@ -303,9 +301,7 @@ def _op_h_divergence_pointwise(params: dict, jobs: int) -> CheckResult:
         pts = model.chart.random_points(n, seed=1000 + seed)
         mj = model.metric.eval(pts)
         b = _block_arrays(mj, dist, pts)
-        njets = _normal_jets(mj, b.aval, b.ajac, dist.co_orientation)
-        div_n = divergence_raw(mj, jetalg.vector_values(njets),
-                               jetalg.vector_jacobian(njets))
+        div_n = _normal_divergence(mj, b, dist.co_orientation)
         worst = max(worst, float(np.max(np.abs(b.arrs["h"] + div_n))))
     return CheckResult(name="", passed=worst <= tol, measured=worst, bound=tol,
                        detail={"seeds": list(seeds), "n_points": n})

@@ -1,6 +1,6 @@
 """The CI workflow runs the Tier-1 suite and the benchmark self-check on
 every supported Python, once on the oldest supported numpy, and compares
-a suite's report bodies at one and two workers."""
+a suite's and a Reeb sweep's report bodies at one and two workers."""
 
 import re
 from pathlib import Path
@@ -58,3 +58,16 @@ def test_workflow_compares_suite_bodies_across_worker_counts():
         assert ("PYTHONPATH=src python -m planefield.cli verify builtin:quadrature "
                 f"--jobs {jobs} --output jobs{jobs}.json") in step
     assert "['body']" in step and "sys.exit(a != b)" in step
+
+
+def test_workflow_compares_reeb_classify_bodies_across_worker_counts():
+    """One step emits the Reeb model, classifies it at 32^3 with --jobs 1
+    and 2 and fails unless the two report bodies are equal."""
+    workflow = yaml.safe_load(WORKFLOW.read_text(encoding="utf-8"))
+    runs = [step.get("run", "") for step in workflow["jobs"]["tests"]["steps"]]
+    step = next(run for run in runs if "model reeb --emit" in run)
+    assert "PYTHONPATH=src python -m planefield.cli model reeb --emit reeb.json" in step
+    for jobs in (1, 2):
+        assert ("PYTHONPATH=src python -m planefield.cli classify reeb.json "
+                f"--grid 32,32,32 --jobs {jobs} --output reeb{jobs}.json") in step
+    assert "('reeb1.json', 'reeb2.json')" in step and "sys.exit(a != b)" in step

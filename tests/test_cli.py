@@ -105,6 +105,19 @@ def test_jobs_below_one_is_usage_error(command, capsys):
         assert f"jobs must be at least 1, got {int(jobs)}" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("command", ["classify", "verify"])
+def test_non_integer_jobs_names_the_option_and_the_value(command, capsys, monkeypatch):
+    with pytest.raises(SystemExit) as err:
+        main([command, "whatever.json", "--jobs", "abc"])
+    assert err.value.code == 2
+    assert "argument --jobs: jobs must be an integer, got 'abc'" in capsys.readouterr().err
+    monkeypatch.setenv("PLANEFIELD_JOBS", "abc")
+    with pytest.raises(SystemExit) as err:
+        main([command, "whatever.json"])
+    assert err.value.code == 2
+    assert "PLANEFIELD_JOBS: jobs must be an integer, got 'abc'" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("value", ["0", "-3", "abc"])
 def test_bad_env_jobs_is_usage_error(value, torus_file, capsys, monkeypatch):
     monkeypatch.setenv("PLANEFIELD_JOBS", value)

@@ -5,8 +5,9 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from planefield import geometry
-from planefield.catalog import (polar_cylinder_model, random_periodic_form,
+from planefield import geometry, jetalg
+from planefield.catalog import (box_contact_model, flat_torus_model,
+                                polar_cylinder_model, random_periodic_form,
                                 shipped_examples, sphere_model,
                                 two_pi_torus_model)
 from planefield.distributions import (Distribution, classify, contact_volume,
@@ -15,13 +16,16 @@ from planefield.distributions import (Distribution, classify, contact_volume,
                                       integral_mean_curvature, mean_curvature,
                                       normal_arrays, normal_field,
                                       second_fundamental_form, tangent_frame)
-from planefield.distributions import _annihilator, _kernel_frame
+from planefield.distributions import (_annihilator, _block_arrays, _contact_volume,
+                                      _kernel_frame, _normal_divergence)
+from planefield.jetalg import dense
 from planefield.errors import (ConfigError, DegenerateDistributionError,
                                DomainError, NonSPDPathError, NotSPDError,
                                NotTransverseError)
 from planefield.geometry import (Chart, MetricField, OneForm, VectorField,
                                  christoffel, integrate_scalar)
-from planefield.expr import Num
+from planefield.expr import Num, jet_sqrt
+from planefield.models import reeb_solid_torus
 
 
 # ---------------------------------------------------------------------------
@@ -72,11 +76,13 @@ def test_kernel_frame_matches_the_mask_scatter(reeb, torus, contact_box):
         aval, ajac = alpha.eval(p)
         if alpha is cases[-1][0]:
             aval[::7], ajac[::7] = 0.0, 0.0        # vanishing form
-        fd = _kernel_frame(aval, ajac)
-        for got, want in zip((fd.val, fd.jac, fd.ok),
+        n = aval.shape[:1]
+        e, de, ok = _kernel_frame([aval[:, k] for k in range(3)],
+                                  [[ajac[:, i, k] for k in range(3)] for i in range(3)], n)
+        for got, want in zip((dense(e, n), dense(de, n), ok),
                              _oracle_kernel_frame(aval, ajac)):
             assert got.tobytes() == want.tobytes()
-    assert not np.all(fd.ok) and np.any(fd.ok)
+    assert not np.all(ok) and np.any(ok)
 
 
 def test_span_frame_returned_unchanged(reeb):
@@ -686,3 +692,261 @@ def test_single_point_api_bit_identical_to_block_sweep(which, reeb):
         want = [rep.per_point[k][i] for k in ("h", "k_e", "b00", "b01", "b01", "b11")]
         assert np.array_equal(np.array(got).view(np.uint64),
                               np.array(want).view(np.uint64)), i
+
+
+# ---------------------------------------------------------------------------
+# the component-first block kernel against the dense kernel it replaced:
+# the mask scatter frame, the inverse-based normal, the dense curvature
+# assembly, the Levi-Civita einsum and the jet divergence, bit for bit
+
+
+def _odot(u, v):
+    return u[0] * v[0] + u[1] * v[1] + u[2] * v[2]
+
+
+def _omatvec(m, v):
+    return [_odot(m[i], v) for i in range(3)]
+
+
+def _ocross(u, v):
+    return [u[(l + 1) % 3] * v[(l + 2) % 3] - u[(l + 2) % 3] * v[(l + 1) % 3]
+            for l in range(3)]
+
+
+def _oadjugate(m):
+    adj = [[None] * 3 for _ in range(3)]
+    for i in range(3):
+        i1, i2 = (i + 1) % 3, (i + 2) % 3
+        for j in range(3):
+            j1, j2 = (j + 1) % 3, (j + 2) % 3
+            adj[j][i] = m[i1][j1] * m[i2][j2] - m[i1][j2] * m[i2][j1]
+    return adj
+
+
+def _comp(x, rank):
+    return x.transpose([*range(x.ndim - rank, x.ndim), *range(x.ndim - rank)])
+
+
+def _oracle_annihilator(dist, pts):
+    if dist.kind == "kernel":
+        return dist.alpha.eval(pts)
+    (sval, sjac), (tval, tjac) = (f.eval(pts) for f in dist.span_fields)
+    bval = np.stack(_ocross(_comp(sval, 1), _comp(tval, 1)), axis=-1)
+    s_i, t_i = _comp(sval[..., None, :], 1), _comp(tval[..., None, :], 1)
+    bjac = np.stack([p + q for p, q in zip(_ocross(_comp(sjac, 1), t_i),
+                                           _ocross(s_i, _comp(tjac, 1)))], axis=-1)
+    return bval, bjac
+
+
+def _oracle_inv(mj):
+    det = np.where(mj.spd, mj.det(), 1.0)
+    adj = _oadjugate(_comp(mj.val, 2))
+    inv = np.empty(mj.val.shape)
+    for i in range(3):
+        for j in range(3):
+            inv[..., i, j] = adj[i][j] / det
+    return np.where(mj.spd[..., None, None], inv, np.eye(3))
+
+
+def _oracle_christoffel(dg, v):
+    p = [_omatvec(dg[i], v) for i in range(3)]
+    m = [[None] * 3 for _ in range(3)]
+    for i, j in ((0, 0), (0, 1), (0, 2), (1, 1), (1, 2), (2, 2)):
+        m[i][j] = m[j][i] = 0.5 * (p[i][j] + p[j][i] - _odot(dg[:, i, j], v))
+    return m
+
+
+def _oracle_block(metric, dist, pts, frame=None):
+    """Every field ``_summarise`` receives, from the dense kernel."""
+    mj = metric.eval(pts)
+    aval, ajac = _oracle_annihilator(dist, pts)
+    if frame is not None or dist.kind == "span":
+        (sval, sjac), (tval, tjac) = (f.eval(pts) for f in frame or dist.span_fields)
+        val, jac = np.stack([sval, tval], axis=-2), np.stack([sjac, tjac], axis=-3)
+        frame_ok = np.ones(pts.shape[1], dtype=bool)
+    else:
+        val, jac, frame_ok = _oracle_kernel_frame(aval, ajac)
+    raised = _omatvec(_comp(_oracle_inv(mj), 2), _comp(aval, 1))
+    norm2 = _odot(_comp(aval, 1), raised)
+    with np.errstate(invalid="ignore", divide="ignore"):
+        nval = dist.co_orientation * np.stack(raised, axis=-1) / np.sqrt(norm2)[..., None]
+    g, e, n = _comp(mj.val, 2), _comp(val, 2), _comp(nval, 1)
+    de = _comp(np.swapaxes(jac, -2, -1), 3)
+    nu = _omatvec(g, n)
+    m = _oracle_christoffel(_comp(mj.dval, 3), n)
+    w = [[_omatvec(de[b], e[a]) for b in range(2)] for a in range(2)]
+    d = [[_odot(w[a][b], nu) for b in range(2)] for a in range(2)]
+    me = [_omatvec(m, e[b]) for b in range(2)]
+    ge = [_omatvec(g, e[b]) for b in range(2)]
+    b00 = d[0][0] + _odot(e[0], me[0])
+    b01 = 0.5 * (d[0][1] + d[1][0]) + _odot(e[0], me[1])
+    b11 = d[1][1] + _odot(e[1], me[1])
+    gram00, gram01, gram11 = _odot(e[0], ge[0]), _odot(e[0], ge[1]), _odot(e[1], ge[1])
+    scale = gram00 * gram11
+    det_gram = scale - gram01 ** 2
+    ok = frame_ok & mj.spd & (det_gram > 1e-12 * np.maximum(scale, 1e-300))
+    with np.errstate(invalid="ignore", divide="ignore"):
+        h = (b00 * gram11 + b11 * gram00 - 2.0 * b01 * gram01) / det_gram
+        k_e = (b00 * b11 - b01 ** 2) / det_gram
+        frob = _odot([p - q for p, q in zip(w[0][1], w[1][0])], nu) / np.sqrt(det_gram)
+    return {"b00": b00, "b01": b01, "b11": b11, "gram00": gram00,
+            "gram01": gram01, "gram11": gram11, "det_gram": det_gram,
+            "h": h, "k_e": k_e, "frobenius_residual": frob,
+            "b_norm": np.sqrt(b00 ** 2 + 2.0 * b01 ** 2 + b11 ** 2),
+            "ok": ok & mj.spd & (norm2 > 0.0),
+            "contact_volume": 0.5 * np.einsum("ijk,...i,...jk->...", geometry.LEVI, aval,
+                                              ajac - np.swapaxes(ajac, -2, -1))}
+
+
+def _oracle_integrand(metric, dist, pts):
+    """Weighted H and the pointwise defect |H + div n| of the integral."""
+    mj = metric.eval(pts)
+    a = jetalg.jets_from_components(*_oracle_annihilator(dist, pts))
+    g = mj.jets
+    adj = _oadjugate(g)
+    w = _omatvec(adj, a)
+    det = g[0][0] * adj[0][0] + g[0][1] * adj[1][0] + g[0][2] * adj[2][0]
+    denom = jet_sqrt(det * _odot(a, w))
+    n = [float(dist.co_orientation) * c / denom for c in w]
+    xval, xjac = jetalg.vector_values(n), jetalg.vector_jacobian(n)
+    dlog = 0.5 * np.einsum("...lm,...ilm->...i", _oracle_inv(mj), mj.dval)
+    div = np.einsum("...ii->...", xjac) + np.einsum("...i,...i->...", xval, dlog)
+    h = _oracle_block(metric, dist, pts)["h"]
+    return h * np.sqrt(mj.det()), np.abs(h + div)
+
+
+def _kernel_block(metric, dist, pts, frame=None):
+    """The block kernel as a sweep runs it: one sign memo per block."""
+    with jetalg.column_signs():
+        b = _block_arrays(metric.eval(pts), dist, pts, frame)
+        b.arrs["contact_volume"] = _contact_volume(b.a, b.da)
+    return b
+
+
+def _assert_same_bits(got: dict, want: dict, where: str):
+    for key, value in want.items():
+        x = np.broadcast_to(got[key], value.shape)
+        assert x.dtype == value.dtype and x.tobytes() == value.tobytes(), (where, key)
+
+
+_FLAT_BOX = MetricField.from_strings(_BOX, ("1", "0", "0", "1", "0", "1"))
+_AXIS = np.array([-0.9, -0.6, -0.3, 0.0, 0.3, 0.6, 0.9])
+_BOX_POINTS = np.stack([m.ravel() for m in np.meshgrid(_AXIS, _AXIS, _AXIS, indexing="ij")])
+
+
+def _reeb_slices():
+    rs = np.repeat([0.05, 0.2, 0.3, 1 / 3, 0.4, 0.5, 0.6, 2 / 3, 0.8, 1.0], 64)
+    angles = np.random.default_rng(8).uniform(0.0, 2 * np.pi, size=(2, rs.size))
+    return np.concatenate([rs[None], angles])
+
+
+def _oracle_cases():
+    reeb = reeb_solid_torus()
+    torus = flat_torus_model()
+    pts = torus.chart.sample_grid((16, 16, 16)).points
+    cases = {}
+    for co in (1, -1):
+        dist = Distribution.kernel(reeb.form(), co_orientation=co)
+        cases[f"reeb-slices{co:+d}"] = (reeb.metric, dist, _reeb_slices(), None)
+        cases[f"reeb-paper{co:+d}"] = (reeb.metric, dist, _reeb_slices(), reeb.frame("paper"))
+    for seed in range(6):
+        cases[f"torus-form{seed}"] = (torus.metric, Distribution.kernel(
+            random_periodic_form(seed)), pts, None)
+    for name in torus.forms:
+        cases[f"torus-{name}"] = (torus.metric, torus.distribution(name).flipped(), pts, None)
+    cases["torus-constant-form"] = (torus.metric, Distribution.kernel(
+        OneForm(torus.chart, ("-1", "-2", "-3"))), pts, None)
+    cases["box-standard-contact"] = (_FLAT_BOX, box_contact_model().distribution(
+        "standard-contact"), _BOX_POINTS, None)
+    for kind, dist in _WARPED_PLANES.items():
+        kind = "vanishing-form" if kind == "kernel" else kind
+        cases[f"box-{kind}"] = (_FLAT_BOX, dist, _BOX_POINTS, None)
+        cases[f"warped-{kind}"] = (_WARPED, dist, _BOX_POINTS, None)
+    return cases
+
+
+_ORACLE_CASES = _oracle_cases()
+
+
+@pytest.mark.parametrize("case", sorted(_ORACLE_CASES))
+def test_block_kernel_bit_identical_to_the_dense_kernel(case):
+    metric, dist, pts, frame = _ORACLE_CASES[case]
+    want = _oracle_block(metric, dist, pts, frame)
+    _assert_same_bits(_kernel_block(metric, dist, pts, frame).arrs, want, case)
+    for i in range(0, pts.shape[1], 37):      # 1-point batches
+        one = _kernel_block(metric, dist, pts[:, i:i + 1], frame).arrs
+        _assert_same_bits(one, {k: v[i:i + 1] for k, v in want.items()}, (case, i))
+
+
+def test_oracle_cases_cover_the_kernel_paths():
+    """Kernel forms whose winning coordinate plane changes inside a batch,
+    a vanishing form, a metric that is not SPD everywhere and a span frame
+    that degenerates."""
+    mixed = set()
+    for name, (metric, dist, pts, frame) in _ORACLE_CASES.items():
+        if dist.kind == "kernel" and frame is None:
+            m = np.argmax(np.abs(dist.alpha.eval(pts)[0]), axis=-1)
+            if m.min() != m.max():
+                mixed.add(name)
+    assert {"reeb-slices+1", "torus-form5", "torus-winding-contact",
+            "box-vanishing-form", "warped-vanishing-form"} <= mixed
+    for name in ("box-vanishing-form", "box-span"):
+        metric, dist, pts, frame = _ORACLE_CASES[name]
+        assert np.all(metric.eval(pts).spd)
+        assert not np.all(_oracle_block(metric, dist, pts, frame)["ok"]), name
+    metric, _, pts, _ = _ORACLE_CASES["warped-vanishing-form"]
+    assert not np.all(metric.eval(pts).spd)
+
+
+_CURVED_TORUS = MetricField.from_strings(flat_torus_model().chart, (
+    "1.5 + 0.3*sin(2*pi*x)", "0.1*cos(2*pi*y)", "0.05*sin(2*pi*z)",
+    "1.2 + 0.2*cos(2*pi*z)", "0.1*sin(2*pi*(x + y))", "1 + 0.25*sin(2*pi*y)"))
+
+
+@pytest.mark.parametrize("curved", [False, True])
+@pytest.mark.parametrize("seed", range(6))
+def test_integrand_bit_identical_to_the_jet_divergence(seed, curved):
+    torus = flat_torus_model()
+    metric = _CURVED_TORUS if curved else torus.metric
+    dist = Distribution.kernel(random_periodic_form(seed), co_orientation=1 - 2 * (seed % 2))
+    pts = torus.chart.quadrature_grid((16, 16, 16)).points
+    mj = metric.eval(pts)
+    with jetalg.column_signs():
+        b = _block_arrays(mj, dist, pts)
+        got = (b.arrs["h"] * np.sqrt(mj.det()),
+               np.abs(b.arrs["h"] + _normal_divergence(mj, b, dist.co_orientation)))
+    for x, y in zip(got, _oracle_integrand(metric, dist, pts)):
+        assert x.tobytes() == y.tobytes()
+
+
+def _refuse(*args, **kwargs):
+    raise AssertionError("dense array built on a sweep")
+
+
+def test_sweeps_build_no_dense_metric_or_field_arrays(monkeypatch, reeb, torus):
+    """Classify and the mean-curvature integral run on jetalg entries only:
+    no dense metric jets, inverse, field arrays or jet packing."""
+    for name in ("val", "dval"):
+        monkeypatch.setattr(geometry.MetricJets, name, property(_refuse))
+    monkeypatch.setattr(geometry.MetricJets, "from_entries", classmethod(_refuse))
+    monkeypatch.setattr(geometry.MetricJets, "inv", _refuse)
+    monkeypatch.setattr(geometry.VectorField, "eval", _refuse)
+    for name in ("jets_from_components", "vector_values", "vector_jacobian"):
+        monkeypatch.setattr(jetalg, name, _refuse)
+    monkeypatch.setattr(geometry.expr.Tape, "arrays", _refuse)
+    classify(reeb.metric, reeb.distribution(), grid=(16, 16, 16))
+    classify(reeb.metric, reeb.distribution(), grid=(8, 8, 8), frame=reeb.frame("paper"))
+    classify(torus.metric, Distribution.kernel(random_periodic_form(5)), grid=(8, 8, 8))
+    integral_mean_curvature(torus.metric, Distribution.kernel(random_periodic_form(1)),
+                            grid=(8, 8, 8))
+    integral_mean_curvature(_CURVED_TORUS, torus.distribution("winding-contact"),
+                            grid=(8, 8, 8))
+
+
+@pytest.mark.parametrize("n", [16, 64])
+def test_reeb_classify_body_has_no_negative_zero(reeb, n):
+    """K_e vanishes identically on the Reeb foliation and is reported as
+    0.0; no aggregate or worst point carries a -0.0."""
+    body = classify(reeb.metric, reeb.distribution(), grid=(n, n, n)).body()
+    assert body["aggregates"]["k_e"] == {"min": 0.0, "max": 0.0, "mean": 0.0}
+    assert "-0.0" not in json.dumps(body)
