@@ -101,23 +101,6 @@ class FrameData:
     desc: str
 
 
-def _scalars(x):
-    """Columns of a one-point batch as floats, in nested lists and jets."""
-    if isinstance(x, list):
-        return [_scalars(c) for c in x]
-    if isinstance(x, Jet1):
-        return Jet1.of(_scalars(x.value), [_scalars(d) for d in x.partials])
-    return x[0] if isinstance(x, np.ndarray) else x
-
-
-def _entries(f: VectorField, points: np.ndarray) -> tuple:
-    """A field's tape entries at a batch.  A one-point batch gives floats,
-    so the single-point API runs the kernel in scalar arithmetic, with the
-    bits of the same point in a sweep block."""
-    v, dv = f._tape.entries(points)
-    return (_scalars(v), _scalars(dv)) if points.shape[1:] == (1,) else (v, dv)
-
-
 def _cross(s: tuple, t: tuple) -> tuple:
     """Entries of S x T and d_i (S x T) = d_i S x T + S x d_i T."""
     (s, ds), (t, dt) = s, t
@@ -128,13 +111,8 @@ def _covector(dist: Distribution, points: np.ndarray) -> tuple:
     """Entries (a, da) of a covector whose kernel is the plane: alpha, or
     S x T for a span."""
     if dist.kind == "kernel":
-        return _entries(dist.alpha, points)
-    return _cross(*(_entries(f, points) for f in dist.span_fields))
-
-
-def _annihilator(dist: Distribution, points: np.ndarray) -> tuple:
-    """The covector as dense (values (N, 3), Jacobian (N, i, k))."""
-    return tuple(dense(x, points.shape[1:]) for x in _covector(dist, points))
+        return dist.alpha._tape.entries(points)
+    return _cross(*(f._tape.entries(points) for f in dist.span_fields))
 
 
 def _plane_frame(a: list, da: list, m: int) -> tuple:
@@ -180,7 +158,7 @@ def _frame(dist: Distribution, points: np.ndarray, cov: tuple,
     fields = frame if frame is not None else dist.span_fields
     if fields is None:
         return _kernel_frame(*cov, points.shape[1:])
-    e, de = zip(*(_entries(f, points) for f in fields))
+    e, de = zip(*(f._tape.entries(points) for f in fields))
     return list(e), list(de), np.ones(points.shape[1:], dtype=bool)
 
 
@@ -218,9 +196,11 @@ def normal_arrays(mj: MetricJets, dist: Distribution,
 
 def normal_jets(mj: MetricJets, dist: Distribution,
                 points: np.ndarray) -> list:
-    """Unit normal as a jet-vector (exact first partials); used for
-    divergence cross-checks."""
-    a = jetalg.jets_from_components(*_annihilator(dist, points))
+    """Unit normal as a jet-vector (exact first partials, each a full
+    column); used for divergence cross-checks."""
+    a, da = _covector(dist, points)
+    a = [Jet1(column(x, mj.shape), [column(row[k], mj.shape) for row in da])
+         for k, x in enumerate(a)]
     return _normal_jets(mj, a, dist.co_orientation)
 
 
@@ -343,10 +323,10 @@ def _point_block(metric: MetricField, dist: Distribution, point,
     """The sweep's block kernel at a point or a small batch, after the SPD
     check: (block, points as (3, N), whether the input was one point)."""
     p, squeeze = _single(point)
-    jets = metric._tape.run(p)
-    mj = MetricJets(_scalars(jets) if p.shape[1:] == (1,) else jets, p.shape[1:])
-    mj.require_spd(p)
-    return _block_arrays(mj, dist, p, frame), p, squeeze
+    with jetalg.column_signs():
+        mj = metric.eval(p)
+        mj.require_spd(p)
+        return _block_arrays(mj, dist, p, frame), p, squeeze
 
 
 def tangent_frame(metric: MetricField, dist: Distribution, point,
@@ -406,7 +386,7 @@ def frobenius_residual(metric: MetricField, dist: Distribution, point,
 def contact_volume(alpha: OneForm, point):
     """alpha ^ d(alpha) against the chart volume element dx1^dx2^dx3."""
     p, squeeze = _single(point)
-    out = column(_contact_volume(*_entries(alpha, p)), p.shape[1:])
+    out = column(_contact_volume(*alpha._tape.entries(p)), p.shape[1:])
     return float(out[0]) if squeeze else np.array(out)
 
 
@@ -532,9 +512,10 @@ def classify(metric: MetricField, dist: Distribution, grid=(16, 16, 16),
     sample = chart.sample_grid(grid, margin=margin)
 
     def kernel(pts):
-        mj = metric.eval(pts)
-        b = _block_arrays(mj, dist, pts, frame)
-        b.arrs["contact_volume"] = column(_contact_volume(b.a, b.da), pts.shape[1:])
+        with jetalg.column_signs():
+            mj = metric.eval(pts)
+            b = _block_arrays(mj, dist, pts, frame)
+            b.arrs["contact_volume"] = column(_contact_volume(b.a, b.da), pts.shape[1:])
         return _summarise(b.arrs, mj.spd, keep_points)
 
     blocks = chunked_eval(kernel, sample.points, jobs)
@@ -604,14 +585,15 @@ def integral_mean_curvature(metric: MetricField, dist: Distribution,
     sample = chart.quadrature_grid(grid)
 
     def kernel(pts):
-        mj = metric.eval(pts)
-        mj.require_spd(pts)
-        b = _block_arrays(mj, dist, pts)
-        _require_plane(b.arrs["ok"], pts)
-        out = {"weighted_h": ExactSum(b.arrs["h"] * np.sqrt(mj.det()))}
-        if defect:
-            div_n = _normal_divergence(mj, b, dist.co_orientation)
-            out["defect"] = np.max(np.abs(b.arrs["h"] + div_n))
+        with jetalg.column_signs():
+            mj = metric.eval(pts)
+            mj.require_spd(pts)
+            b = _block_arrays(mj, dist, pts)
+            _require_plane(b.arrs["ok"], pts)
+            out = {"weighted_h": ExactSum(b.arrs["h"] * np.sqrt(mj.det()))}
+            if defect:
+                div_n = _normal_divergence(mj, b, dist.co_orientation)
+                out["defect"] = np.max(np.abs(b.arrs["h"] + div_n))
         return out
 
     blocks = chunked_eval(kernel, sample.points, jobs)

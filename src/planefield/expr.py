@@ -232,11 +232,6 @@ class Jet1:
         self.partials = tuple(None if d is None else np.asarray(d, dtype=float)
                               for d in partials)
 
-    @classmethod
-    def of(cls, value, partials) -> "Jet1":
-        """A jet holding ``value`` and ``partials`` as given, unconverted."""
-        return _jet(value, partials)
-
     @property
     def gradient(self) -> np.ndarray:
         return np.stack([np.broadcast_to(0.0 if d is None else d, np.shape(self.value))

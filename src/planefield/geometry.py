@@ -35,8 +35,7 @@ import numpy as np
 
 from . import expr
 from .errors import ConfigError, NotSPDError, SingularSampleError
-from .jetalg import (add, adjugate3, column_signs, dense, det3, div, dot3, matvec,
-                     mul, sub)
+from .jetalg import add, adjugate3, dense, det3, div, dot3, matvec, mul, sub
 
 __all__ = [
     "SingularLocus", "Chart", "GridSample", "MetricField", "MetricJets",
@@ -111,12 +110,7 @@ def _start_worker(*job) -> None:
 
 def _run_block(start: int):
     fn, points, size = _worker_job
-    return _in_block(fn, points[:, start:start + size])
-
-
-def _in_block(fn: Callable, block: np.ndarray):
-    with column_signs():
-        return fn(block)
+    return fn(points[:, start:start + size])
 
 
 def chunked_eval(fn: Callable, points: np.ndarray, jobs: int = 1) -> list:
@@ -137,7 +131,7 @@ def chunked_eval(fn: Callable, points: np.ndarray, jobs: int = 1) -> list:
             with multiprocessing.get_context("fork").Pool(
                     workers, _start_worker, (fn, points, size)) as pool:
                 return list(pool.imap(_run_block, starts, chunksize=4))
-    return [_in_block(fn, points[:, s:s + size]) for s in starts]
+    return [fn(points[:, s:s + size]) for s in starts]
 
 
 # ---------------------------------------------------------------------------
@@ -312,7 +306,8 @@ class MetricField:
 
 
 class MetricJets:
-    """Metric values and exact first partials on a point batch.
+    """Metric values and exact first partials on a point batch, built from
+    the six upper-triangle entry jets (row-major).
 
     Component-first: ``g[i][j]`` and ``dg[l][i][j] = d_l g_ij`` are jetalg
     entries (columns, floats where constant, ``None`` where structurally
@@ -332,17 +327,11 @@ class MetricJets:
         self.spd = np.broadcast_to(m0 & m1 & m2, shape)
 
     @classmethod
-    def from_entries(cls, entries, shape: tuple) -> "MetricJets":
-        """Jets of a symmetric metric from its six upper-triangle entry jets
-        (row-major)."""
-        return cls(entries, shape)
-
-    @classmethod
     def from_arrays(cls, val: np.ndarray, dval: np.ndarray) -> "MetricJets":
         """Jets of a symmetric metric given as dense arrays."""
         entries = [expr.Jet1(val[..., i, j], [dval[..., l, i, j] for l in range(3)])
                    for i, j in _UPPER]
-        return cls.from_entries(entries, val.shape[:-2])
+        return cls(entries, val.shape[:-2])
 
     @cached_property
     def val(self) -> np.ndarray:
@@ -491,26 +480,20 @@ def wedge3(alpha_val, omega_val) -> np.ndarray:
     return float(out) if out.ndim == 0 else out
 
 
-def _lane_sum(terms: list):
-    """Sum of entries in the order numpy's einsum reduction adds them (two
-    SSE2 lanes of alternate terms; blocks of eight added back to front, the
-    rest pair by pair; lanes summed last, from +0.0)."""
-    lanes = [0.0, 0.0]
-    head = len(terms) // 8 * 8
-    for s in [s + k for s in range(0, head, 8) for k in (6, 4, 2, 0)] + list(
-            range(head, len(terms), 2)):
-        for lane in (0, 1):
-            lanes[lane] = add(terms[s + lane] if s + lane < len(terms) else 0.0, lanes[lane])
-    return add(0.0, add(*lanes))
-
-
 def divergence_entries(mj: MetricJets, x: list, dx: list):
     """div X = d_i X^i + X^i d_i log sqrt(det g), with d_i log sqrt(det g) =
-    g^lm d_i g_lm / 2, for entries x[k] and dx[i][k] = d_i X^k."""
-    inv = sum(mj.inv_entries(), [])
-    dlog = [mul(0.5, _lane_sum(list(map(mul, inv, sum(mj.dg[i], []))))) for i in range(3)]
+    g^lm d_i g_lm / 2, for entries x[k] and dx[i][k] = d_i X^k.  The trace
+    adds in index order from +0.0, the two contractions are einsums on dense
+    arrays.  On a constant metric with a finite inverse each g^lm d_i g_lm
+    is a sum of zeros with the +0.0 terms of g^-1's positive diagonal among
+    them, so it is +0.0 in any order, and X^i times it, summed from +0.0 as
+    einsum does, is +0.0 (NaN where X is not finite)."""
     trace = reduce(add, (dx[i][i] for i in range(3)), 0.0)
-    return add(trace, _lane_sum(list(map(mul, x, dlog))))
+    inv = mj.inv_entries()
+    if all(d is None for d in sum(sum(mj.dg, []), [])) and np.isfinite(inv).all():
+        return add(trace, reduce(add, (mul(c, 0.0) for c in x), 0.0))
+    dlog = 0.5 * np.einsum("...lm,...ilm->...i", dense(inv, mj.shape), mj.dval)
+    return add(trace, np.einsum("...i,...i->...", dense(x, mj.shape), dlog))
 
 
 def divergence_raw(mj: MetricJets, xval: np.ndarray, xjac: np.ndarray) -> np.ndarray:

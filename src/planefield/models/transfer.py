@@ -122,8 +122,7 @@ def transfer_metric(metric: MetricField, xi: Distribution, eta: Distribution,
     cols = [[adj[k][i] / det_f for k in range(3)] for i in range(3)]
     gt = [[dot3(cols[i], cols[j]) for j in range(3)] for i in range(3)]
 
-    mj_new = MetricJets.from_entries([gt[i][j] for i in range(3) for j in range(i, 3)],
-                                     pts.shape[1:])
+    mj_new = MetricJets([gt[i][j] for i in range(3) for j in range(i, 3)], pts.shape[1:])
 
     # B of xi under g in the orthonormal frame
     arrs_xi = curvature_arrays(mj, _frame_from_jets(x1, x2),

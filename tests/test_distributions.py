@@ -16,7 +16,7 @@ from planefield.distributions import (Distribution, classify, contact_volume,
                                       integral_mean_curvature, mean_curvature,
                                       normal_arrays, normal_field,
                                       second_fundamental_form, tangent_frame)
-from planefield.distributions import (_annihilator, _block_arrays, _contact_volume,
+from planefield.distributions import (_block_arrays, _contact_volume,
                                       _kernel_frame, _normal_divergence)
 from planefield.jetalg import dense
 from planefield.errors import (ConfigError, DegenerateDistributionError,
@@ -663,7 +663,7 @@ def test_curvature_arrays_match_einsum_oracle(kind):
         np.testing.assert_allclose(got[key][ok], want[key][ok], rtol=1e-12,
                                    atol=1e-12 * scale, err_msg=key)
 
-    aval, _ = _annihilator(dist, pts)
+    aval, _ = _oracle_annihilator(dist, pts)
     raised = np.einsum("...kl,...l->...k", _oracle_inverse(mj), aval)
     norm2 = np.einsum("...k,...k->...", aval, raised)
     assert np.array_equal(nok, mj.spd & (norm2 > 0.0))
@@ -738,14 +738,23 @@ def _oracle_annihilator(dist, pts):
     return bval, bjac
 
 
+def _oracle_minors(mj):
+    """Adjugate, determinant and SPD mask (leading principal minors) of the
+    dense metric values."""
+    g = _comp(mj.val, 2)
+    adj = _oadjugate(g)
+    det = _odot(g[0], [adj[0][0], adj[1][0], adj[2][0]])
+    return adj, det, (g[0][0] > 0.0) & (adj[2][2] > 0.0) & (det > 0.0)
+
+
 def _oracle_inv(mj):
-    det = np.where(mj.spd, mj.det(), 1.0)
-    adj = _oadjugate(_comp(mj.val, 2))
+    adj, det, spd = _oracle_minors(mj)
+    det = np.where(spd, det, 1.0)
     inv = np.empty(mj.val.shape)
     for i in range(3):
         for j in range(3):
             inv[..., i, j] = adj[i][j] / det
-    return np.where(mj.spd[..., None, None], inv, np.eye(3))
+    return np.where(spd[..., None, None], inv, np.eye(3))
 
 
 def _oracle_christoffel(dg, v):
@@ -759,6 +768,7 @@ def _oracle_christoffel(dg, v):
 def _oracle_block(metric, dist, pts, frame=None):
     """Every field ``_summarise`` receives, from the dense kernel."""
     mj = metric.eval(pts)
+    spd = _oracle_minors(mj)[2]
     aval, ajac = _oracle_annihilator(dist, pts)
     if frame is not None or dist.kind == "span":
         (sval, sjac), (tval, tjac) = (f.eval(pts) for f in frame or dist.span_fields)
@@ -784,7 +794,7 @@ def _oracle_block(metric, dist, pts, frame=None):
     gram00, gram01, gram11 = _odot(e[0], ge[0]), _odot(e[0], ge[1]), _odot(e[1], ge[1])
     scale = gram00 * gram11
     det_gram = scale - gram01 ** 2
-    ok = frame_ok & mj.spd & (det_gram > 1e-12 * np.maximum(scale, 1e-300))
+    ok = frame_ok & spd & (det_gram > 1e-12 * np.maximum(scale, 1e-300))
     with np.errstate(invalid="ignore", divide="ignore"):
         h = (b00 * gram11 + b11 * gram00 - 2.0 * b01 * gram01) / det_gram
         k_e = (b00 * b11 - b01 ** 2) / det_gram
@@ -793,7 +803,7 @@ def _oracle_block(metric, dist, pts, frame=None):
             "gram01": gram01, "gram11": gram11, "det_gram": det_gram,
             "h": h, "k_e": k_e, "frobenius_residual": frob,
             "b_norm": np.sqrt(b00 ** 2 + 2.0 * b01 ** 2 + b11 ** 2),
-            "ok": ok & mj.spd & (norm2 > 0.0),
+            "ok": ok & spd & (norm2 > 0.0),
             "contact_volume": 0.5 * np.einsum("ijk,...i,...jk->...", geometry.LEVI, aval,
                                               ajac - np.swapaxes(ajac, -2, -1))}
 
@@ -812,7 +822,7 @@ def _oracle_integrand(metric, dist, pts):
     dlog = 0.5 * np.einsum("...lm,...ilm->...i", _oracle_inv(mj), mj.dval)
     div = np.einsum("...ii->...", xjac) + np.einsum("...i,...i->...", xval, dlog)
     h = _oracle_block(metric, dist, pts)["h"]
-    return h * np.sqrt(mj.det()), np.abs(h + div)
+    return h * np.sqrt(_oracle_minors(mj)[1]), np.abs(h + div)
 
 
 def _kernel_block(metric, dist, pts, frame=None):
@@ -924,11 +934,12 @@ def _refuse(*args, **kwargs):
 
 
 def test_sweeps_build_no_dense_metric_or_field_arrays(monkeypatch, reeb, torus):
-    """Classify and the mean-curvature integral run on jetalg entries only:
-    no dense metric jets, inverse, field arrays or jet packing."""
+    """Classify, and the mean-curvature integral on a constant metric, run on
+    jetalg entries only: no dense metric jets, inverse, field arrays or jet
+    packing."""
     for name in ("val", "dval"):
         monkeypatch.setattr(geometry.MetricJets, name, property(_refuse))
-    monkeypatch.setattr(geometry.MetricJets, "from_entries", classmethod(_refuse))
+    monkeypatch.setattr(geometry.MetricJets, "from_arrays", classmethod(_refuse))
     monkeypatch.setattr(geometry.MetricJets, "inv", _refuse)
     monkeypatch.setattr(geometry.VectorField, "eval", _refuse)
     for name in ("jets_from_components", "vector_values", "vector_jacobian"):
@@ -937,9 +948,8 @@ def test_sweeps_build_no_dense_metric_or_field_arrays(monkeypatch, reeb, torus):
     classify(reeb.metric, reeb.distribution(), grid=(16, 16, 16))
     classify(reeb.metric, reeb.distribution(), grid=(8, 8, 8), frame=reeb.frame("paper"))
     classify(torus.metric, Distribution.kernel(random_periodic_form(5)), grid=(8, 8, 8))
+    classify(_CURVED_TORUS, torus.distribution("winding-contact"), grid=(8, 8, 8))
     integral_mean_curvature(torus.metric, Distribution.kernel(random_periodic_form(1)),
-                            grid=(8, 8, 8))
-    integral_mean_curvature(_CURVED_TORUS, torus.distribution("winding-contact"),
                             grid=(8, 8, 8))
 
 

@@ -319,6 +319,22 @@ def test_divergence_flat_linear_field():
                       np.array([0.1, 0.2, 0.3])) == pytest.approx(1.0)
 
 
+@pytest.mark.parametrize("entries", [("2", "0.5", "0", "1", "0", "3"),
+                                     ("1e308*10", "0", "0", "1", "0", "1")])
+def test_divergence_on_a_constant_metric_matches_the_einsums(entries):
+    """A constant metric skips the d log sqrt(det g) contraction and keeps
+    the bits of the dense einsums, NaN where its inverse is not finite."""
+    chart = box_chart()
+    pts = chart.random_points(200, seed=2)
+    xval, xjac = VectorField(chart, ("-sin(3*y)", "x*cos(2*z)", "-0.5")).eval(pts)
+    with np.errstate(over="ignore", invalid="ignore"):
+        mj = MetricField.from_strings(chart, entries).eval(pts)
+        dlog = 0.5 * np.einsum("...lm,...ilm->...i", mj.inv(), mj.dval)
+        want = np.einsum("...ii->...", xjac) + np.einsum("...i,...i->...", xval, dlog)
+        got = geometry.divergence_raw(mj, xval, xjac)
+    assert got.tobytes() == want.tobytes()
+
+
 def test_divergence_polar_radial(polar_chart, polar_metric):
     out = divergence(polar_metric, VectorField(polar_chart, ("1", "0", "0")),
                      np.array([0.2, 0.3, 0.4]))
