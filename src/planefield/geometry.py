@@ -6,7 +6,8 @@ component-first, as :mod:`planefield.jetalg` entries ``g[i][j]`` and
 ``dg[l][i][j] = d_l g_ij`` (columns, floats where constant, ``None`` where
 structurally zero), with the closed-form adjugate over the determinant as
 its inverse.  Dense arrays, with the batch shape in front of the index
-slots, are the public view only:
+slots, are the public view, and the operands of the divergence's two
+einsums on a non-constant metric:
 
 * metric values ``g[..., i, j]``, partials ``dg[..., l, i, j] = d_l g_ij``
 * vector fields ``X[..., k]`` with Jacobian ``jac[..., i, k] = d_i X^k``
