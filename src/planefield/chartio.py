@@ -11,6 +11,7 @@ against the schemas shipped with the package.
 from __future__ import annotations
 
 import json
+from functools import cache
 from importlib import resources
 from pathlib import Path
 
@@ -29,21 +30,22 @@ __all__ = [
     "save_atlas", "load_atlas",
 ]
 
-_SCHEMA_CACHE: dict = {}
 
-
-def _schema(name: str) -> dict:
-    if name not in _SCHEMA_CACHE:
-        ref = resources.files("planefield.schemas").joinpath(f"{name}.schema.json")
-        _SCHEMA_CACHE[name] = json.loads(ref.read_text(encoding="utf-8"))
-    return _SCHEMA_CACHE[name]
+@cache
+def _validator(name: str):
+    """The shipped schema's validator, its schema checked once per process."""
+    ref = resources.files("planefield.schemas").joinpath(f"{name}.schema.json")
+    schema = json.loads(ref.read_text(encoding="utf-8"))
+    cls = jsonschema.validators.validator_for(schema)
+    cls.check_schema(schema)
+    return cls(schema)
 
 
 def validate_payload(payload: dict, schema_name: str) -> None:
     """Raise ConfigError when a payload does not match a shipped schema."""
-    try:
-        jsonschema.validate(payload, _schema(schema_name))
-    except jsonschema.ValidationError as err:
+    err = jsonschema.exceptions.best_match(
+        _validator(schema_name).iter_errors(payload))
+    if err is not None:
         raise ConfigError(
             f"payload fails {schema_name} schema: {err.message}") from err
 

@@ -475,7 +475,7 @@ def _summarise(arrs: dict, spd: np.ndarray, keep_points: bool) -> _SweepBlock:
     stats = {}
     if valid.size:
         for name in _FIELDS:
-            v = arrs[name][ok]
+            v = arrs[name] if valid.size == ok.size else arrs[name][ok]
             stats[name] = (np.min(v), np.max(v), ExactSum(v))
     top = valid[np.lexsort((valid, -np.abs(arrs["k_e"][valid])))[:_N_WORST]]
     bad = np.nonzero(~ok)[0][:_N_ERRORS]

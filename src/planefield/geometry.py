@@ -76,21 +76,52 @@ def pairwise_sum(values) -> float:
 
 class ExactSum:
     """The sum of some values kept without rounding, as a few floats whose
-    exact total is the exact sum (Shewchuk 1997).  Adding block sums in
-    block order and rounding once with ``float()`` gives the correctly
-    rounded total of all values, whatever the block sizes."""
+    exact total is the exact sum.  Adding block sums in block order and
+    rounding once with ``float()`` gives the correctly rounded total of all
+    values, whatever the block sizes.
+
+    The first part is the correctly rounded sum and each next one the
+    correctly rounded rest.  They are found from one integer: the 53-bit
+    mantissas, split in two 26/27-bit halves, are added per binary exponent
+    with ``np.bincount`` (exact, every bin total is an integer below 2**53)
+    and folded into a Python int (a small superaccumulator, Neal 2015).
+    Non-finite input, or input large enough that ``math.fsum`` could
+    overflow (n * max|v| >= 2**1020), keeps the repeated ``fsum`` of the
+    values and the earlier parts (Shewchuk 1997) and fsum's inf/nan rules."""
 
     __slots__ = ("parts",)
 
     def __init__(self, values=()):
-        vals = np.asarray(values, dtype=float).ravel().tolist()
+        v = np.asarray(values, dtype=float).ravel()
         self.parts = []
-        rest = _fsum(vals)
-        while rest != 0.0:
-            self.parts.append(rest)
-            if not math.isfinite(rest):
-                break
-            rest = _fsum(vals + [-p for p in self.parts])
+        if not v.any():
+            return
+        if not np.abs(v).max() < 2.0 ** 1020 / v.size or v.size >= 1 << 26:
+            vals = v.tolist()
+            rest = _fsum(vals)
+            while rest != 0.0:
+                self.parts.append(rest)
+                if not math.isfinite(rest):
+                    break
+                rest = _fsum(vals + [-p for p in self.parts])
+            return
+        m, e = np.frexp(v)
+        x = np.ldexp(m, 27)
+        hi = np.floor(x)                         # v = (hi * 2**26 + lo) * 2**(e - 53)
+        lo = np.ldexp(x - hi, 26)
+        low = int(e.min())
+        bins = e - low
+        hi, lo = np.bincount(bins, hi), np.bincount(bins, lo)
+        nz = np.flatnonzero(np.abs(hi) + lo)
+        n = sum(((int(h) << 26) + int(l)) << b
+                for b, h, l in zip(nz.tolist(), hi[nz].tolist(), lo[nz].tolist()))
+        scale = 1 << max(53 - low, 0)            # the sum is n / scale
+        n <<= max(low - 53, 0)
+        while n:
+            part = n / scale                     # int true division rounds correctly
+            num, den = part.as_integer_ratio()
+            n -= num * (scale // den)
+            self.parts.append(part)
 
     def __add__(self, other: "ExactSum") -> "ExactSum":
         out = ExactSum()

@@ -1,6 +1,7 @@
 """The CI workflow runs the Tier-1 suite and the benchmark self-check on
 every supported Python, once on the oldest supported numpy, and compares
-a suite's and a Reeb sweep's report bodies at one and two workers."""
+a suite's, a Reeb sweep's and a flat-torus integral's report bodies at one
+and two workers."""
 
 import re
 from pathlib import Path
@@ -71,3 +72,19 @@ def test_workflow_compares_reeb_classify_bodies_across_worker_counts():
         assert ("PYTHONPATH=src python -m planefield.cli classify reeb.json "
                 f"--grid 32,32,32 --jobs {jobs} --output reeb{jobs}.json") in step
     assert "('reeb1.json', 'reeb2.json')" in step and "sys.exit(a != b)" in step
+
+
+def test_workflow_compares_torus_integral_bodies_across_worker_counts():
+    """One step saves the flat-torus model, integrates H of one of its
+    distributions at 32^3 with --jobs 1 and 2 (eight blocks, so the exact
+    block sums are merged across workers) and fails unless the two report
+    bodies are equal."""
+    workflow = yaml.safe_load(WORKFLOW.read_text(encoding="utf-8"))
+    runs = [step.get("run", "") for step in workflow["jobs"]["tests"]["steps"]]
+    step = next(run for run in runs if "integrate-h" in run)
+    assert "chartio.save_model(catalog.flat_torus_model(), 'torus.json')" in step
+    for jobs in (1, 2):
+        assert ("PYTHONPATH=src python -m planefield.cli integrate-h torus.json "
+                "--distribution graph-foliation --grid 32,32,32 "
+                f"--jobs {jobs} --output torus{jobs}.json") in step
+    assert "('torus1.json', 'torus2.json')" in step and "sys.exit(a != b)" in step

@@ -1,10 +1,13 @@
 import json
+from importlib import resources
 
+import jsonschema
 import numpy as np
 import pytest
 
-from planefield import geometry
-from planefield.chartio import load_model, save_model, validate_payload
+from planefield import chartio, geometry
+from planefield.chartio import load_model, model_payload, save_model, validate_payload
+from planefield.errors import ConfigError
 from planefield.catalog import flat_torus_model, two_pi_torus_model
 from planefield.cli import main
 
@@ -25,6 +28,45 @@ def reeb_file(tmp_path):
 
 def _read(path):
     return json.loads(path.read_text(encoding="utf-8"))
+
+
+def _shipped_schema(name):
+    ref = resources.files("planefield.schemas").joinpath(f"{name}.schema.json")
+    return json.loads(ref.read_text(encoding="utf-8"))
+
+
+def _broken_chart():
+    payload = model_payload(flat_torus_model())
+    payload["metric"] = payload["metric"][:5]
+    payload["periodic"] = "yes"
+    return payload
+
+
+@pytest.mark.parametrize("name, payload", [
+    ("chart", _broken_chart()),
+    ("report", {"body": {"chart": "c", "grid": [8, 8, 0], "tol": -1.0}, "timings": {}}),
+])
+def test_schema_errors_read_as_jsonschema_validate_reports_them(name, payload):
+    with pytest.raises(jsonschema.ValidationError) as want:
+        jsonschema.validate(payload, _shipped_schema(name))
+    with pytest.raises(ConfigError) as got:
+        validate_payload(payload, name)
+    assert str(got.value) == f"payload fails {name} schema: {want.value.message}"
+
+
+def test_each_schema_is_checked_once_per_process(monkeypatch):
+    cls = jsonschema.validators.validator_for(_shipped_schema("chart"))
+    check = cls.check_schema
+    calls = []
+    monkeypatch.setattr(cls, "check_schema",
+                        classmethod(lambda c, schema: calls.append(1) or check(schema)))
+    chartio._validator.cache_clear()
+    payload = model_payload(flat_torus_model())
+    validate_payload(payload, "chart")
+    validate_payload(payload, "chart")
+    with pytest.raises(ConfigError):
+        validate_payload(_broken_chart(), "chart")
+    assert calls == [1]
 
 
 def test_model_emit_round_trips(reeb_file):

@@ -5,6 +5,8 @@ import time
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from planefield import geometry
 from planefield.errors import ConfigError, NotSPDError, SingularSampleError
@@ -430,6 +432,77 @@ def test_exact_sum_of_non_finite_values_terminates():
     assert math.isnan(float(ExactSum([np.nan, 1.0])))
     assert math.isnan(float(ExactSum([np.inf, -np.inf])))
     assert math.isnan(float(ExactSum([np.inf]) + ExactSum([-np.inf])))
+
+
+def _oracle_fsum(values: list) -> float:
+    try:
+        return math.fsum(values)
+    except (ValueError, OverflowError):
+        return float(sum(values))
+
+
+def _oracle_parts(values) -> list:
+    """The Shewchuk construction ExactSum used before its integer
+    accumulator: the correctly rounded sum of the values and the negated
+    parts found so far, repeated until it is zero."""
+    vals = np.asarray(values, dtype=float).ravel().tolist()
+    parts = []
+    rest = _oracle_fsum(vals)
+    while rest != 0.0:
+        parts.append(rest)
+        if not math.isfinite(rest):
+            break
+        rest = _oracle_fsum(vals + [-p for p in parts])
+    return parts
+
+
+def _assert_parts_match_oracle(values):
+    got, want = ExactSum(values), _oracle_parts(values)
+    assert [p.hex() for p in got.parts] == [p.hex() for p in want]
+    assert float(got).hex() == _oracle_fsum(want).hex()
+
+
+_TINY = 2.0 ** -1022
+_cancelling = st.lists(st.floats(-1e20, 1e20), min_size=1, max_size=60).flatmap(
+    lambda xs: st.permutations(xs + [-x for x in xs] + [xs[0] * 1e-17, 1e-300]))
+_moderate_arrays = st.one_of(
+    st.just([]),
+    st.lists(st.sampled_from([0.0, -0.0]), min_size=1, max_size=40),
+    st.builds(lambda x, n: [x] * n, st.floats(-1e30, 1e30), st.integers(1, 300)),
+    st.lists(st.floats(-_TINY, _TINY), min_size=1, max_size=60),
+    _cancelling,
+    st.lists(st.builds(lambda m, k: m * 10.0 ** k, st.floats(-1, 1),
+                       st.integers(-300, 300)), min_size=1, max_size=200),
+    st.lists(st.one_of(st.floats(2.0 ** 52, 2.0 ** 70), st.floats(-2.0 ** 70, -2.0 ** 52),
+                       st.floats(-1, 1)), min_size=1, max_size=60),
+)
+
+
+@settings(max_examples=400, derandomize=True, deadline=None)
+@given(st.one_of(_moderate_arrays,
+                 st.lists(st.floats(allow_nan=False, allow_infinity=False), max_size=20)))
+def test_exact_sum_parts_are_the_shewchuk_parts(values):
+    _assert_parts_match_oracle(values)
+
+
+@pytest.mark.parametrize("values", [
+    [np.inf], [np.nan], [np.inf, 1.0], [np.inf, -np.inf], [1.0, np.nan, -np.inf],
+    [1.7e308, 1.7e308], [1.7e308, 1.7e308, -1.7e308], [2.0 ** 1000, 2.0 ** 1001],
+    [2.0 ** 1018] * 4, [-2.0 ** 1018] * 4 + [2.0 ** -1074],
+    [2.0 ** 1023, 2.0 ** 1023, -2.0 ** 1023],
+    # one binade whose high and low mantissa halves sum to opposite totals
+    [2.0 ** 52, -(2.0 ** 52 + 2.0 ** 51) + 2.0 ** 25],
+])
+def test_exact_sum_parts_on_edge_cases_are_the_shewchuk_parts(values):
+    _assert_parts_match_oracle(values)
+
+
+@settings(max_examples=200, derandomize=True, deadline=None)
+@given(_moderate_arrays, st.lists(st.integers(0, 400), max_size=6))
+def test_exact_sum_of_any_split_in_block_order_is_the_fsum_of_the_whole(values, cuts):
+    edges = [0] + sorted(c for c in cuts if c <= len(values)) + [len(values)]
+    blocks = [ExactSum(values[a:b]) for a, b in zip(edges, edges[1:])]
+    assert float(sum(blocks, ExactSum())) == math.fsum(values)
 
 
 def test_chunked_eval_is_worker_count_invariant(monkeypatch):
