@@ -19,9 +19,10 @@ takes.
 
 Grid sweeps walk the points in fixed blocks of ``BLOCK_POINTS`` and
 reduce each block to a small result, on forked worker processes when
-``jobs > 1``.  Block sums are kept exactly (``ExactSum``) and totals are
-correctly rounded, so results do not depend on the block size or on how
-blocks were split across workers.
+``jobs > 1``.  Block sums are kept exactly (``ExactSum``, whose integer
+accumulator adds a block's mantissas per binary exponent in numpy) and
+totals are correctly rounded, so results do not depend on the block size
+or on how blocks were split across workers.
 """
 
 from __future__ import annotations
@@ -86,8 +87,9 @@ class ExactSum:
     with ``np.bincount`` (exact, every bin total is an integer below 2**53)
     and folded into a Python int (a small superaccumulator, Neal 2015).
     Non-finite input, or input large enough that ``math.fsum`` could
-    overflow (n * max|v| >= 2**1020), keeps the repeated ``fsum`` of the
-    values and the earlier parts (Shewchuk 1997) and fsum's inf/nan rules."""
+    overflow (the count times the largest |value| reaches 2**1020), keeps
+    the repeated ``fsum`` of the values and the earlier parts (Shewchuk
+    1997), so fsum's inf/nan/overflow rules still decide its parts."""
 
     __slots__ = ("parts",)
 
