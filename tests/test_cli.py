@@ -7,9 +7,9 @@ import pytest
 
 from planefield import chartio, geometry
 from planefield.chartio import load_model, model_payload, save_model, validate_payload
-from planefield.errors import ConfigError
 from planefield.catalog import flat_torus_model, two_pi_torus_model
 from planefield.cli import main
+from planefield.errors import ConfigError
 
 
 @pytest.fixture()
