@@ -75,12 +75,14 @@ def _build_parser() -> argparse.ArgumentParser:
         description="Extrinsic geometry of plane fields on Riemannian 3-manifolds.")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, grid_default="16,16,16"):
+    def common(p, grid_default="16,16,16", tol=False, jobs=True):
         p.add_argument("--grid", type=_grid, default=_grid(grid_default),
                        help="axis counts n1,n2,n3")
-        p.add_argument("--tol", type=float, default=1e-8,
-                       help="classification tolerance on K_e")
-        p.add_argument("--jobs", type=_jobs, default=None, help=_JOBS_HELP)
+        if tol:
+            p.add_argument("--tol", type=float, default=1e-8,
+                           help="classification tolerance on K_e")
+        if jobs:
+            p.add_argument("--jobs", type=_jobs, default=None, help=_JOBS_HELP)
         p.add_argument("--output", type=Path, default=None,
                        help="write the JSON report here")
 
@@ -88,13 +90,13 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("chart", type=Path)
     p.add_argument("--distribution", default=None,
                    help="name of a 1-form in the file")
-    common(p)
+    common(p, tol=True)
     p.add_argument("--format", choices=("json", "csv"), default="json")
 
     p = sub.add_parser("classify", help="aggregates and classification only")
     p.add_argument("chart", type=Path)
     p.add_argument("--distribution", default=None)
-    common(p)
+    common(p, tol=True)
 
     p = sub.add_parser("verify", help="run a suite")
     p.add_argument("suite", help="file path or builtin:<name>; "
@@ -114,7 +116,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--beta", required=True, help="deformation 1-form name")
     p.add_argument("--s-range", type=_s_range, required=True,
                    metavar="A:B:N")
-    common(p)
+    common(p, jobs=False)
 
     p = sub.add_parser("integrate-h", help="mean-curvature integral")
     p.add_argument("chart", type=Path)

@@ -198,10 +198,19 @@ def normal_jets(mj: MetricJets, dist: Distribution,
                 points: np.ndarray) -> list:
     """Unit normal as a jet-vector (exact first partials, each a full
     column); used for divergence cross-checks."""
-    a, da = _covector(dist, points)
-    a = [Jet1(column(x, mj.shape), [column(row[k], mj.shape) for row in da])
-         for k, x in enumerate(a)]
-    return _normal_jets(mj, a, dist.co_orientation)
+    return _normal_jets(mj, _jets(*_covector(dist, points), mj.shape), dist.co_orientation)
+
+
+def _jets(v: list, dv: list, shape: tuple) -> list:
+    """Jet-vector of entries v[k] and dv[i][k] = d_i v_k, every value and
+    partial a full column."""
+    return [Jet1(column(x, shape), [column(row[k], shape) for row in dv])
+            for k, x in enumerate(v)]
+
+
+def _entries(v: list) -> tuple:
+    """Entries v[k] and dv[i][k] = d_i v_k of a jet-vector."""
+    return [c.value for c in v], [[c.partials[i] for c in v] for i in range(3)]
 
 
 def _normal_jets(mj: MetricJets, a: list, co_orientation: int) -> list:
@@ -218,8 +227,7 @@ def _normal_divergence(mj: MetricJets, b: "_Block", co_orientation: int):
     tape jets."""
     n = _normal_jets(mj, [Jet1(x, [row[k] for row in b.da]) for k, x in enumerate(b.a)],
                      co_orientation)
-    return divergence_entries(mj, [c.value for c in n],
-                              [[c.partials[i] for c in n] for i in range(3)])
+    return divergence_entries(mj, *_entries(n))
 
 
 def _curvature(mj: MetricJets, e: list, de: list, n: list,
@@ -492,7 +500,7 @@ def _point(points: np.ndarray, i) -> list:
 
 
 def classify(metric: MetricField, dist: Distribution, grid=(16, 16, 16),
-             tol: float = 1e-8, jobs: int = 1, margin: float = 1e-3,
+             tol: float = 1e-8, jobs: int = 1,
              frame: Optional[tuple] = None, keep_points: bool = False
              ) -> CurvatureReport:
     """Sweep the chart grid and classify the plane field by the sign of its
@@ -509,7 +517,7 @@ def classify(metric: MetricField, dist: Distribution, grid=(16, 16, 16),
     if tol <= 0:
         raise ConfigError(f"tolerance must be positive, got {tol}")
     chart = metric.chart
-    sample = chart.sample_grid(grid, margin=margin)
+    sample = chart.sample_grid(grid)
 
     def kernel(pts):
         with jetalg.column_signs():

@@ -406,10 +406,6 @@ class MetricJets:
             k = int(np.argmax(minors <= 0))
             raise NotSPDError(np.reshape(points, (3, -1))[:, bad[0]], k, minors[k])
 
-    def dot(self, u: np.ndarray, v: np.ndarray) -> np.ndarray:
-        """g(u, v) for vectors ``u[..., i]`` and ``v[..., j]``."""
-        return dot3(components(u, 1), matvec(self.g, components(v, 1)))
-
 
 @dataclass
 class VectorField:
@@ -488,10 +484,7 @@ def covariant_derivative(g, x: VectorField, y: VectorField, points) -> np.ndarra
 
 def d_oneform(alpha: OneForm, points) -> np.ndarray:
     """(d alpha)_ij = d_i a_j - d_j a_i (antisymmetric matrix of values)."""
-    return d_oneform_raw(alpha.eval(points)[1])
-
-
-def d_oneform_raw(ajac: np.ndarray) -> np.ndarray:
+    ajac = alpha.eval(points)[1]
     return ajac - np.swapaxes(ajac, -2, -1)
 
 

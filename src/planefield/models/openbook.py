@@ -29,6 +29,9 @@ from .reeb import reeb_solid_torus
 
 __all__ = ["Transition", "AtlasReport", "assemble_open_book_demo", "page_cylinder_model"]
 
+_DELTA = 0.05                 # radial width of each binding/collar overlap
+_OVERLAP_GRID = (6, 8, 8)     # points per axis of each overlap check
+
 
 @dataclass
 class Transition:
@@ -77,20 +80,19 @@ def page_cylinder_model(length: float = 1.0) -> Model:
                  parameters={"length": length}, foliation="foliation")
 
 
-def _overlap_grid(tr: Transition, counts) -> np.ndarray:
+def _overlap_grid(tr: Transition) -> np.ndarray:
     axes = []
-    for (lo, hi), n in zip(tr.overlap, counts):
+    for (lo, hi), n in zip(tr.overlap, _OVERLAP_GRID):
         h = (hi - lo) / n
         axes.append(lo + (np.arange(n) + 0.5) * h)
     mesh = np.meshgrid(*axes, indexing="ij")
     return np.stack([m.reshape(-1) for m in mesh], axis=0)
 
 
-def check_transition(src: Model, dst: Model, tr: Transition,
-                     counts=(6, 8, 8)) -> dict:
+def check_transition(src: Model, dst: Model, tr: Transition) -> dict:
     """Pull the target metric and foliation back through the transition and
     compare against the source on the overlap."""
-    pts = _overlap_grid(tr, counts)
+    pts = _overlap_grid(tr)
     qval, jac = Tape(tr.forward).arrays(pts)
     qpts = np.moveaxis(qval, -1, 0)
     if not np.all(dst.chart.contains(qpts)):
@@ -119,13 +121,10 @@ def check_transition(src: Model, dst: Model, tr: Transition,
     }
 
 
-def assemble_open_book_demo(eps: float = 0.05, delta: float = 0.05,
-                            overlap_grid=(6, 8, 8),
-                            classify_grid=(48, 8, 8),
-                            tolerance: float = 1e-9,
-                            class_tol: float = 1e-8,
-                            jobs: int = 1) -> tuple:
-    """Build the demo atlas, check all overlaps and classify every chart.
+def assemble_open_book_demo(eps: float = 0.05, classify_grid=(48, 8, 8),
+                            tolerance: float = 1e-9, jobs: int = 1) -> tuple:
+    """Build the demo atlas, check all overlaps and classify every chart
+    (at classify's default K_e tolerance).
 
     Returns (models, transitions, report); raises OverlapMismatch if any
     pullback disagrees beyond ``tolerance`` (the report rides along on the
@@ -137,10 +136,10 @@ def assemble_open_book_demo(eps: float = 0.05, delta: float = 0.05,
 
     binding_a = reeb_solid_torus()
     binding_a.model_id = binding_a.chart.chart_id = "binding-a"
-    collar_a = collar_model(eps, r_lo=1.0 - delta)
+    collar_a = collar_model(eps, r_lo=1.0 - _DELTA)
     collar_a.model_id = collar_a.chart.chart_id = "collar-a"
     pages = page_cylinder_model(length)
-    collar_b = collar_model(eps, r_lo=1.0 - delta)
+    collar_b = collar_model(eps, r_lo=1.0 - _DELTA)
     collar_b.model_id = collar_b.chart.chart_id = "collar-b"
     binding_b = reeb_solid_torus()
     binding_b.model_id = binding_b.chart.chart_id = "binding-b"
@@ -155,7 +154,7 @@ def assemble_open_book_demo(eps: float = 0.05, delta: float = 0.05,
     transitions = [
         Transition("binding-a", "collar-a",
                    fwd(binding_a, ("r", "phi", "t")),
-                   ((1.0 - delta, 1.0), full, full)),
+                   ((1.0 - _DELTA, 1.0), full, full)),
         Transition("collar-a", "page-cylinder",
                    fwd(collar_a, (f"r - {1.0 + eps!r}", "phi", "t")),
                    ((1.0 + eps, 1.0 + 2.0 * eps), full, full)),
@@ -164,20 +163,18 @@ def assemble_open_book_demo(eps: float = 0.05, delta: float = 0.05,
                    ((length - eps, length), full, full)),
         Transition("collar-b", "binding-b",
                    fwd(collar_b, ("r", "phi", "t")),
-                   ((1.0 - delta, 1.0), full, full)),
+                   ((1.0 - _DELTA, 1.0), full, full)),
     ]
 
     by_id = {m.model_id: m for m in models}
     overlaps = []
     for tr in transitions:
-        overlaps.append(check_transition(by_id[tr.source], by_id[tr.target],
-                                         tr, overlap_grid))
+        overlaps.append(check_transition(by_id[tr.source], by_id[tr.target], tr))
 
     charts = []
     all_parabolic = True
     for m in models:
-        rep = classify(m.metric, m.distribution(), grid=classify_grid,
-                       tol=class_tol, jobs=jobs)
+        rep = classify(m.metric, m.distribution(), grid=classify_grid, jobs=jobs)
         ke = rep.aggregates.get("k_e", {})
         charts.append({
             "chart": m.model_id,

@@ -32,6 +32,13 @@ from .base import SurfaceMetric
 __all__ = ["ExprMetricPath", "RankOnePath", "rank_one_path",
            "straight_line_path", "verify_metric_path"]
 
+_DELTA0 = 0.05            # collar widths: G_t is frozen for t <= _DELTA0 ...
+_DELTA1 = 0.05            # ... and for t >= 1 - _DELTA1
+_BOUNDARY_MARGIN = 0.1    # width of the t-independent band at open surface edges
+_CROSSING_TOL = 1e-8      # eigenvalue gap of H - G flagged as a crossing
+_DET_TOL = 1e-8           # largest |det d_t G_t| of a parabolic path
+_COLLAR_SAMPLES = 5
+
 
 def _entry_eval(nodes, points) -> tuple:
     """(G (..., 2, 2), dG/dt (..., 2, 2)) for 3 upper-triangle entries,
@@ -49,9 +56,6 @@ class ExprMetricPath:
 
     chart: Chart
     entries: tuple            # (g11, g12, g22) over (u, v, t)
-    delta0: float = 0.05
-    delta1: float = 0.05
-    boundary_margin: float = 0.1
     _tape: expr.Tape = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
@@ -70,15 +74,14 @@ class ExprMetricPath:
         return np.zeros(points.shape[1:], dtype=bool)
 
 
-def straight_line_path(g: SurfaceMetric, h: SurfaceMetric,
-                       **kwargs) -> ExprMetricPath:
+def straight_line_path(g: SurfaceMetric, h: SurfaceMetric) -> ExprMetricPath:
     """Naive interpolation G + t (H - G); generically *not* parabolic."""
     if g.chart is not h.chart:
         raise ConfigError("both surface metrics must share one chart")
     t = expr.Coord(g.chart.coord_names[2], 2)
     entries = tuple(ge + t * (he - ge)
                     for ge, he in zip(g.entries, h.entries))
-    return ExprMetricPath(g.chart, entries, **kwargs)
+    return ExprMetricPath(g.chart, entries)
 
 
 @dataclass
@@ -89,10 +92,6 @@ class RankOnePath:
     base_entries: tuple       # G, t-independent
     diff_entries: tuple       # H - G, t-independent
     substeps: int             # 0 means the constant path
-    delta0: float = 0.05
-    delta1: float = 0.05
-    boundary_margin: float = 0.1
-    crossing_tol: float = 1e-8
     _cuts: np.ndarray = field(default=None, repr=False)
     _base: expr.Tape = field(init=False, repr=False, compare=False)
     _diff: expr.Tape = field(init=False, repr=False, compare=False)
@@ -100,8 +99,7 @@ class RankOnePath:
     def __post_init__(self):
         self._base, self._diff = expr.Tape(self.base_entries), expr.Tape(self.diff_entries)
         if self.substeps:
-            self._cuts = np.linspace(self.delta0, 1.0 - self.delta1,
-                                     2 * self.substeps + 1)
+            self._cuts = np.linspace(_DELTA0, 1.0 - _DELTA1, 2 * self.substeps + 1)
 
     @property
     def stages(self) -> int:
@@ -145,14 +143,21 @@ class RankOnePath:
             return np.zeros(points.shape[1:], dtype=bool)
         d, _ = _entry_eval(self._diff, points)
         mu = np.linalg.eigvalsh(d)
-        return np.abs(mu[..., 1] - mu[..., 0]) < self.crossing_tol
+        return np.abs(mu[..., 1] - mu[..., 0]) < _CROSSING_TOL
 
 
-def _leading_minors(g: np.ndarray) -> np.ndarray:
-    """Leading principal minors ``(..., 2)`` of symmetric 2x2 matrices
-    ``g[..., i, j]``; g is SPD exactly where both are positive."""
-    return np.stack([g[..., 0, 0],
-                     g[..., 0, 0] * g[..., 1, 1] - g[..., 0, 1] ** 2], axis=-1)
+def _first_not_spd(g: np.ndarray) -> Optional[tuple]:
+    """(i, k, minor) for the first point i of a batch of symmetric 2x2
+    matrices ``g[..., i, j]`` whose leading principal minor k is not
+    positive, or None where all are SPD."""
+    minors = np.stack([g[..., 0, 0],
+                       g[..., 0, 0] * g[..., 1, 1] - g[..., 0, 1] ** 2], axis=-1)
+    bad = ~np.all(minors > 0, axis=-1)
+    if not np.any(bad):
+        return None
+    i = int(np.argmax(bad))
+    k = int(np.argmax(~(minors[i] > 0)))
+    return i, k, minors[i, k]
 
 
 def _spd_failure(path, grid) -> Optional[tuple]:
@@ -164,18 +169,15 @@ def _spd_failure(path, grid) -> Optional[tuple]:
     mu, mv, mt = np.meshgrid(upts, vpts, tline, indexing="ij")
     pts = np.stack([mu.reshape(-1), mv.reshape(-1), mt.reshape(-1)], axis=0)
     g, _ = path.eval(pts)
-    bad = ~np.all(_leading_minors(g) > 0, axis=-1)
-    if np.any(bad):
-        i = int(np.argmax(bad))
-        return float(pts[2, i]), (float(pts[0, i]), float(pts[1, i]))
-    return None
+    failure = _first_not_spd(g)
+    if failure is None:
+        return None
+    i = failure[0]
+    return float(pts[2, i]), (float(pts[0, i]), float(pts[1, i]))
 
 
-def rank_one_path(g: SurfaceMetric, h: SurfaceMetric,
-                  delta0: float = 0.05, delta1: float = 0.05,
-                  boundary_margin: float = 0.1,
-                  grid=(9, 9, 33), max_depth: int = 8,
-                  crossing_tol: float = 1e-8) -> RankOnePath:
+def rank_one_path(g: SurfaceMetric, h: SurfaceMetric, grid=(9, 9, 33),
+                  max_depth: int = 8) -> RankOnePath:
     """Default parabolic path from G to H (SPD-validated, see module doc)."""
     if g.chart is not h.chart:
         raise ConfigError("both surface metrics must share one chart")
@@ -183,16 +185,10 @@ def rank_one_path(g: SurfaceMetric, h: SurfaceMetric,
     probe = g.chart.sample_grid((grid[0], grid[1], 1), margin=1e-6)
     dval, _ = _entry_eval(diff, probe.points)
     if float(np.max(np.abs(dval))) < 1e-14:
-        return RankOnePath(g.chart, g.entries, diff, substeps=0,
-                           delta0=delta0, delta1=delta1,
-                           boundary_margin=boundary_margin,
-                           crossing_tol=crossing_tol)
+        return RankOnePath(g.chart, g.entries, diff, substeps=0)
     failure = None
     for depth in range(max_depth + 1):
-        path = RankOnePath(g.chart, g.entries, diff, substeps=2 ** depth,
-                           delta0=delta0, delta1=delta1,
-                           boundary_margin=boundary_margin,
-                           crossing_tol=crossing_tol)
+        path = RankOnePath(g.chart, g.entries, diff, substeps=2 ** depth)
         nt = max(grid[2], 8 * path.substeps + 1)
         failure = _spd_failure(path, (grid[0], grid[1], nt))
         if failure is None:
@@ -200,13 +196,12 @@ def rank_one_path(g: SurfaceMetric, h: SurfaceMetric,
     raise NonSPDPathError(failure[0], failure[1], max_depth)
 
 
-def verify_metric_path(path, grid=(9, 9, 17), det_tol: float = 1e-8,
-                       collar_samples: int = 5) -> dict:
+def verify_metric_path(path, grid=(9, 9, 17)) -> dict:
     """Measure everything the gluing conditions require of a path.
 
     Reports the largest |det d_t G_t| away from (and at) eigen-crossing
-    flags, the residuals of the two end collars (G_t frozen for t <= delta0
-    and t >= 1 - delta1), the t-independence residual near non-periodic
+    flags, the residuals of the two end collars (G_t frozen for t <= 0.05
+    and t >= 0.95), the t-independence residual near non-periodic
     surface boundaries, and whether the family stays SPD (failure raises
     NotSPD with the offending (t, p)).
     """
@@ -215,12 +210,9 @@ def verify_metric_path(path, grid=(9, 9, 17), det_tol: float = 1e-8,
     pts = sample.points
     g, dg = path.eval(pts)
 
-    minors = _leading_minors(g)
-    bad = ~np.all(minors > 0, axis=-1)
-    if np.any(bad):
-        i = int(np.argmax(bad))
-        k = int(np.argmax(~(minors[i] > 0)))
-        raise NotSPDError(pts[:, i], k, minors[i, k])
+    failure = _first_not_spd(g)
+    if failure is not None:
+        raise NotSPDError(pts[:, failure[0]], *failure[1:])
 
     det_dt = dg[..., 0, 0] * dg[..., 1, 1] - dg[..., 0, 1] ** 2
     flagged = path.crossing_mask(pts)
@@ -243,24 +235,22 @@ def verify_metric_path(path, grid=(9, 9, 17), det_tol: float = 1e-8,
             worst = max(worst, float(np.max(np.abs(g_probe - g_ref))))
         return worst
 
-    collar0 = _freeze_residual(0.0, np.linspace(0.0, path.delta0, collar_samples))
-    collar1 = _freeze_residual(1.0, np.linspace(1.0 - path.delta1, 1.0,
-                                                collar_samples))
+    collar0 = _freeze_residual(0.0, np.linspace(0.0, _DELTA0, _COLLAR_SAMPLES))
+    collar1 = _freeze_residual(1.0, np.linspace(1.0 - _DELTA1, 1.0, _COLLAR_SAMPLES))
 
     # boundary neighbourhood: t-independence near non-periodic edges
-    margin = path.boundary_margin
     near_edge = np.zeros(surf.shape[1], dtype=bool)
     for axis in range(2):
         if chart.periodic[axis]:
             continue
         lo, hi = chart.domain[axis]
-        near_edge |= (surf[axis] - lo <= margin) | (hi - surf[axis] <= margin)
+        near_edge |= (surf[axis] - lo <= _BOUNDARY_MARGIN) | (hi - surf[axis] <= _BOUNDARY_MARGIN)
     boundary_residual = 0.0
     if np.any(near_edge):
         edge = surf[:, near_edge]
         ref_pts = np.vstack([edge, np.zeros((1, edge.shape[1]))])
         g_ref, _ = path.eval(ref_pts)
-        for tc in np.linspace(0.0, 1.0, 2 * collar_samples + 1):
+        for tc in np.linspace(0.0, 1.0, 2 * _COLLAR_SAMPLES + 1):
             probe = np.vstack([edge, np.full((1, edge.shape[1]), tc)])
             g_probe, _ = path.eval(probe)
             boundary_residual = max(boundary_residual,
@@ -277,6 +267,6 @@ def verify_metric_path(path, grid=(9, 9, 17), det_tol: float = 1e-8,
         "collar1_residual": collar1,
         "boundary_points": int(np.count_nonzero(near_edge)),
         "boundary_residual": boundary_residual,
-        "parabolic": bool(max_det <= det_tol),
-        "det_tol": det_tol,
+        "parabolic": bool(max_det <= _DET_TOL),
+        "det_tol": _DET_TOL,
     }

@@ -6,6 +6,12 @@ tilted away from the start: the transversality angle is the angle between
 the g-normal of ker(alpha_s) and the g-normal n0 of ker(alpha0), so it is
 0 at s = 0 and reaches pi/2 exactly when n0 falls into the deformed plane
 (transversality to the start foliation fails).
+
+The grid is swept in blocks on the classify kernel's entries: each block
+evaluates the metric, alpha0 and beta once and is reduced, per s, to its
+contact-volume min and max, min |contact volume|, angle min and max and
+degenerate count.  Blocks merge by min, max and sum, so the report does not
+depend on the block size.
 """
 
 from __future__ import annotations
@@ -14,10 +20,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ..distributions import _unit_normal
+from .. import jetalg
+from ..distributions import _contact_volume, _unit_normal
 from ..errors import ConfigError
-from ..geometry import MetricField, OneForm, d_oneform_raw, wedge3
-from ..jetalg import dense
+from ..geometry import MetricField, OneForm, chunked_eval
+from ..jetalg import add, column, dot3, matvec, mul
 
 __all__ = ["ScanReport", "contact_deformation_scan"]
 
@@ -40,51 +47,58 @@ class ScanReport:
         }
 
 
-def _normal(mj, aval: np.ndarray) -> tuple:
-    n, ok = _unit_normal(mj, [aval[..., k] for k in range(3)], 1)
-    return dense(n, aval.shape[:-1]), ok
-
-
 def contact_deformation_scan(metric: MetricField, alpha0: OneForm,
                              beta: OneForm, s_values, grid=(16, 16, 16),
-                             margin: float = 1e-3,
                              alpha_name: str = "alpha", beta_name: str = "beta"
                              ) -> ScanReport:
     """Pure reporting: no value of s is rejected, degenerate points are
-    counted instead."""
+    counted instead.  Where no point of the grid has a defined deformed
+    normal both angles are pi/2."""
     s_values = [float(s) for s in s_values]
     if not s_values:
         raise ConfigError("scan needs at least one deformation parameter")
     chart = metric.chart
-    pts = chart.sample_grid(grid, margin=margin).points
-    mj = metric.eval(pts)
-    aval0, ajac0 = alpha0.eval(pts)
-    bval, bjac = beta.eval(pts)
-    n0, ok0 = _normal(mj, aval0)
-    if not np.all(ok0 & mj.spd):
-        raise ConfigError("base form or metric degenerates on the grid")
 
-    rows = []
-    for s in s_values:
-        aval = aval0 + s * bval
-        ajac = ajac0 + s * bjac
-        cv = wedge3(aval, d_oneform_raw(ajac))
-        ns, good = _normal(mj, aval)
-        n_degenerate = int(np.count_nonzero(~good))
-        if np.any(good):
-            cosang = np.abs(mj.dot(ns, n0))[good]
+    def kernel(pts):
+        """Per s: contact-volume min, max and min |cv|, transversality angle
+        min and max (+inf and -inf where no normal is defined) and the
+        degenerate count."""
+        shape = pts.shape[1:]
+        mj = metric.eval(pts)
+        a0, da0 = alpha0._tape.entries(pts)
+        b, db = beta._tape.entries(pts)
+        n0, ok0 = _unit_normal(mj, a0, 1)
+        if not np.all(ok0):
+            raise ConfigError("base form or metric degenerates on the grid")
+        gn0 = matvec(mj.g, n0)
+        rows = []
+        for s in s_values:
+            with jetalg.column_signs():     # per s, so the memo stays small
+                a = [add(x, mul(s, y)) for x, y in zip(a0, b)]
+                da = [[add(x, mul(s, y)) for x, y in zip(r0, r)] for r0, r in zip(da0, db)]
+                cv = column(_contact_volume(a, da), shape)
+                ns, good = _unit_normal(mj, a, 1)
+                cosang = np.abs(column(dot3(ns, gn0), shape))[good]
             angles = np.arccos(np.clip(cosang, 0.0, 1.0))
-            ang_min, ang_max = float(np.min(angles)), float(np.max(angles))
-        else:
-            ang_min = ang_max = float(np.pi / 2.0)
+            rows.append([np.min(cv), np.max(cv), np.min(np.abs(cv)),
+                         np.min(angles, initial=np.inf), np.max(angles, initial=-np.inf),
+                         np.count_nonzero(~good)])
+        return np.array(rows)
+
+    points = chart.sample_grid(grid).points
+    blocks = chunked_eval(kernel, points)
+    rows = []
+    for j, s in enumerate(s_values):
+        cv_min, cv_max, cv_abs, ang_min, ang_max, degenerate = np.array([b[j] for b in blocks]).T
+        defined = np.sum(degenerate) < points.shape[1]
         rows.append({
             "s": s,
-            "contact_volume_min": float(np.min(cv)),
-            "contact_volume_max": float(np.max(cv)),
-            "min_abs_contact_volume": float(np.min(np.abs(cv))),
-            "transversality_angle_min": ang_min,
-            "transversality_angle_max": ang_max,
-            "degenerate_points": n_degenerate,
+            "contact_volume_min": float(np.min(cv_min)),
+            "contact_volume_max": float(np.max(cv_max)),
+            "min_abs_contact_volume": float(np.min(cv_abs)),
+            "transversality_angle_min": float(np.min(ang_min)) if defined else np.pi / 2.0,
+            "transversality_angle_max": float(np.max(ang_max)) if defined else np.pi / 2.0,
+            "degenerate_points": int(np.sum(degenerate)),
         })
     return ScanReport(chart_id=chart.chart_id, grid=tuple(grid),
                       alpha=alpha_name, beta=beta_name, rows=rows)

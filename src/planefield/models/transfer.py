@@ -17,7 +17,10 @@ against B_xi and |det B~_eta| pointwise, because the construction here is
 the simplest candidate rather than a derived identity.
 
 Everything is evaluated through first-order jets, so the new metric comes
-with exact partials and its own connection.
+with exact partials and its own connection.  The metric and the covectors
+of xi and eta are evaluated once on the whole grid, and both second
+fundamental forms come from the sweeps' curvature kernel, which reads the
+jets' values and partials as entries.
 """
 
 from __future__ import annotations
@@ -27,15 +30,18 @@ from dataclasses import dataclass
 import numpy as np
 
 from .. import jetalg
-from ..distributions import (Distribution, FrameData, _require_plane,
-                             curvature_arrays, distribution_frames,
-                             normal_arrays, normal_jets)
+from ..distributions import (Distribution, _covector, _curvature, _entries,
+                             _frame, _jets, _normal_jets, _require_plane,
+                             _unit_normal)
 from ..errors import NotTransverseError
 from ..expr import jet_sqrt
 from ..geometry import MetricField, MetricJets
 from ..jetalg import adjugate3, det3, dot3, matvec
 
 __all__ = ["TransferReport", "transfer_metric"]
+
+# |g(n_xi, m_eta)| below this counts as eta containing the normal of xi
+_TRANSVERSALITY_TOL = 1e-8
 
 
 @dataclass
@@ -64,29 +70,20 @@ class TransferReport:
         }
 
 
-def _frame_from_jets(v1: list, v2: list) -> FrameData:
-    val = np.stack([jetalg.vector_values(v1), jetalg.vector_values(v2)],
-                   axis=-2)
-    jac = np.stack([jetalg.vector_jacobian(v1), jetalg.vector_jacobian(v2)],
-                   axis=-3)
-    return FrameData(val=val, jac=jac,
-                     ok=np.ones(val.shape[0], dtype=bool), desc="jet-frame")
-
-
 def transfer_metric(metric: MetricField, xi: Distribution, eta: Distribution,
-                    grid=(8, 8, 8), margin: float = 1e-3,
-                    transversality_tol: float = 1e-8) -> TransferReport:
+                    grid=(8, 8, 8)) -> TransferReport:
     """Build the transferred metric on a grid and report both residuals."""
     chart = metric.chart
-    pts = chart.sample_grid(grid, margin=margin).points
+    pts = chart.sample_grid(grid).points
+    shape = pts.shape[1:]
     mj = metric.eval(pts)
     mj.require_spd(pts)
 
     g = jetalg.jets_from_metric(mj)
-    fd = distribution_frames(xi, pts)
-    _require_plane(fd.ok, pts, "xi degenerates")
-    v1 = jetalg.jets_from_components(fd.val[:, 0, :], fd.jac[:, 0, :, :])
-    v2 = jetalg.jets_from_components(fd.val[:, 1, :], fd.jac[:, 1, :, :])
+    a_xi = _covector(xi, pts)
+    e, de, ok = _frame(xi, pts, a_xi)
+    _require_plane(ok, pts, "xi degenerates")
+    v1, v2 = (_jets(e[b], de[b], shape) for b in range(2))
 
     def inner(u, v):
         return dot3(u, matvec(g, v))
@@ -103,12 +100,13 @@ def transfer_metric(metric: MetricField, xi: Distribution, eta: Distribution,
     n2 = jet_sqrt(inner(w2, w2))
     x2 = [c / n2 for c in w2]
 
-    n_xi = normal_jets(mj, xi, pts)
-    m_eta = normal_jets(mj, eta, pts)
+    n_xi = _normal_jets(mj, _jets(*a_xi, shape), xi.co_orientation)
+    a_eta = _covector(eta, pts)
+    m_eta = _normal_jets(mj, _jets(*a_eta, shape), eta.co_orientation)
 
     trans = inner(n_xi, m_eta).value
-    if np.any(np.abs(trans) < transversality_tol):
-        i = int(np.argmax(np.abs(trans) < transversality_tol))
+    if np.any(np.abs(trans) < _TRANSVERSALITY_TOL):
+        i = int(np.argmax(np.abs(trans) < _TRANSVERSALITY_TOL))
         angle = float(np.arccos(np.clip(np.abs(trans[i]), 0.0, 1.0)))
         raise NotTransverseError(pts[:, i], angle)
 
@@ -122,15 +120,16 @@ def transfer_metric(metric: MetricField, xi: Distribution, eta: Distribution,
     cols = [[adj[k][i] / det_f for k in range(3)] for i in range(3)]
     gt = [[dot3(cols[i], cols[j]) for j in range(3)] for i in range(3)]
 
-    mj_new = MetricJets([gt[i][j] for i in range(3) for j in range(i, 3)], pts.shape[1:])
+    mj_new = MetricJets([gt[i][j] for i in range(3) for j in range(i, 3)], shape)
 
     # B of xi under g in the orthonormal frame
-    arrs_xi = curvature_arrays(mj, _frame_from_jets(x1, x2),
-                               jetalg.vector_values(n_xi))
+    e, de = zip(*map(_entries, (x1, x2)))
+    arrs_xi = _curvature(mj, e, de, _entries(n_xi)[0], ok)
     # B of eta under the new metric in the projected frame
-    n_eta, ok = normal_arrays(mj_new, eta, pts)
-    _require_plane(ok & mj_new.spd, pts, "transferred metric degenerate")
-    arrs_eta = curvature_arrays(mj_new, _frame_from_jets(p1, p2), n_eta)
+    n_eta, ok = _unit_normal(mj_new, a_eta[0], eta.co_orientation)
+    _require_plane(ok, pts, "transferred metric degenerate")
+    e, de = zip(*map(_entries, (p1, p2)))
+    arrs_eta = _curvature(mj_new, e, de, n_eta, ok)
 
     form_res = np.maximum.reduce([
         np.abs(arrs_eta["b00"] - arrs_xi["b00"]),

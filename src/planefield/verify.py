@@ -30,7 +30,7 @@ from . import catalog
 from .chartio import load_model, validate_payload
 from .distributions import (Distribution, classify, integral_mean_curvature,
                             second_fundamental_form)
-from .errors import ConfigError, PlanefieldError
+from .errors import ConfigError
 from .expr import smoothstep_deriv
 from .geometry import VectorField, divergence, integrate_scalar
 from .models import (SurfaceMetric, TwistSpec, assemble_open_book_demo,
@@ -244,7 +244,7 @@ def _op_frame_invariance(params: dict, jobs: int) -> CheckResult:
         frame = next(iter(model.named_frames.values()), None)
         pts = model.chart.random_points(5, seed=seed, margin=1e-2)
         b_ref = second_fundamental_form(model.metric, dist, pts, frame=frame)
-        gram, h_ref, ke_ref = _frame_gram_h_ke(model, dist, pts, frame)
+        h_ref, ke_ref = _frame_h_ke(model, dist, pts, frame)
         for _ in range(n_frames // len(targets)):
             a = rng.uniform(-1.0, 1.0, size=(2, 2))
             while abs(np.linalg.det(a)) < 0.3:
@@ -252,7 +252,7 @@ def _op_frame_invariance(params: dict, jobs: int) -> CheckResult:
             new_frame = _reframe(model, dist, frame, a)
             b_new = second_fundamental_form(model.metric, dist, pts,
                                             frame=new_frame)
-            _, h_new, ke_new = _frame_gram_h_ke(model, dist, pts, new_frame)
+            h_new, ke_new = _frame_h_ke(model, dist, pts, new_frame)
             b_expect = np.einsum("ca,...cd,db->...ab", a, b_ref, a)
             scale = max(1.0, float(np.max(np.abs(b_expect))))
             worst = max(worst, float(np.max(np.abs(b_new - b_expect))) / scale)
@@ -265,10 +265,10 @@ def _op_frame_invariance(params: dict, jobs: int) -> CheckResult:
                                "targets": list(targets)})
 
 
-def _frame_gram_h_ke(model, dist, pts, frame):
+def _frame_h_ke(model, dist, pts, frame):
     from .distributions import _block_arrays
     arrs = _block_arrays(model.metric.eval(pts), dist, pts, frame).arrs
-    return arrs["det_gram"], arrs["h"], arrs["k_e"]
+    return arrs["h"], arrs["k_e"]
 
 
 def _reframe(model, dist, frame, a):
@@ -701,9 +701,6 @@ def run_suite(spec: SuiteSpec, jobs: int = 1) -> SuiteReport:
         try:
             result = op(check.params, jobs)
             result.name = check.name
-        except PlanefieldError as err:
-            result = CheckResult(name=check.name, passed=False,
-                                 error=f"{type(err).__name__}: {err}")
         except Exception as err:   # checks must never abort the suite
             result = CheckResult(name=check.name, passed=False,
                                  error=f"{type(err).__name__}: {err}")

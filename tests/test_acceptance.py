@@ -169,7 +169,7 @@ def test_criterion_06_metric_path_interface():
 
 def test_criterion_07_open_book_assembly():
     _, _, rep = assemble_open_book_demo(classify_grid=(48, 8, 8),
-                                        tolerance=1e-9, class_tol=1e-8)
+                                        tolerance=1e-9)
     assert rep.max_metric_mismatch <= 1e-9
     assert rep.all_parabolic
     _report(7, f"atlas overlaps mismatch <= {rep.max_metric_mismatch:.1e}, "

@@ -1,7 +1,7 @@
 """The CI workflow runs the Tier-1 suite and the benchmark self-check on
-every supported Python, once on the oldest supported numpy, and compares
+every supported Python, once on the oldest supported numpy, compares
 a suite's, a Reeb sweep's and a flat-torus integral's report bodies at one
-and two workers."""
+and two workers, and bounds the peak RSS of 128^3 sweeps."""
 
 import re
 from pathlib import Path
@@ -88,3 +88,19 @@ def test_workflow_compares_torus_integral_bodies_across_worker_counts():
                 "--distribution graph-foliation --grid 32,32,32 "
                 f"--jobs {jobs} --output torus{jobs}.json") in step
     assert "('torus1.json', 'torus2.json')" in step and "sys.exit(a != b)" in step
+
+
+def test_workflow_bounds_the_peak_rss_of_128_cubed_sweeps():
+    """One step emits the Reeb and the two-pi torus models, runs classify on
+    Reeb and a deformation scan on the torus at 128^3, each in a child
+    process, and fails if the largest child's peak RSS exceeds 500 MB."""
+    workflow = yaml.safe_load(WORKFLOW.read_text(encoding="utf-8"))
+    runs = [step.get("run", "") for step in workflow["jobs"]["tests"]["steps"]]
+    step = next(run for run in runs if "RUSAGE_CHILDREN" in run)
+    assert "PYTHONPATH=src python -m planefield.cli model reeb --emit reeb.json" in step
+    assert "chartio.save_model(catalog.two_pi_torus_model(), 'two-pi-torus.json')" in step
+    assert '["classify", "reeb.json"]' in step
+    assert ('["scan", "two-pi-torus.json", "--alpha", "vertical", "--beta", "winding-contact",'
+            in step and '"--s-range", "0:0.5:3"]' in step)
+    assert '"--grid", "128,128,128"' in step and "check=True" in step
+    assert "ru_maxrss / 1024" in step and "sys.exit(peak_mb > 500)" in step

@@ -220,6 +220,17 @@ def test_scan_subcommand(tmp_path):
     assert rows[2]["contact_volume_min"] == pytest.approx(-0.16, abs=1e-12)
 
 
+@pytest.mark.parametrize("command, option", [("scan", ["--jobs", "2"]),
+                                             ("scan", ["--tol", "1e-6"]),
+                                             ("integrate-h", ["--tol", "1e-6"])])
+def test_options_a_command_does_not_use_are_usage_errors(command, option, torus_file, capsys):
+    args = ["--alpha", "vertical", "--beta", "tilted", "--s-range", "0:1:2"] if command == "scan" else []
+    with pytest.raises(SystemExit) as err:
+        main([command, str(torus_file), *args, "--grid", "4,4,4", *option])
+    assert err.value.code == 2
+    assert f"unrecognized arguments: {' '.join(option)}" in capsys.readouterr().err
+
+
 def test_integrate_h_subcommand(torus_file, tmp_path):
     out = tmp_path / "ih.json"
     code = main(["integrate-h", str(torus_file),

@@ -25,7 +25,8 @@ from planefield.errors import (ConfigError, DegenerateDistributionError,
 from planefield.geometry import (Chart, MetricField, OneForm, VectorField,
                                  christoffel, integrate_scalar)
 from planefield.expr import Num, jet_sqrt
-from planefield.models import reeb_solid_torus
+from planefield.models import (contact_deformation_scan, reeb_solid_torus,
+                               transfer_metric)
 
 
 # ---------------------------------------------------------------------------
@@ -444,6 +445,31 @@ def test_integrate_scalar_independent_of_jobs_and_block_size(torus, monkeypatch)
     bodies = _bodies_across_blocks(monkeypatch, lambda jobs: integrate_scalar(
         torus.metric, f, BLOCK_GRID, jobs=jobs).hex())
     assert len(bodies) == 1
+
+
+def test_scan_body_independent_of_block_size(reeb, torus, monkeypatch):
+    """Per-block minima, maxima and counts merge into one body, also where
+    whole blocks have no deformed normal (x >= 0.6 at s = 1: the blocks
+    that follow x = 0.6) and where no point has one (both angles pi/2)."""
+    dz = OneForm(torus.chart, ("0", "0", "1"))
+    step = OneForm(torus.chart, ("0", "0", "-smoothstep(0.4, 0.6, x)"))
+    scans = [(reeb.metric, reeb.form(), OneForm(reeb.chart, ("0", "1", "0")), [0.2, -0.5]),
+             (_CURVED_TORUS, torus.form("graph-foliation"), torus.form("winding-contact"),
+              [0.0, 1.0, -2.0]),
+             (torus.metric, dz, step, [0.5, 1.0]),
+             (torus.metric, dz, OneForm(torus.chart, ("0", "0", "-1")), [1.0])]
+    bodies = []
+    for metric, alpha, beta, s_values in scans:
+        found = _bodies_across_blocks(monkeypatch, lambda jobs: contact_deformation_scan(
+            metric, alpha, beta, s_values, grid=BLOCK_GRID).body())
+        assert len(found) == 1
+        bodies.append(json.loads(found.pop()))
+    x = torus.chart.sample_grid(BLOCK_GRID).points[0]
+    partly, nowhere = bodies[2]["rows"][1], bodies[3]["rows"][0]
+    assert partly["degenerate_points"] == np.count_nonzero(x >= 0.6) > 0
+    assert partly["transversality_angle_max"] == 0.0
+    assert nowhere["degenerate_points"] == x.size
+    assert nowhere["transversality_angle_min"] == nowhere["transversality_angle_max"] == math.pi / 2
 
 
 def test_worker_error_matches_the_serial_sweep(deadline):
@@ -934,9 +960,9 @@ def _refuse(*args, **kwargs):
 
 
 def test_sweeps_build_no_dense_metric_or_field_arrays(monkeypatch, reeb, torus):
-    """Classify, and the mean-curvature integral on a constant metric, run on
-    jetalg entries only: no dense metric jets, inverse, field arrays or jet
-    packing."""
+    """Classify, the mean-curvature integral on a constant metric, the metric
+    transfer and the deformation scan run on jetalg entries only: no dense
+    metric jets, inverse, field arrays or jet packing."""
     for name in ("val", "dval"):
         monkeypatch.setattr(geometry.MetricJets, name, property(_refuse))
     monkeypatch.setattr(geometry.MetricJets, "from_arrays", classmethod(_refuse))
@@ -951,6 +977,10 @@ def test_sweeps_build_no_dense_metric_or_field_arrays(monkeypatch, reeb, torus):
     classify(_CURVED_TORUS, torus.distribution("winding-contact"), grid=(8, 8, 8))
     integral_mean_curvature(torus.metric, Distribution.kernel(random_periodic_form(1)),
                             grid=(8, 8, 8))
+    transfer_metric(_CURVED_TORUS, torus.distribution("vertical"), torus.distribution("tilted"),
+                    grid=(4, 4, 4))
+    contact_deformation_scan(reeb.metric, reeb.form(), OneForm(reeb.chart, ("0", "1", "0")),
+                             [0.5], grid=(8, 8, 8))
 
 
 @pytest.mark.parametrize("n", [16, 64])

@@ -190,16 +190,6 @@ def test_metric_inverse_reuses_the_adjugate_of_the_minors(monkeypatch):
     assert np.allclose(inv @ mj.val, np.eye(3), atol=1e-13)
 
 
-def test_metric_dot_is_the_g_inner_product():
-    torus = flat_torus_model()
-    pts = torus.chart.random_points(200, seed=2)
-    mj = _curved_metric(torus.chart).eval(pts)
-    rng = np.random.default_rng(6)
-    u, v = rng.normal(size=(2, 200, 3))
-    want = np.einsum("...ij,...i,...j->...", mj.val, u, v)
-    assert np.allclose(mj.dot(u, v), want, rtol=1e-14, atol=1e-14)
-
-
 def test_jets_hand_out_contiguous_partials_and_the_metric_entry_jets():
     rng = np.random.default_rng(3)
     val, jac = rng.normal(size=(50, 3)), rng.normal(size=(50, 3, 3))

@@ -332,6 +332,19 @@ def test_transfer_tilted_plane_field(torus):
     assert set(body) >= {"form_residual", "det_residual", "min_transversality"}
 
 
+def test_transfer_evaluates_each_field_once(torus, monkeypatch):
+    """One tape run each for the metric, xi's form and eta's form."""
+    from planefield import expr
+    xi, eta = torus.distribution("vertical"), torus.distribution("tilted")
+    runs = []
+    real = expr.Tape.run
+    monkeypatch.setattr(expr.Tape, "run", lambda tape, p: runs.append(tape) or real(tape, p))
+    transfer_metric(torus.metric, xi, eta, grid=(4, 4, 4))
+    assert [sum(r is t._tape for r in runs) for t in (torus.metric, xi.alpha, eta.alpha)] \
+        == [1, 1, 1]
+    assert len(runs) == 3
+
+
 def test_transfer_requires_transversality(torus):
     xi = torus.distribution("vertical")
     eta = Distribution.kernel(OneForm(torus.chart, ("0", "1", "0")))
