@@ -31,7 +31,6 @@ from .expr import Jet1, column, dense
 __all__ = [
     "dot3", "matvec", "cross", "adjugate3", "det3", "mul", "add", "sub", "column_signs",
     "div", "neg", "column", "dense", "jets_from_metric", "jets_from_components",
-    "vector_values", "vector_jacobian",
 ]
 
 _INF_BITS = 0x7FF0000000000000       # int64 bits of +inf; -inf is -2**52
@@ -168,12 +167,3 @@ def jets_from_components(val: np.ndarray, jac: np.ndarray) -> list:
     return [Jet1(np.ascontiguousarray(val[..., k]),
                  [np.ascontiguousarray(jac[..., i, k]) for i in range(3)])
             for k in range(3)]
-
-
-def vector_values(v: list) -> np.ndarray:
-    return np.stack([c.value for c in v], axis=-1)
-
-
-def vector_jacobian(v: list) -> np.ndarray:
-    """jac[..., i, k] = d_i v^k."""
-    return np.stack([np.moveaxis(c.gradient, 0, -1) for c in v], axis=-1)

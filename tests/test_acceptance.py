@@ -9,7 +9,6 @@ import time
 import numpy as np
 import pytest
 
-from planefield import jetalg
 from planefield.catalog import (flat_torus_model, random_periodic_form,
                                 shipped_examples, sphere_model)
 from planefield.chartio import save_model, validate_payload
@@ -89,8 +88,9 @@ def test_criterion_04_mean_curvature_divergence_and_no_elliptic():
         nval, _ = normal_arrays(mj, dist, pts)
         arrs = curvature_arrays(mj, fd, nval)
         njets = normal_jets(mj, dist, pts)
-        div_n = divergence_raw(mj, jetalg.vector_values(njets),
-                               jetalg.vector_jacobian(njets))
+        div_n = divergence_raw(mj, np.stack([c.value for c in njets], axis=-1),
+                               np.stack([np.moveaxis(c.gradient, 0, -1) for c in njets],
+                                        axis=-1))
         worst_defect = max(worst_defect,
                            float(np.max(np.abs(arrs["h"] + div_n))))
         res = integral_mean_curvature(torus.metric, dist, grid=(64, 64, 64),

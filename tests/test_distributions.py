@@ -449,8 +449,8 @@ def test_integrate_scalar_independent_of_jobs_and_block_size(torus, monkeypatch)
 
 def test_scan_body_independent_of_block_size(reeb, torus, monkeypatch):
     """Per-block minima, maxima and counts merge into one body, also where
-    whole blocks have no deformed normal (x >= 0.6 at s = 1: the blocks
-    that follow x = 0.6) and where no point has one (both angles pi/2)."""
+    whole blocks have no deformed normal (at s = 1 no point with x >= 0.6
+    has one) and where no point has one (both angles pi/2)."""
     dz = OneForm(torus.chart, ("0", "0", "1"))
     step = OneForm(torus.chart, ("0", "0", "-smoothstep(0.4, 0.6, x)"))
     scans = [(reeb.metric, reeb.form(), OneForm(reeb.chart, ("0", "1", "0")), [0.2, -0.5]),
@@ -844,7 +844,8 @@ def _oracle_integrand(metric, dist, pts):
     det = g[0][0] * adj[0][0] + g[0][1] * adj[1][0] + g[0][2] * adj[2][0]
     denom = jet_sqrt(det * _odot(a, w))
     n = [float(dist.co_orientation) * c / denom for c in w]
-    xval, xjac = jetalg.vector_values(n), jetalg.vector_jacobian(n)
+    xval = np.stack([c.value for c in n], axis=-1)
+    xjac = np.stack([np.moveaxis(c.gradient, 0, -1) for c in n], axis=-1)   # [..., i, k]
     dlog = 0.5 * np.einsum("...lm,...ilm->...i", _oracle_inv(mj), mj.dval)
     div = np.einsum("...ii->...", xjac) + np.einsum("...i,...i->...", xval, dlog)
     h = _oracle_block(metric, dist, pts)["h"]
@@ -968,8 +969,7 @@ def test_sweeps_build_no_dense_metric_or_field_arrays(monkeypatch, reeb, torus):
     monkeypatch.setattr(geometry.MetricJets, "from_arrays", classmethod(_refuse))
     monkeypatch.setattr(geometry.MetricJets, "inv", _refuse)
     monkeypatch.setattr(geometry.VectorField, "eval", _refuse)
-    for name in ("jets_from_components", "vector_values", "vector_jacobian"):
-        monkeypatch.setattr(jetalg, name, _refuse)
+    monkeypatch.setattr(jetalg, "jets_from_components", _refuse)
     monkeypatch.setattr(geometry.expr.Tape, "arrays", _refuse)
     classify(reeb.metric, reeb.distribution(), grid=(16, 16, 16))
     classify(reeb.metric, reeb.distribution(), grid=(8, 8, 8), frame=reeb.frame("paper"))
