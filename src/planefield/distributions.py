@@ -17,6 +17,15 @@ Gamma_{l,ij} = (d_i g_jl + d_j g_il - d_l g_ij) / 2 contracted once into
 M_ij = n^l Gamma_{l,ij}, ``curvature_arrays`` takes, one column at a time,
     <nabla_X Y, n> = (X^i d_i Y^k) nu_k + X^i M_ij Y^j   (Gamma^k_ij nu_k = M_ij),
     <[S, T], n>    = (S^i d_i T^k - T^i d_i S^k) nu_k.
+
+The kernel frame of alpha spans the coordinate plane m of the largest
+|alpha_m|.  A sweep block whose points pick more than one plane is split
+into one group per plane: each group's frame, metric and normal entries
+are gathered from the block's, the curvature runs on the group, and its
+arrays are scattered back in block order, so every reduction sees the
+values the whole block would give.  Dense frames (``distribution_frames``,
+``tangent_frame``, the metric transfer) scatter each group's entries into
+one array.
 """
 
 from __future__ import annotations
@@ -33,7 +42,7 @@ from .geometry import (ExactSum, MetricField, MetricJets, OneForm,
                        VectorField, christoffel_contract, chunked_eval,
                        divergence_entries, wedge_entries)
 from .jetalg import (add, adjugate3, column, cross, dense, det3, div, dot3,
-                     matvec, mul, neg, sub)
+                     matvec, mul, neg, sub, take)
 
 __all__ = [
     "Distribution", "FrameData", "CurvatureReport",
@@ -130,36 +139,41 @@ def _plane_frame(a: list, da: list, m: int) -> tuple:
 
 def _kernel_frame(a: list, da: list, shape: tuple) -> tuple:
     """Kernel frame from the coordinate plane m of the largest |alpha_m|
-    (the first on ties), and where it is defined.  Where one plane wins at
-    every point the entries are the form's own, else each entry is chosen
-    point by point."""
+    (the first on ties), and where it is defined.  One group per plane that
+    wins somewhere: its points idx (``None`` where one plane wins at every
+    point) and its frame entries there, from the form's entries at idx,
+    each group built as it is iterated."""
     mags = np.abs(np.stack([column(x, shape) for x in a]))
     m = np.argmax(mags, axis=0)
     ok = np.max(mags, axis=0) > 0.0
-    if m.size and m.min() == m.max():
-        return _plane_frame(a, da, int(m.flat[0])) + (ok,)
-    planes = [_plane_frame(a, da, p) for p in range(3)]
-
-    def pick(*xs):
-        if all(x is None for x in xs):
-            return None
-        return np.choose(m, [column(x, shape) for x in xs])
-
-    e = [[pick(*(p[0][b][k] for p in planes)) for k in range(3)] for b in range(2)]
-    de = [[[pick(*(p[1][b][i][k] for p in planes)) for k in range(3)] for i in range(3)]
-          for b in range(2)]
-    return e, de, ok
+    if not m.size or m.min() == m.max():
+        return [(None, *_plane_frame(a, da, int(m.max(initial=0))))], ok
+    groups = [(p, np.flatnonzero(m == p)) for p in range(3)]
+    return ((idx, *_plane_frame(take(a, idx), take(da, idx), p))
+            for p, idx in groups if idx.size), ok
 
 
 def _frame(dist: Distribution, points: np.ndarray, cov: tuple,
            frame: Optional[tuple] = None) -> tuple:
-    """Frame entries e[b][k], de[b][i][k] = d_i E_b^k and validity: the
-    kernel frame of the covector ``cov``, the span fields, or ``frame``."""
+    """An iterable of frame groups (idx, e, de) with entries e[b][k] and
+    de[b][i][k] = d_i E_b^k at the points idx, and validity: the kernel
+    frame of the covector ``cov``, the span fields, or ``frame``, whose one
+    group has idx ``None``, the whole batch."""
     fields = frame if frame is not None else dist.span_fields
     if fields is None:
         return _kernel_frame(*cov, points.shape[1:])
     e, de = zip(*(f._tape.entries(points) for f in fields))
-    return list(e), list(de), np.ones(points.shape[1:], dtype=bool)
+    return [(None, list(e), list(de))], np.ones(points.shape[1:], dtype=bool)
+
+
+def _dense_frame(groups, shape: tuple) -> tuple:
+    """Frame values ``(..., b, k)`` and Jacobians ``(..., b, i, k) = d_i
+    E_b^k`` of frame groups, each group's entries scattered to its points."""
+    val, jac = np.zeros(shape + (2, 3)), np.zeros(shape + (2, 3, 3))
+    for idx, e, de in groups:
+        at, n = (Ellipsis, shape) if idx is None else (idx, idx.shape)
+        val[at], jac[at] = dense(e, n), dense(de, n)
+    return val, jac
 
 
 def distribution_frames(dist: Distribution, points: np.ndarray,
@@ -171,9 +185,10 @@ def distribution_frames(dist: Distribution, points: np.ndarray,
     Gram degeneracy downstream either way).
     """
     cov = _covector(dist, points) if frame is None and dist.kind == "kernel" else None
-    e, de, ok = _frame(dist, points, cov, frame)
-    return FrameData(val=dense(e, points.shape[1:]), jac=dense(de, points.shape[1:]),
-                     ok=ok, desc=_FRAME_DESC[dist.kind if frame is None else "explicit"])
+    groups, ok = _frame(dist, points, cov, frame)
+    val, jac = _dense_frame(groups, points.shape[1:])
+    return FrameData(val=val, jac=jac, ok=ok,
+                     desc=_FRAME_DESC[dist.kind if frame is None else "explicit"])
 
 
 def _unit_normal(mj: MetricJets, a: list, co_orientation: int) -> tuple:
@@ -238,17 +253,22 @@ def _curvature(mj: MetricJets, e: list, de: list, n: list,
     g = mj.g
     nu = matvec(g, n)                           # lowered normal g n
     m = christoffel_contract(mj.dg, n)
+    me = [matvec(m, e[b]) for b in range(2)]
+    del m                                       # each array goes after its last use
     # w[a][b]^k = E_a^i d_i E_b^k, the derivative of E_b along E_a
     w = [[matvec(list(zip(*de[b])), e[a]) for b in range(2)] for a in range(2)]
     d = [[dot3(w[a][b], nu) for b in range(2)] for a in range(2)]
-    me = [matvec(m, e[b]) for b in range(2)]
-    ge = [matvec(g, e[b]) for b in range(2)]
-    b00, b01, b11, gram00, gram01, gram11, bracket = (column(x, mj.shape) for x in (
+    bracket = column(dot3(list(map(sub, w[0][1], w[1][0])), nu), mj.shape)
+    del w
+    b00, b01, b11 = (column(x, mj.shape) for x in (
         add(d[0][0], dot3(e[0], me[0])),
         add(mul(0.5, add(d[0][1], d[1][0])), dot3(e[0], me[1])),
-        add(d[1][1], dot3(e[1], me[1])),
-        dot3(e[0], ge[0]), dot3(e[0], ge[1]), dot3(e[1], ge[1]),
-        dot3(list(map(sub, w[0][1], w[1][0])), nu)))
+        add(d[1][1], dot3(e[1], me[1]))))
+    del d, me
+    ge = [matvec(g, e[b]) for b in range(2)]
+    gram00, gram01, gram11 = (column(x, mj.shape) for x in (
+        dot3(e[0], ge[0]), dot3(e[0], ge[1]), dot3(e[1], ge[1])))
+    del ge
 
     scale = gram00 * gram11
     det_gram = scale - gram01 ** 2
@@ -283,10 +303,9 @@ def _contact_volume(a: list, da: list):
 @dataclass
 class _Block:
     """A plane field evaluated once on a batch: curvature arrays and the
-    entries of frame, unit normal and covector (see ``_block_arrays``)."""
+    entries of unit normal and covector (see ``_block_arrays``)."""
 
     arrs: dict            # curvature arrays; "ok" includes a well-defined normal
-    e: list
     frame_ok: np.ndarray
     gram_ok: np.ndarray   # frame defined, metric SPD, frame Gram non-degenerate
     n: list
@@ -298,14 +317,24 @@ class _Block:
 def _block_arrays(mj: MetricJets, dist: Distribution, points: np.ndarray,
                   frame: Optional[tuple] = None) -> _Block:
     """Curvature arrays, frame and unit normal at a batch from one
-    evaluation of the plane's defining fields."""
+    evaluation of the plane's defining fields.  Where the kernel frame's
+    coordinate plane changes inside the batch, the curvature runs on each
+    plane's points and its arrays are scattered back in batch order."""
     a, da = _covector(dist, points)
-    e, de, frame_ok = _frame(dist, points, (a, da), frame)
+    frames, frame_ok = _frame(dist, points, (a, da), frame)
     n, nok = _unit_normal(mj, a, dist.co_orientation)
-    arrs = _curvature(mj, e, de, n, frame_ok)
+    arrs = {}
+    for idx, e, de in frames:
+        if idx is None:
+            arrs = _curvature(mj, e, de, n, frame_ok)
+            continue
+        for key, x in _curvature(mj.take(idx), e, de, take(n, idx), frame_ok[idx]).items():
+            if key not in arrs:
+                arrs[key] = np.empty(points.shape[1:], x.dtype)
+            arrs[key][idx] = x
     gram_ok = arrs["ok"]
     arrs["ok"] = gram_ok & nok
-    return _Block(arrs, e, frame_ok, gram_ok, n, nok, a, da)
+    return _Block(arrs, frame_ok, gram_ok, n, nok, a, da)
 
 
 # ---------------------------------------------------------------------------
@@ -343,7 +372,8 @@ def tangent_frame(metric: MetricField, dist: Distribution, point,
     b, p, squeeze = _point_block(metric, dist, point, frame)
     _require_plane(b.frame_ok, p, "vanishing defining form")
     _require_plane(b.gram_ok, p, "frame Gram degenerate")
-    e0, e1 = (dense(e, p.shape[1:]) for e in b.e)
+    val = _dense_frame(_frame(dist, p, (b.a, b.da), frame)[0], p.shape[1:])[0]
+    e0, e1 = val[..., 0, :], val[..., 1, :]
     return (e0[0], e1[0]) if squeeze else (e0, e1)
 
 
@@ -477,6 +507,17 @@ class _SweepBlock:
     per_point: Optional[dict]
 
 
+def _top(valid: np.ndarray, k_e: np.ndarray) -> np.ndarray:
+    """The _N_WORST points of ``valid`` (ascending) with the largest |K_e|,
+    ties by index and NaN last: a stable sort of only the keys at or above
+    the _N_WORST-th largest (a NaN cut keeps them all)."""
+    key = -np.abs(k_e[valid])
+    if key.size > _N_WORST:
+        keep = ~(key > np.partition(key, _N_WORST - 1)[_N_WORST - 1])
+        valid, key = valid[keep], key[keep]
+    return valid[np.argsort(key, kind="stable")[:_N_WORST]]
+
+
 def _summarise(arrs: dict, spd: np.ndarray, keep_points: bool) -> _SweepBlock:
     ok = arrs.pop("ok")
     valid = np.nonzero(ok)[0]
@@ -485,7 +526,7 @@ def _summarise(arrs: dict, spd: np.ndarray, keep_points: bool) -> _SweepBlock:
         for name in _FIELDS:
             v = arrs[name] if valid.size == ok.size else arrs[name][ok]
             stats[name] = (np.min(v), np.max(v), ExactSum(v))
-    top = valid[np.lexsort((valid, -np.abs(arrs["k_e"][valid])))[:_N_WORST]]
+    top = _top(valid, arrs["k_e"])
     bad = np.nonzero(~ok)[0][:_N_ERRORS]
     return _SweepBlock(
         n_points=ok.size, n_valid=valid.size, stats=stats, worst=top,

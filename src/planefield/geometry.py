@@ -17,12 +17,14 @@ einsums on a non-constant metric:
 ``components`` turns ``x[..., i, j]`` into the nested ``x[i][j]`` jetalg
 takes.
 
-Grid sweeps walk the points in fixed blocks of ``BLOCK_POINTS`` and
-reduce each block to a small result, on forked worker processes when
-``jobs > 1``.  Block sums are kept exactly (``ExactSum``, whose integer
-accumulator adds a block's mantissas per binary exponent in numpy) and
-totals are correctly rounded, so results do not depend on the block size
-or on how blocks were split across workers.
+Grid sweeps walk the points in fixed blocks of ``BLOCK_POINTS`` (16,384,
+large enough that a block's arrays, not its Python dispatch, set its
+cost) and reduce each block to a small result, on forked worker
+processes, one block per task, when ``jobs > 1``.  Block sums are kept
+exactly (``ExactSum``, whose integer accumulator adds a block's mantissas
+per binary exponent in numpy) and totals are correctly rounded, so
+results do not depend on the block size or on how blocks were split
+across workers.
 """
 
 from __future__ import annotations
@@ -37,7 +39,7 @@ import numpy as np
 
 from . import expr
 from .errors import ConfigError, NotSPDError, SingularSampleError
-from .jetalg import add, adjugate3, dense, det3, div, dot3, matvec, mul, sub
+from .jetalg import add, adjugate3, dense, det3, div, dot3, matvec, mul, sub, take
 
 __all__ = [
     "SingularLocus", "Chart", "GridSample", "MetricField", "MetricJets",
@@ -55,7 +57,7 @@ _LEVI_TERMS = ((0, 1, 2, add), (0, 2, 1, sub), (1, 0, 2, sub),
                (1, 2, 0, add), (2, 0, 1, add), (2, 1, 0, sub))
 
 
-BLOCK_POINTS = 4096
+BLOCK_POINTS = 16384
 
 _UPPER = ((0, 0), (0, 1), (0, 2), (1, 1), (1, 2), (2, 2))
 _SYMMETRIC = [[0, 1, 2], [1, 3, 4], [2, 4, 5]]   # (i, j) -> index in _UPPER
@@ -164,7 +166,7 @@ def chunked_eval(fn: Callable, points: np.ndarray, jobs: int = 1) -> list:
         if "fork" in multiprocessing.get_all_start_methods():
             with multiprocessing.get_context("fork").Pool(
                     workers, _start_worker, (fn, points, size)) as pool:
-                return list(pool.imap(_run_block, starts, chunksize=4))
+                return list(pool.imap(_run_block, starts))
     return [fn(points[:, s:s + size]) for s in starts]
 
 
@@ -350,22 +352,30 @@ class MetricJets:
     ``dval`` ``(..., l, i, j)`` and ``inv()`` are the dense arrays of the
     public API, built on first use; sweeps use the entries only."""
 
-    def __init__(self, entries, shape: tuple):
+    def __init__(self, entries, shape: tuple, spd=None):
         self.shape = shape
         self.jets = [[entries[k] for k in row] for row in _SYMMETRIC]
         self.g = [[jet.value for jet in row] for row in self.jets]
         self.dg = [[[jet.partials[l] for jet in row] for row in self.jets] for l in range(3)]
-        self.adj = adjugate3(self.g)
-        self.minors_entries = (self.g[0][0], self.adj[2][2], det3(self.g, self.adj))
-        m0, m1, m2 = (np.greater(m, 0.0) for m in self.minors_entries)
-        self.spd = np.broadcast_to(m0 & m1 & m2, shape)
+        if spd is None:
+            m0, m1, m2 = (np.greater(m, 0.0) for m in self.minors_entries)
+            spd = np.broadcast_to(m0 & m1 & m2, shape)
+        self.spd = spd
 
-    @classmethod
-    def from_arrays(cls, val: np.ndarray, dval: np.ndarray) -> "MetricJets":
-        """Jets of a symmetric metric given as dense arrays."""
-        entries = [expr.Jet1(val[..., i, j], [dval[..., l, i, j] for l in range(3)])
-                   for i, j in _UPPER]
-        return cls(entries, val.shape[:-2])
+    @cached_property
+    def adj(self) -> list:
+        return adjugate3(self.g)
+
+    @cached_property
+    def minors_entries(self) -> tuple:
+        return self.g[0][0], self.adj[2][2], det3(self.g, self.adj)
+
+    def take(self, idx: np.ndarray) -> "MetricJets":
+        """The same jets and SPD mask at the points ``idx`` (a 1-D index
+        array) of the batch; adjugate and minors follow on first use."""
+        return MetricJets([expr.Jet1(take(x.value, idx), take(list(x.partials), idx))
+                           for x in (self.jets[i][j] for i, j in _UPPER)],
+                          idx.shape, self.spd[idx])
 
     @cached_property
     def val(self) -> np.ndarray:

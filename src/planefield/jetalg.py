@@ -19,6 +19,7 @@ work.
 
 from __future__ import annotations
 
+import weakref
 from contextlib import contextmanager
 from contextvars import ContextVar
 from functools import reduce
@@ -30,7 +31,7 @@ from .expr import Jet1, column, dense
 
 __all__ = [
     "dot3", "matvec", "cross", "adjugate3", "det3", "mul", "add", "sub", "column_signs",
-    "div", "neg", "column", "dense", "jets_from_metric", "jets_from_components",
+    "div", "neg", "column", "dense", "take", "jets_from_metric",
 ]
 
 _INF_BITS = 0x7FF0000000000000       # int64 bits of +inf; -inf is -2**52
@@ -44,7 +45,8 @@ _SIGNS: ContextVar = ContextVar("column_signs", default=None)
 @contextmanager
 def column_signs():
     """Remember the sign test of each column inside the block: a batch's
-    few columns meet many structural zeros."""
+    few columns meet many structural zeros.  The memo holds weak
+    references, so it keeps no column alive."""
     token = _SIGNS.set({})
     try:
         yield
@@ -57,12 +59,14 @@ def _one_sign(x):
     (so a zero times it is that zero, with no NaN to propagate), else None."""
     memo = _SIGNS.get()
     if memo is not None and id(x) in memo:
-        return memo[id(x)][1]
+        ref, sign = memo[id(x)]
+        if ref() is x:               # else x is a new column with a freed one's id
+            return sign
     bits = x.view(np.int64)
     lo, hi = np.minimum.reduce(bits, axis=None), np.maximum.reduce(bits, axis=None)
     sign = 0.0 if lo >= 0 and hi < _INF_BITS else -0.0 if hi < _NEG_INF_BITS else None
     if memo is not None:
-        memo[id(x)] = (x, sign)      # holding x keeps its id from being reused
+        memo[id(x)] = (weakref.ref(x), sign)
     return sign
 
 
@@ -155,15 +159,18 @@ def det3(m, adj):
     return dot3(m[0], [adj[0][0], adj[1][0], adj[2][0]])
 
 
+def take(x, idx):
+    """Nested entries at the points ``idx`` of their batch; floats, 0-d
+    arrays and ``None`` stay as they are, and so does everything for
+    ``idx`` None."""
+    if isinstance(x, list):
+        return [take(y, idx) for y in x]
+    if idx is None or not isinstance(x, np.ndarray) or x.ndim == 0:
+        return x
+    return x[idx]
+
+
 def jets_from_metric(mj) -> list:
     """3x3 jet-matrix of a :class:`MetricJets` batch: its entry jets, with
     their structural zeros."""
     return mj.jets
-
-
-def jets_from_components(val: np.ndarray, jac: np.ndarray) -> list:
-    """Jet-vector from field evaluation arrays (values, Jacobian), with
-    contiguous partials."""
-    return [Jet1(np.ascontiguousarray(val[..., k]),
-                 [np.ascontiguousarray(jac[..., i, k]) for i in range(3)])
-            for k in range(3)]

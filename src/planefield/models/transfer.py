@@ -30,11 +30,11 @@ from dataclasses import dataclass
 import numpy as np
 
 from .. import jetalg
-from ..distributions import (Distribution, _covector, _curvature, _entries,
-                             _frame, _jets, _normal_jets, _require_plane,
-                             _unit_normal)
+from ..distributions import (Distribution, _covector, _curvature, _dense_frame,
+                             _entries, _frame, _jets, _normal_jets,
+                             _require_plane, _unit_normal)
 from ..errors import NotTransverseError
-from ..expr import jet_sqrt
+from ..expr import Jet1, jet_sqrt
 from ..geometry import MetricField, MetricJets
 from ..jetalg import adjugate3, det3, dot3, matvec
 
@@ -81,9 +81,11 @@ def transfer_metric(metric: MetricField, xi: Distribution, eta: Distribution,
 
     g = jetalg.jets_from_metric(mj)
     a_xi = _covector(xi, pts)
-    e, de, ok = _frame(xi, pts, a_xi)
+    groups, ok = _frame(xi, pts, a_xi)
     _require_plane(ok, pts, "xi degenerates")
-    v1, v2 = (_jets(e[b], de[b], shape) for b in range(2))
+    val, jac = _dense_frame(groups, shape)
+    v1, v2 = ([Jet1(val[:, b, k], [jac[:, b, i, k] for i in range(3)]) for k in range(3)]
+              for b in range(2))
 
     def inner(u, v):
         return dot3(u, matvec(g, v))

@@ -62,30 +62,32 @@ def test_workflow_compares_suite_bodies_across_worker_counts():
 
 
 def test_workflow_compares_reeb_classify_bodies_across_worker_counts():
-    """One step emits the Reeb model, classifies it at 32^3 with --jobs 1
-    and 2 and fails unless the two report bodies are equal."""
+    """One step emits the Reeb model, classifies it at 48^3 with --jobs 1
+    and 2 (seven blocks, the last one partial, so more than one block per
+    worker and a partial block are merged) and fails unless the two report
+    bodies are equal."""
     workflow = yaml.safe_load(WORKFLOW.read_text(encoding="utf-8"))
     runs = [step.get("run", "") for step in workflow["jobs"]["tests"]["steps"]]
     step = next(run for run in runs if "model reeb --emit" in run)
     assert "PYTHONPATH=src python -m planefield.cli model reeb --emit reeb.json" in step
     for jobs in (1, 2):
         assert ("PYTHONPATH=src python -m planefield.cli classify reeb.json "
-                f"--grid 32,32,32 --jobs {jobs} --output reeb{jobs}.json") in step
+                f"--grid 48,48,48 --jobs {jobs} --output reeb{jobs}.json") in step
     assert "('reeb1.json', 'reeb2.json')" in step and "sys.exit(a != b)" in step
 
 
 def test_workflow_compares_torus_integral_bodies_across_worker_counts():
     """One step saves the flat-torus model, integrates H of one of its
-    distributions at 32^3 with --jobs 1 and 2 (eight blocks, so the exact
-    block sums are merged across workers) and fails unless the two report
-    bodies are equal."""
+    distributions at 48^3 with --jobs 1 and 2 (seven blocks, the last one
+    partial, so the exact block sums are merged across workers) and fails
+    unless the two report bodies are equal."""
     workflow = yaml.safe_load(WORKFLOW.read_text(encoding="utf-8"))
     runs = [step.get("run", "") for step in workflow["jobs"]["tests"]["steps"]]
     step = next(run for run in runs if "integrate-h" in run)
     assert "chartio.save_model(catalog.flat_torus_model(), 'torus.json')" in step
     for jobs in (1, 2):
         assert ("PYTHONPATH=src python -m planefield.cli integrate-h torus.json "
-                "--distribution graph-foliation --grid 32,32,32 "
+                "--distribution graph-foliation --grid 48,48,48 "
                 f"--jobs {jobs} --output torus{jobs}.json") in step
     assert "('torus1.json', 'torus2.json')" in step and "sys.exit(a != b)" in step
 

@@ -4,8 +4,10 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
-from planefield import geometry, jetalg
+from planefield import distributions, geometry, jetalg
 from planefield.catalog import (box_contact_model, flat_torus_model,
                                 polar_cylinder_model, random_periodic_form,
                                 shipped_examples, sphere_model,
@@ -16,15 +18,14 @@ from planefield.distributions import (Distribution, classify, contact_volume,
                                       integral_mean_curvature, mean_curvature,
                                       normal_arrays, normal_field,
                                       second_fundamental_form, tangent_frame)
-from planefield.distributions import (_block_arrays, _contact_volume,
-                                      _kernel_frame, _normal_divergence)
-from planefield.jetalg import dense
+from planefield.distributions import (_block_arrays, _contact_volume, _dense_frame,
+                                      _kernel_frame, _normal_divergence, _top)
 from planefield.errors import (ConfigError, DegenerateDistributionError,
                                DomainError, NonSPDPathError, NotSPDError,
                                NotTransverseError)
 from planefield.geometry import (Chart, MetricField, OneForm, VectorField,
                                  christoffel, integrate_scalar)
-from planefield.expr import Num, jet_sqrt
+from planefield.expr import Jet1, Num, jet_sqrt
 from planefield.models import (contact_deformation_scan, reeb_solid_torus,
                                transfer_metric)
 
@@ -78,9 +79,9 @@ def test_kernel_frame_matches_the_mask_scatter(reeb, torus, contact_box):
         if alpha is cases[-1][0]:
             aval[::7], ajac[::7] = 0.0, 0.0        # vanishing form
         n = aval.shape[:1]
-        e, de, ok = _kernel_frame([aval[:, k] for k in range(3)],
-                                  [[ajac[:, i, k] for k in range(3)] for i in range(3)], n)
-        for got, want in zip((dense(e, n), dense(de, n), ok),
+        groups, ok = _kernel_frame([aval[:, k] for k in range(3)],
+                                   [[ajac[:, i, k] for k in range(3)] for i in range(3)], n)
+        for got, want in zip((*_dense_frame(groups, n), ok),
                              _oracle_kernel_frame(aval, ajac)):
             assert got.tobytes() == want.tobytes()
     assert not np.all(ok) and np.any(ok)
@@ -387,13 +388,15 @@ def test_worst_points_sorted_by_extrinsic_curvature():
 # ---------------------------------------------------------------------------
 # block sweeps
 
-# 13,225 points: 4 blocks of 4,096 (the last one partial) or 14 of 1,000.
+# 13,225 points: one partial block at the shipped size, 4 blocks of 4,096
+# (the last one partial) or 14 of 1,000.
 BLOCK_GRID = (23, 23, 25)
+SHIPPED_BLOCK = geometry.BLOCK_POINTS
 
 
 def _bodies_across_blocks(monkeypatch, sweep) -> set:
     bodies = set()
-    for block in (4096, 1000):
+    for block in (SHIPPED_BLOCK, 4096, 1000):
         monkeypatch.setattr(geometry, "BLOCK_POINTS", block)
         for jobs in (1, 2, 4):
             bodies.add(json.dumps(sweep(jobs), sort_keys=True))
@@ -410,6 +413,58 @@ def test_classify_body_independent_of_jobs_and_block_size(reeb, monkeypatch):
                               for k, v in rep.per_point.items()}}
 
     assert len(_bodies_across_blocks(monkeypatch, sweep)) == 1
+
+
+def _mixed_plane_cases(reeb, torus):
+    """Reeb at 64x16x16, one block of the shipped size whose points pick
+    two kernel planes, and a random form on the torus over two blocks, the
+    first with points on two planes and the second partial."""
+    return [(reeb.metric, reeb.distribution(), (64, 16, 16)),
+            (torus.metric, Distribution.kernel(random_periodic_form(5)), (32, 32, 24))]
+
+
+def test_mixed_plane_blocks_independent_of_block_size(reeb, torus, monkeypatch):
+    assert 64 * 16 * 16 == SHIPPED_BLOCK
+    for metric, dist, grid in _mixed_plane_cases(reeb, torus):
+        pts = metric.chart.sample_grid(grid).points
+        planes = np.argmax(np.abs(dist.alpha.eval(pts)[0]), axis=-1)
+        assert len(set(planes[:SHIPPED_BLOCK])) > 1
+
+        def sweep(jobs):
+            rep = classify(metric, dist, grid=grid, jobs=jobs, keep_points=True)
+            return {"body": rep.body(),
+                    "per_point": {k: v.tobytes().hex() for k, v in rep.per_point.items()}}
+
+        assert len(_bodies_across_blocks(monkeypatch, sweep)) == 1
+
+
+def test_frames_of_mixed_plane_batches_match_the_mask_scatter(reeb, torus):
+    for metric, dist, grid in _mixed_plane_cases(reeb, torus):
+        pts = metric.chart.sample_grid(grid).points
+        val, jac, ok = _oracle_kernel_frame(*dist.alpha.eval(pts))
+        fd = distribution_frames(dist, pts)
+        for got, want in ((fd.val, val), (fd.jac, jac), (fd.ok, ok)):
+            assert got.tobytes() == want.tobytes()
+        s, t = tangent_frame(metric, dist, pts)
+        assert s.tobytes() == val[:, 0].tobytes() and t.tobytes() == val[:, 1].tobytes()
+
+
+def _lexsort_top(valid, k_e):
+    return valid[np.lexsort((valid, -np.abs(k_e[valid])))[:10]]
+
+
+@settings(max_examples=300, derandomize=True, deadline=None)
+@given(st.lists(st.tuples(st.one_of(st.sampled_from([0.0, -0.0, 1.0, -1.0, 3.0, np.nan]),
+                                    st.floats(allow_nan=True, allow_infinity=True)),
+                          st.booleans()), max_size=80))
+@example([(0.0, True)] * 40)                      # Reeb: K_e vanishes everywhere
+@example([(-2.0, True), (2.0, False)] * 20)       # all equal, half valid
+@example([(1.0, True)] * 3 + [(5.0, False)] * 30)  # fewer than 10 valid points
+@example([(np.nan, True)] * 12 + [(1.0, True)] * 3)  # NaN at the cut sorts last
+def test_top_points_match_the_full_lexsort(points):
+    k_e = np.array([k for k, _ in points], dtype=float)
+    valid = np.flatnonzero([ok for _, ok in points]).astype(np.intp)
+    assert _top(valid, k_e).tobytes() == _lexsort_top(valid, k_e).tobytes()
 
 
 def test_classify_invalid_points_merge_across_blocks(monkeypatch):
@@ -701,14 +756,15 @@ def test_curvature_arrays_match_einsum_oracle(kind):
 @pytest.mark.parametrize("which", ["reeb", "warped"])
 def test_single_point_api_bit_identical_to_block_sweep(which, reeb):
     """A point alone through the single-point API and the same point inside
-    one full 4,096-point sweep block give the same bits for H, K_e and B."""
+    one full sweep block give the same bits for H, K_e and B."""
     if which == "reeb":
         metric, dist = reeb.metric, reeb.distribution()
     else:
         chart = Chart(("x", "y", "z"), ((0.0, 1.0),) * 3, (False,) * 3)
         metric = MetricField.from_strings(chart, _WARPED_ENTRIES)
         dist = Distribution.kernel(OneForm(chart, ("x*z + 1", "y", "z")))
-    rep = classify(metric, dist, grid=(16, 16, 16), keep_points=True)
+    rep = classify(metric, dist, grid=(16, 16, geometry.BLOCK_POINTS // 256),
+                   keep_points=True)
     assert rep.n_points == geometry.BLOCK_POINTS == rep.n_valid
     for i in range(0, rep.n_points, 97):
         p = rep.points[:, i]
@@ -837,7 +893,8 @@ def _oracle_block(metric, dist, pts, frame=None):
 def _oracle_integrand(metric, dist, pts):
     """Weighted H and the pointwise defect |H + div n| of the integral."""
     mj = metric.eval(pts)
-    a = jetalg.jets_from_components(*_oracle_annihilator(dist, pts))
+    aval, ajac = _oracle_annihilator(dist, pts)
+    a = [Jet1(aval[..., k], [ajac[..., i, k] for i in range(3)]) for k in range(3)]
     g = mj.jets
     adj = _oadjugate(g)
     w = _omatvec(adj, a)
@@ -963,14 +1020,15 @@ def _refuse(*args, **kwargs):
 def test_sweeps_build_no_dense_metric_or_field_arrays(monkeypatch, reeb, torus):
     """Classify, the mean-curvature integral on a constant metric, the metric
     transfer and the deformation scan run on jetalg entries only: no dense
-    metric jets, inverse, field arrays or jet packing."""
+    metric jets, inverse or field arrays, and classify and the integral
+    build no dense kernel frame, also where a block's points pick more than
+    one coordinate plane (Reeb at 16^3, random_periodic_form(5))."""
     for name in ("val", "dval"):
         monkeypatch.setattr(geometry.MetricJets, name, property(_refuse))
-    monkeypatch.setattr(geometry.MetricJets, "from_arrays", classmethod(_refuse))
     monkeypatch.setattr(geometry.MetricJets, "inv", _refuse)
     monkeypatch.setattr(geometry.VectorField, "eval", _refuse)
-    monkeypatch.setattr(jetalg, "jets_from_components", _refuse)
     monkeypatch.setattr(geometry.expr.Tape, "arrays", _refuse)
+    monkeypatch.setattr(distributions, "_dense_frame", _refuse)
     classify(reeb.metric, reeb.distribution(), grid=(16, 16, 16))
     classify(reeb.metric, reeb.distribution(), grid=(8, 8, 8), frame=reeb.frame("paper"))
     classify(torus.metric, Distribution.kernel(random_periodic_form(5)), grid=(8, 8, 8))

@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 
 from planefield import geometry
 from planefield.errors import ConfigError, NotSPDError, SingularSampleError
+from planefield.expr import Jet1
 from planefield.geometry import (Chart, ExactSum, MetricField, OneForm, SingularLocus,
                                  VectorField, christoffel, chunked_eval,
                                  covariant_derivative, d_oneform, divergence,
@@ -115,6 +116,13 @@ def _random_symmetric(n, seed):
     return 0.5 * (m + np.swapaxes(m, -1, -2))
 
 
+def _metric_jets(val, dval):
+    """Jets of a symmetric metric given as dense arrays."""
+    return geometry.MetricJets([Jet1(val[..., i, j], [dval[..., l, i, j] for l in range(3)])
+                                for i, j in ((0, 0), (0, 1), (0, 2), (1, 1), (1, 2), (2, 2))],
+                               val.shape[:-2])
+
+
 def _bits(x):
     return np.asarray(x, dtype=float).view(np.uint64)
 
@@ -124,7 +132,7 @@ def test_leading_minors_bit_identical_to_cofactor_expansions():
     that MetricField.eval and the transferred metric wrote out before the
     adjugate helper: the general ``_det3`` and the symmetric-entry form."""
     m = _random_symmetric(20000, seed=11)
-    mj = geometry.MetricJets.from_arrays(m, np.zeros(m.shape[:-2] + (3, 3, 3)))
+    mj = _metric_jets(m, np.zeros(m.shape[:-2] + (3, 3, 3)))
     det3 = (m[..., 0, 0] * (m[..., 1, 1] * m[..., 2, 2] - m[..., 1, 2] * m[..., 2, 1])
             - m[..., 0, 1] * (m[..., 1, 0] * m[..., 2, 2] - m[..., 1, 2] * m[..., 2, 0])
             + m[..., 0, 2] * (m[..., 1, 0] * m[..., 2, 1] - m[..., 1, 1] * m[..., 2, 0]))
@@ -141,7 +149,7 @@ def test_leading_minors_bit_identical_to_cofactor_expansions():
 
 def test_closed_form_inverse_matches_linalg_and_is_identity_off_spd():
     m = _random_symmetric(5000, seed=12)
-    mj = geometry.MetricJets.from_arrays(m, np.zeros(m.shape[:-2] + (3, 3, 3)))
+    mj = _metric_jets(m, np.zeros(m.shape[:-2] + (3, 3, 3)))
     inv = mj.inv()
     spd = mj.spd
     assert np.any(spd) and np.any(~spd)
@@ -150,7 +158,7 @@ def test_closed_form_inverse_matches_linalg_and_is_identity_off_spd():
     scale = cond * np.abs(want).max(axis=(-2, -1), keepdims=True)
     assert np.all(np.abs(inv[spd] - want) <= 1e-13 * scale)
     assert np.array_equal(inv[~spd], np.broadcast_to(np.eye(3), inv[~spd].shape))
-    single = geometry.MetricJets.from_arrays(m[0], np.zeros((3, 3, 3)))
+    single = _metric_jets(m[0], np.zeros((3, 3, 3)))
     assert single.inv().shape == (3, 3)
     assert np.array_equal(single.inv(), inv[0])
 
@@ -536,6 +544,23 @@ def test_chunked_eval_uses_no_more_processes_than_blocks(monkeypatch):
     assert 1 <= len(set(pids)) <= 2
     assert os.getpid() not in pids
     assert chunked_eval(kernel, pts, jobs=1) == [os.getpid()] * 2
+
+
+def test_two_block_sweep_runs_its_blocks_on_two_workers(monkeypatch, deadline):
+    """The pool hands out one block at a time: each block waits at a
+    barrier for the other, so the two blocks must run at once."""
+    import multiprocessing
+    monkeypatch.setattr(geometry, "BLOCK_POINTS", 64)
+    pts = torus_chart().quadrature_grid((8, 4, 4)).points     # 2 blocks
+    barrier = multiprocessing.get_context("fork").Barrier(2)
+
+    def kernel(p):
+        barrier.wait(timeout=10)
+        return os.getpid()
+
+    with deadline(60):
+        pids = chunked_eval(kernel, pts, jobs=2)
+    assert len(set(pids)) == 2 and os.getpid() not in pids
 
 
 def test_chunked_eval_raises_the_first_error_in_block_order(monkeypatch, deadline):
