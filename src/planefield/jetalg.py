@@ -161,13 +161,10 @@ def det3(m, adj):
 
 def take(x, idx):
     """Nested entries at the points ``idx`` of their batch; floats, 0-d
-    arrays and ``None`` stay as they are, and so does everything for
-    ``idx`` None."""
+    arrays and ``None`` stay as they are."""
     if isinstance(x, list):
         return [take(y, idx) for y in x]
-    if idx is None or not isinstance(x, np.ndarray) or x.ndim == 0:
-        return x
-    return x[idx]
+    return x[idx] if isinstance(x, np.ndarray) and x.ndim else x
 
 
 def jets_from_metric(mj) -> list:
