@@ -37,7 +37,8 @@ from .models import (SurfaceMetric, assemble_open_book_demo, collar_model,
 from .verify import builtin_suite, builtin_suite_names, run_suite, suite_from_payload
 
 _USAGE_ERROR, _CHECK_FAILURE, _OK = 2, 1, 0
-_JOBS_HELP = "worker processes (default: PLANEFIELD_JOBS or 1)"
+_JOBS_HELP = ("processes that run sweep blocks, this one included "
+              "(default: PLANEFIELD_JOBS or 1)")
 
 
 def _grid(text: str) -> tuple:

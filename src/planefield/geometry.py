@@ -19,12 +19,13 @@ takes.
 
 Grid sweeps walk the points in fixed blocks of ``BLOCK_POINTS`` (16,384,
 large enough that a block's arrays, not its Python dispatch, set its
-cost) and reduce each block to a small result, on forked worker
-processes, one block per task, when ``jobs > 1``.  Block sums are kept
-exactly (``ExactSum``, whose integer accumulator adds a block's mantissas
-per binary exponent in numpy) and totals are correctly rounded, so
-results do not depend on the block size or on how blocks were split
-across workers.
+cost) and reduce each block to a small result.  With ``jobs > 1`` the
+calling process and ``jobs - 1`` children forked for the sweep claim the
+blocks one at a time, in order, from a shared counter.  Block sums are
+kept exactly (``ExactSum``, whose integer accumulator adds a block's
+mantissas per binary exponent in numpy) and totals are correctly
+rounded, so results do not depend on the block size or on which process
+ran which block.
 """
 
 from __future__ import annotations
@@ -136,38 +137,93 @@ class ExactSum:
         return pairwise_sum(self.parts)
 
 
-_worker_job = None      # (fn, points, block size) in each pool worker
+def _claim_blocks(fn: Callable, points: np.ndarray, claims) -> dict:
+    """Run the blocks claimed in order from the shared counter ``claims``
+    until none is left or one raises; return ``{block: (ok, result or
+    error)}``.  A failed block ends all claims: every block before it was
+    claimed already, and is run by its claimer, so the first error in block
+    order is among the results."""
+    size = BLOCK_POINTS
+    n_blocks = -(-points.shape[1] // size)
+    done = {}
+    while True:
+        with claims.get_lock():
+            block = claims.value
+            claims.value = block + 1
+        if block >= n_blocks:
+            return done
+        try:
+            done[block] = (True, fn(points[:, block * size:(block + 1) * size]))
+        except Exception as exc:
+            done[block] = (False, exc)
+            with claims.get_lock():
+                claims.value = n_blocks
+            return done
 
 
-def _start_worker(*job) -> None:
-    global _worker_job
-    _worker_job = job
+def _send_claims(fn: Callable, points: np.ndarray, claims, conn) -> None:
+    conn.send(_claim_blocks(fn, points, claims))
+    conn.close()
 
 
-def _run_block(start: int):
-    fn, points, size = _worker_job
-    return fn(points[:, start:start + size])
+def _forked_claims(ctx, fn: Callable, points: np.ndarray, procs: int) -> dict:
+    """``_claim_blocks`` on this process and ``procs - 1`` children forked
+    from it, merged; every child is terminated and joined on return."""
+    claims = ctx.Value("q", 0)
+    children = []
+    try:
+        for _ in range(procs - 1):
+            reader, writer = ctx.Pipe(duplex=False)
+            child = ctx.Process(target=_send_claims, args=(fn, points, claims, writer))
+            child.start()
+            # later children must not inherit this end, so that the reader
+            # sees EOF as soon as its own child exits
+            writer.close()
+            children.append((child, reader))
+        done = _claim_blocks(fn, points, claims)
+        for child, reader in children:
+            try:
+                done.update(reader.recv())
+            except EOFError:
+                child.join()
+                raise ChildProcessError(
+                    f"sweep process {child.pid} exited with code {child.exitcode} "
+                    "before sending its blocks") from None
+        return done
+    finally:
+        for child, reader in children:
+            child.terminate()
+            child.join()
+            reader.close()
 
 
 def chunked_eval(fn: Callable, points: np.ndarray, jobs: int = 1) -> list:
     """Apply ``fn`` to consecutive ``BLOCK_POINTS``-point blocks of a
     ``(3, N)`` point batch and return its results in block order.
 
-    Blocks run on ``min(jobs, number of blocks)`` processes forked for this
-    call, which inherit ``fn`` (a closure is fine) and ``points`` and send
-    back pickled results; the first error in block order is raised.  They
-    run serially here without ``fork`` or with other Python threads alive.
+    With ``jobs > 1`` the calling process and ``min(jobs, number of
+    blocks) - 1`` children forked for this call claim blocks in order from
+    one shared counter.  The children inherit ``fn`` (a closure is fine)
+    and ``points`` and send back their pickled results once; the first
+    error in block order is raised, and a child that exits without sending
+    raises ``ChildProcessError``.  No child outlives the call.  Blocks run
+    serially here without ``fork`` or with other Python threads alive.
     ``fn`` sees only its block, so callers add earlier blocks' offsets."""
     size = BLOCK_POINTS
-    starts = range(0, points.shape[1], size)
-    workers = min(jobs, len(starts))
-    if workers > 1 and threading.active_count() == 1:
+    n_blocks = -(-points.shape[1] // size)
+    procs = min(jobs, n_blocks)
+    if procs > 1 and threading.active_count() == 1:
         import multiprocessing
         if "fork" in multiprocessing.get_all_start_methods():
-            with multiprocessing.get_context("fork").Pool(
-                    workers, _start_worker, (fn, points, size)) as pool:
-                return list(pool.imap(_run_block, starts))
-    return [fn(points[:, s:s + size]) for s in starts]
+            done = _forked_claims(multiprocessing.get_context("fork"), fn, points, procs)
+            results = []
+            for block in range(n_blocks):
+                ok, value = done[block]
+                if not ok:
+                    raise value
+                results.append(value)
+            return results
+    return [fn(points[:, s:s + size]) for s in range(0, points.shape[1], size)]
 
 
 # ---------------------------------------------------------------------------

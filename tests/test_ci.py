@@ -1,7 +1,8 @@
 """The CI workflow runs the Tier-1 suite and the benchmark self-check on
 every supported Python, once on the oldest supported numpy, compares
-a suite's, a Reeb sweep's and a flat-torus integral's report bodies at one
-and two workers, and bounds the peak RSS of 128^3 sweeps."""
+a suite's and a flat-torus integral's report bodies at one and two
+processes and a Reeb sweep's at one, two and three, and bounds the peak
+RSS of 128^3 sweeps."""
 
 import re
 from pathlib import Path
@@ -62,18 +63,19 @@ def test_workflow_compares_suite_bodies_across_worker_counts():
 
 
 def test_workflow_compares_reeb_classify_bodies_across_worker_counts():
-    """One step emits the Reeb model, classifies it at 48^3 with --jobs 1
-    and 2 (seven blocks, the last one partial, so more than one block per
-    worker and a partial block are merged) and fails unless the two report
-    bodies are equal."""
+    """One step emits the Reeb model, classifies it at 48^3 with --jobs 1,
+    2 and 3 (seven blocks, the last one partial, so more than one block per
+    process and a partial block are merged, and at 3 two children run
+    beside the caller) and fails unless the three report bodies are equal."""
     workflow = yaml.safe_load(WORKFLOW.read_text(encoding="utf-8"))
     runs = [step.get("run", "") for step in workflow["jobs"]["tests"]["steps"]]
     step = next(run for run in runs if "model reeb --emit" in run)
     assert "PYTHONPATH=src python -m planefield.cli model reeb --emit reeb.json" in step
-    for jobs in (1, 2):
+    for jobs in (1, 2, 3):
         assert ("PYTHONPATH=src python -m planefield.cli classify reeb.json "
                 f"--grid 48,48,48 --jobs {jobs} --output reeb{jobs}.json") in step
-    assert "('reeb1.json', 'reeb2.json')" in step and "sys.exit(a != b)" in step
+    assert "('reeb1.json', 'reeb2.json', 'reeb3.json')" in step
+    assert "sys.exit(not a == b == c)" in step
 
 
 def test_workflow_compares_torus_integral_bodies_across_worker_counts():

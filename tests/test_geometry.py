@@ -1,4 +1,5 @@
 import math
+import multiprocessing
 import os
 import threading
 import time
@@ -533,23 +534,32 @@ def test_chunked_eval_is_worker_count_invariant(monkeypatch):
 
 
 def test_chunked_eval_uses_no_more_processes_than_blocks(monkeypatch):
+    """A sweep forks min(jobs, blocks) - 1 children: the caller is one of
+    the min(jobs, blocks) processes that run blocks."""
     monkeypatch.setattr(geometry, "BLOCK_POINTS", 64)
-    pts = torus_chart().quadrature_grid((8, 4, 4)).points
+    forks = []
+    start = multiprocessing.context.ForkProcess.start
+    monkeypatch.setattr(multiprocessing.context.ForkProcess, "start",
+                        lambda self: forks.append(self) or start(self))
 
     def kernel(p):
         return os.getpid()
 
-    pids = chunked_eval(kernel, pts, jobs=8)
-    assert len(pids) == 2
-    assert 1 <= len(set(pids)) <= 2
-    assert os.getpid() not in pids
-    assert chunked_eval(kernel, pts, jobs=1) == [os.getpid()] * 2
+    for grid, jobs, n_forks in (((8, 4, 4), 8, 1), ((8, 8, 7), 3, 2), ((8, 4, 4), 1, 0)):
+        pts = torus_chart().quadrature_grid(grid).points
+        forks.clear()
+        pids = chunked_eval(kernel, pts, jobs=jobs)
+        assert len(pids) == -(-pts.shape[1] // 64)
+        assert len(forks) == n_forks
+        assert set(pids) <= {os.getpid()} | {child.pid for child in forks}
+        assert multiprocessing.active_children() == []
+    assert pids == [os.getpid()] * 2
 
 
 def test_two_block_sweep_runs_its_blocks_on_two_workers(monkeypatch, deadline):
-    """The pool hands out one block at a time: each block waits at a
-    barrier for the other, so the two blocks must run at once."""
-    import multiprocessing
+    """Blocks are claimed one at a time: each block waits at a barrier for
+    the other, so the two blocks must run at once, one on the caller and
+    one on the one child that ``jobs=2`` forks."""
     monkeypatch.setattr(geometry, "BLOCK_POINTS", 64)
     pts = torus_chart().quadrature_grid((8, 4, 4)).points     # 2 blocks
     barrier = multiprocessing.get_context("fork").Barrier(2)
@@ -560,17 +570,22 @@ def test_two_block_sweep_runs_its_blocks_on_two_workers(monkeypatch, deadline):
 
     with deadline(60):
         pids = chunked_eval(kernel, pts, jobs=2)
-    assert len(set(pids)) == 2 and os.getpid() not in pids
+    assert len(set(pids)) == 2 and os.getpid() in pids
 
 
 def test_chunked_eval_raises_the_first_error_in_block_order(monkeypatch, deadline):
     monkeypatch.setattr(geometry, "BLOCK_POINTS", 16)
     pts = torus_chart().quadrature_grid((8, 4, 4)).points     # 8 blocks
+    caller = os.getpid()
+    caller_failed = []
+
+    def block_of(p):
+        return int(np.flatnonzero((pts == p[:, :1]).all(axis=0))[0]) // 16
 
     def kernel(p):
-        block = int(np.flatnonzero((pts == p[:, :1]).all(axis=0))[0]) // 16
+        block = block_of(p)
         if block == 3:
-            time.sleep(0.3)     # so that block 6 fails first on the other worker
+            time.sleep(0.3)     # so that block 6 fails first on the other process
         if block in (3, 6):
             raise NotSPDError(p[:, 0], block, -1.0)
         return block
@@ -580,6 +595,47 @@ def test_chunked_eval_raises_the_first_error_in_block_order(monkeypatch, deadlin
             chunked_eval(kernel, pts, jobs=jobs)
         assert err.value.minor_index == 3
         assert err.value.point == tuple(pts[:, 48])
+        assert multiprocessing.active_children() == []
+
+    def callers_block_fails(p):
+        if os.getpid() != caller:
+            time.sleep(0.05)
+            return block_of(p)
+        caller_failed.append(block_of(p))
+        raise NotSPDError(p[:, 0], caller_failed[-1], -1.0)
+
+    def caller_interrupted(p):
+        if os.getpid() == caller:
+            raise KeyboardInterrupt
+        time.sleep(0.05)
+        return 0
+
+    for jobs in (2, 4):
+        with deadline(30), pytest.raises(NotSPDError) as err:
+            chunked_eval(callers_block_fails, pts, jobs=jobs)
+        assert err.value.minor_index == caller_failed[-1]
+        assert multiprocessing.active_children() == []
+        with deadline(30), pytest.raises(KeyboardInterrupt):
+            chunked_eval(caller_interrupted, pts, jobs=jobs)
+        assert multiprocessing.active_children() == []
+
+
+def test_a_child_that_dies_mid_sweep_raises_child_process_error(monkeypatch, deadline):
+    """A child that exits without sending its blocks fails the sweep with
+    its exit code instead of hanging it."""
+    monkeypatch.setattr(geometry, "BLOCK_POINTS", 64)
+    pts = torus_chart().quadrature_grid((8, 8, 4)).points     # 4 blocks
+    caller = os.getpid()
+
+    def kernel(p):
+        if os.getpid() != caller:
+            os._exit(3)
+        time.sleep(0.5)     # so that the child claims a block
+        return 0
+
+    with deadline(20), pytest.raises(ChildProcessError, match="exited with code 3"):
+        chunked_eval(kernel, pts, jobs=2)
+    assert multiprocessing.active_children() == []
 
 
 def test_chunked_eval_runs_serially_while_other_threads_live(monkeypatch):
