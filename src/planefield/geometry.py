@@ -210,20 +210,20 @@ def chunked_eval(fn: Callable, points: np.ndarray, jobs: int = 1) -> list:
     serially here without ``fork`` or with other Python threads alive.
     ``fn`` sees only its block, so callers add earlier blocks' offsets."""
     size = BLOCK_POINTS
-    n_blocks = -(-points.shape[1] // size)
-    procs = min(jobs, n_blocks)
+    starts = range(0, points.shape[1], size)
+    procs = min(jobs, len(starts))
     if procs > 1 and threading.active_count() == 1:
         import multiprocessing
         if "fork" in multiprocessing.get_all_start_methods():
             done = _forked_claims(multiprocessing.get_context("fork"), fn, points, procs)
             results = []
-            for block in range(n_blocks):
+            for block in range(len(starts)):
                 ok, value = done[block]
                 if not ok:
                     raise value
                 results.append(value)
             return results
-    return [fn(points[:, s:s + size]) for s in range(0, points.shape[1], size)]
+    return [fn(points[:, s:s + size]) for s in starts]
 
 
 # ---------------------------------------------------------------------------

@@ -553,7 +553,23 @@ def test_chunked_eval_uses_no_more_processes_than_blocks(monkeypatch):
         assert len(forks) == n_forks
         assert set(pids) <= {os.getpid()} | {child.pid for child in forks}
         assert multiprocessing.active_children() == []
-    assert pids == [os.getpid()] * 2
+
+
+def test_each_block_runs_once_on_more_processes_than_cores(monkeypatch, deadline):
+    """No claim from the shared counter is lost or repeated."""
+    monkeypatch.setattr(geometry, "BLOCK_POINTS", 2)
+    pts = torus_chart().quadrature_grid((8, 8, 4)).points     # 128 blocks
+    runs = multiprocessing.get_context("fork").Value("q", 0)
+
+    def kernel(p):
+        with runs.get_lock():
+            runs.value += 1
+        return p[:, 0].tolist()
+
+    with deadline(60):
+        firsts = chunked_eval(kernel, pts, jobs=(os.cpu_count() or 1) + 2)
+    assert runs.value == 128
+    assert firsts == pts[:, ::2].T.tolist()
 
 
 def test_two_block_sweep_runs_its_blocks_on_two_workers(monkeypatch, deadline):
