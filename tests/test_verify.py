@@ -89,3 +89,34 @@ def test_builtin_suites_pass(name):
                 for r in report.results if not r.passed]
     assert report.all_passed, failures
     json.dumps({"body": report.body(), "timings": report.timings()})
+
+
+def _run_one(operation: str, params: dict):
+    report = run_suite(SuiteSpec(suite="one", checks=[
+        CheckSpec("only", operation, params)]))
+    return report.results[0]
+
+
+@pytest.mark.parametrize("expectation, passed, measured", [
+    (2.0, True, 0.0), (1.0, False, 1.0)])
+def test_contact_volume_constant_on_the_standard_contact_box(
+        expectation, passed, measured):
+    """alpha ^ d(alpha) = 2 dx dy dz for alpha = dz + x dy - y dx."""
+    result = _run_one("contact-volume-constant",
+                      {"target": "contact-box#standard-contact",
+                       "expectation": expectation})
+    assert result.error is None
+    assert result.passed == passed
+    assert result.measured == measured
+
+
+@pytest.mark.parametrize("target, params, passed, measured", [
+    ("contact-box#standard-contact", {}, True, 1.3486746396799707),
+    ("contact-box#standard-contact", {"floor": 2.0}, False, 1.3486746396799707),
+    ("flat-torus#vertical", {}, False, 0.0)])
+def test_frobenius_floor_separates_contact_from_foliation(
+        target, params, passed, measured):
+    result = _run_one("frobenius-floor", {"target": target, **params})
+    assert result.error is None
+    assert result.passed == passed
+    assert result.measured == pytest.approx(measured, abs=1e-12)
