@@ -16,7 +16,7 @@ import numpy as np
 from .distributions import Distribution
 from .errors import ConfigError
 from .geometry import Chart, MetricField, OneForm, SingularLocus, VectorField
-from .models.base import Model
+from .models import Model, collar_model, reeb_solid_torus
 
 __all__ = [
     "flat_torus_model", "two_pi_torus_model", "polar_cylinder_model",
@@ -123,6 +123,8 @@ _CATALOG = {
     "polar-cylinder": polar_cylinder_model,
     "spheres": sphere_model,
     "contact-box": box_contact_model,
+    "reeb": reeb_solid_torus,
+    "collar": collar_model,
 }
 
 
@@ -133,8 +135,9 @@ def catalog_model(name: str) -> Model:
     return _CATALOG[name]()
 
 
-def random_periodic_form(seed: int, terms: int = 3) -> OneForm:
-    """Nonvanishing smooth periodic 1-form on the unit flat 3-torus.
+def random_periodic_form(seed: int) -> OneForm:
+    """Nonvanishing smooth periodic 1-form on the unit flat 3-torus, three
+    trigonometric terms per component.
 
     The z-component stays >= 0.55 by construction, so the kernel plane is
     defined everywhere; the x/y components are free trigonometric noise.
@@ -146,7 +149,7 @@ def random_periodic_form(seed: int, terms: int = 3) -> OneForm:
     for c in range(3):
         base = (0.2, -0.1, 1.0)[c]
         budget = 0.45 if c == 2 else 0.6
-        amps = rng.uniform(0.15, 1.0, size=terms)
+        amps = rng.uniform(0.15, 1.0, size=3)
         amps = amps / amps.sum() * budget
         piece = [repr(base)]
         for amp in amps:
@@ -173,24 +176,10 @@ class ShippedExample:
     kind: str  # "foliation" | "contact"
 
     def build(self) -> tuple:
-        model = catalog_model(self.model_name) if self.model_name in _CATALOG \
-            else _SPECIALS[self.model_name]()
+        model = catalog_model(self.model_name)
         dist = Distribution.kernel(model.form(self.form),
                                    label=self.example_id)
         return model, dist
-
-
-def _reeb():
-    from .models.reeb import reeb_solid_torus
-    return reeb_solid_torus()
-
-
-def _collar():
-    from .models.collar import collar_model
-    return collar_model()
-
-
-_SPECIALS = {"reeb": _reeb, "collar": _collar}
 
 
 def shipped_examples() -> list:

@@ -7,7 +7,7 @@ from typing import Optional
 
 from ..distributions import Distribution
 from ..errors import ConfigError
-from ..geometry import Chart, MetricField, OneForm
+from ..geometry import Chart, MetricField, OneForm, _as_nodes
 
 __all__ = ["Model", "SurfaceMetric"]
 
@@ -59,10 +59,7 @@ class SurfaceMetric:
     entries: tuple   # (g11, g12, g22) expression nodes
 
     def __post_init__(self):
-        parsed = []
-        for e in self.entries:
-            parsed.append(self.chart.parse_expr(e) if isinstance(e, str) else e)
-        self.entries = tuple(parsed)
+        self.entries = _as_nodes(self.chart, self.entries)
         if len(self.entries) != 3:
             raise ConfigError("surface metric needs (g11, g12, g22)")
 

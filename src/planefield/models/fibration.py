@@ -29,23 +29,22 @@ __all__ = ["product_fibration", "TwistSpec", "dehn_twist_pullback",
            "torus_surface_chart", "annulus_surface_chart"]
 
 
-def torus_surface_chart(fiber_periodic: bool = True) -> Chart:
+def torus_surface_chart() -> Chart:
     """(u, v) on a flat 2-torus, third coordinate t in [0, 1]."""
     return Chart(
         coord_names=("u", "v", "t"),
         domain=((0.0, 2.0 * math.pi), (0.0, 2.0 * math.pi), (0.0, 1.0)),
-        periodic=(True, True, fiber_periodic),
+        periodic=(True, True, True),
         chart_id="torus-surface",
     )
 
 
-def annulus_surface_chart(r_lo: float = 0.5, r_hi: float = 2.0,
-                          fiber_periodic: bool = True) -> Chart:
-    """(r, th) on an annulus, third coordinate t in [0, 1]."""
+def annulus_surface_chart() -> Chart:
+    """(r, th) on the annulus 0.5 <= r <= 2, third coordinate t in [0, 1]."""
     return Chart(
         coord_names=("r", "th", "t"),
-        domain=((r_lo, r_hi), (0.0, 2.0 * math.pi), (0.0, 1.0)),
-        periodic=(False, True, fiber_periodic),
+        domain=((0.5, 2.0), (0.0, 2.0 * math.pi), (0.0, 1.0)),
+        periodic=(False, True, True),
         chart_id="annulus-surface",
     )
 

@@ -31,6 +31,7 @@ __all__ = ["Transition", "AtlasReport", "assemble_open_book_demo", "page_cylinde
 
 _DELTA = 0.05                 # radial width of each binding/collar overlap
 _OVERLAP_GRID = (6, 8, 8)     # points per axis of each overlap check
+_PAGE_LENGTH = 1.0            # radial extent of the page cylinder
 
 
 @dataclass
@@ -61,12 +62,12 @@ class AtlasReport:
         }
 
 
-def page_cylinder_model(length: float = 1.0) -> Model:
+def page_cylinder_model() -> Model:
     """Flat product chart (rho, phi, t) for the annulus-page mapping
     cylinder; pages are the constant-phi slices."""
     chart = Chart(
         coord_names=("rho", "phi", "t"),
-        domain=((0.0, length), (0.0, 2.0 * math.pi), (0.0, 2.0 * math.pi)),
+        domain=((0.0, _PAGE_LENGTH), (0.0, 2.0 * math.pi), (0.0, 2.0 * math.pi)),
         periodic=(False, True, True),
         chart_id="page-cylinder",
     )
@@ -77,22 +78,14 @@ def page_cylinder_model(length: float = 1.0) -> Model:
     return Model(model_id="page-cylinder", chart=chart, metric=metric,
                  forms={"foliation": alpha},
                  named_frames={"page": frame},
-                 parameters={"length": length}, foliation="foliation")
-
-
-def _overlap_grid(tr: Transition) -> np.ndarray:
-    axes = []
-    for (lo, hi), n in zip(tr.overlap, _OVERLAP_GRID):
-        h = (hi - lo) / n
-        axes.append(lo + (np.arange(n) + 0.5) * h)
-    mesh = np.meshgrid(*axes, indexing="ij")
-    return np.stack([m.reshape(-1) for m in mesh], axis=0)
+                 parameters={"length": _PAGE_LENGTH}, foliation="foliation")
 
 
 def check_transition(src: Model, dst: Model, tr: Transition) -> dict:
     """Pull the target metric and foliation back through the transition and
     compare against the source on the overlap."""
-    pts = _overlap_grid(tr)
+    pts = Chart(src.chart.coord_names, tr.overlap,
+                (False,) * 3).quadrature_grid(_OVERLAP_GRID).points
     qval, jac = Tape(tr.forward).arrays(pts)
     qpts = np.moveaxis(qval, -1, 0)
     if not np.all(dst.chart.contains(qpts)):
@@ -132,13 +125,11 @@ def assemble_open_book_demo(eps: float = 0.05, classify_grid=(48, 8, 8),
     """
     if not 0 < eps <= 0.25:
         raise ConfigError("eps must lie in (0, 0.25] for the demo layout")
-    length = 1.0
-
     binding_a = reeb_solid_torus()
     binding_a.model_id = binding_a.chart.chart_id = "binding-a"
     collar_a = collar_model(eps, r_lo=1.0 - _DELTA)
     collar_a.model_id = collar_a.chart.chart_id = "collar-a"
-    pages = page_cylinder_model(length)
+    pages = page_cylinder_model()
     collar_b = collar_model(eps, r_lo=1.0 - _DELTA)
     collar_b.model_id = collar_b.chart.chart_id = "collar-b"
     binding_b = reeb_solid_torus()
@@ -159,8 +150,8 @@ def assemble_open_book_demo(eps: float = 0.05, classify_grid=(48, 8, 8),
                    fwd(collar_a, (f"r - {1.0 + eps!r}", "phi", "t")),
                    ((1.0 + eps, 1.0 + 2.0 * eps), full, full)),
         Transition("page-cylinder", "collar-b",
-                   fwd(pages, (f"{1.0 + eps + length!r} - rho", "phi", "t")),
-                   ((length - eps, length), full, full)),
+                   fwd(pages, (f"{1.0 + eps + _PAGE_LENGTH!r} - rho", "phi", "t")),
+                   ((_PAGE_LENGTH - eps, _PAGE_LENGTH), full, full)),
         Transition("collar-b", "binding-b",
                    fwd(collar_b, ("r", "phi", "t")),
                    ((1.0 - _DELTA, 1.0), full, full)),

@@ -26,7 +26,7 @@ import numpy as np
 
 from .. import expr
 from ..errors import ConfigError, NonSPDPathError, NotSPDError
-from ..geometry import Chart
+from ..geometry import Chart, _as_nodes
 from .base import SurfaceMetric
 
 __all__ = ["ExprMetricPath", "RankOnePath", "rank_one_path",
@@ -59,10 +59,7 @@ class ExprMetricPath:
     _tape: expr.Tape = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        parsed = []
-        for e in self.entries:
-            parsed.append(self.chart.parse_expr(e) if isinstance(e, str) else e)
-        self.entries = tuple(parsed)
+        self.entries = _as_nodes(self.chart, self.entries)
         if len(self.entries) != 3:
             raise ConfigError("metric path needs (g11, g12, g22)")
         self._tape = expr.Tape(self.entries)

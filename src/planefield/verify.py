@@ -12,6 +12,12 @@ claim they exercise:
 * ``no-elliptic-closed``     elliptic obstruction on periodic charts
 * ``metric-transfer``        plane-field metric transfer (report mode)
 * ``contact-deformation``    deformation scans of foliation forms
+* ``quadrature``             divergence integral under grid refinement
+
+A custom suite's checks name keys of ``OPERATIONS``.  A check passes when
+its measured value is at most its bound, unless its operation states its
+own verdict.  A ``target`` is a catalog name (``reeb`` and ``collar``
+included) or a chart file, with an optional ``#form``.
 
 Check failures (including raised exceptions) are recorded, never abort a
 run; reports are deterministic apart from the timing section.
@@ -28,17 +34,18 @@ import numpy as np
 
 from . import catalog
 from .chartio import load_model, validate_payload
-from .distributions import (Distribution, classify, integral_mean_curvature,
-                            second_fundamental_form)
+from .distributions import (Distribution, _block_arrays, _normal_divergence,
+                            classify, frobenius_residual,
+                            integral_mean_curvature, second_fundamental_form)
 from .errors import ConfigError
 from .expr import smoothstep_deriv
-from .geometry import VectorField, divergence, integrate_scalar
-from .models import (SurfaceMetric, TwistSpec, assemble_open_book_demo,
-                     closed_form_B_reeb, collar_model, dehn_twist_pullback,
-                     contact_deformation_scan, product_fibration,
-                     rank_one_path, reeb_solid_torus, straight_line_path,
-                     torus_surface_chart, transfer_metric, twist_map_points,
-                     verify_metric_path)
+from .geometry import OneForm, VectorField, divergence, integrate_scalar
+from .models import (SurfaceMetric, TwistSpec, annulus_surface_chart,
+                     assemble_open_book_demo, closed_form_B_reeb, collar_model,
+                     dehn_twist_pullback, contact_deformation_scan,
+                     product_fibration, rank_one_path, reeb_solid_torus,
+                     straight_line_path, torus_surface_chart, transfer_metric,
+                     twist_map_points, verify_metric_path)
 from .models.paths import _entry_eval
 
 __all__ = [
@@ -133,23 +140,53 @@ def elliptic_contradiction(classification: str, periodic: bool,
 
 
 def _resolve_target(target: str):
-    """'reeb', 'collar', 'flat-torus#tilted' or 'path/file.json#form' ->
+    """'reeb', 'flat-torus#tilted' or 'path/file.json#form' ->
     (model, distribution)."""
     base, _, form = target.partition("#")
-    if base == "reeb":
-        model = reeb_solid_torus()
-    elif base == "collar":
-        model = collar_model()
-    else:
-        try:
-            model = catalog.catalog_model(base)
-        except ConfigError:
-            model = load_model(base)
+    try:
+        model = catalog.catalog_model(base)
+    except ConfigError:
+        model = load_model(base)
     return model, model.distribution(form or None)
 
 
 # ---------------------------------------------------------------------------
 # check operations
+
+
+def _check(measured, bound, detail: dict, passed=None) -> CheckResult:
+    """The one pass rule: ``measured <= bound``, unless the operation
+    states its own verdict in ``passed``."""
+    if passed is None:
+        passed = measured <= bound
+    return CheckResult(name="", passed=passed, measured=measured, bound=bound,
+                       detail=detail)
+
+
+def _nonempty(items, what: str):
+    """Suite files are outside input: refuse a check that would measure
+    nothing, naming the empty input."""
+    if len(items) == 0:
+        raise ConfigError(f"{what}: the check would measure nothing")
+    return items
+
+
+def _max_abs(aggregate: dict) -> float:
+    return max(abs(aggregate["min"]), abs(aggregate["max"]))
+
+
+def _reeb_b(pts):
+    """B of the Reeb foliation in the paper frame."""
+    model = reeb_solid_torus()
+    return second_fundamental_form(model.metric, model.distribution(), pts,
+                                   frame=model.frame("paper"))
+
+
+def _twist_case() -> tuple:
+    """Annulus metric and sample of the Dehn-twist checks."""
+    chart = annulus_surface_chart()
+    g = SurfaceMetric.from_strings(chart, ("1 + 0.2*sin(th)^2", "0.1", "1"))
+    return g, chart.sample_grid((14, 10, 1), margin=1e-6).points
 
 
 def _op_classify_expect(params: dict, jobs: int) -> CheckResult:
@@ -158,44 +195,32 @@ def _op_classify_expect(params: dict, jobs: int) -> CheckResult:
     tol = params.get("tolerance", 1e-8)
     rep = classify(model.metric, dist, grid=grid, tol=tol, jobs=jobs)
     ke = rep.aggregates.get("k_e", {"min": math.nan, "max": math.nan})
-    max_abs = max(abs(ke["min"]), abs(ke["max"]))
     expect = params["expectation"]
-    passed = rep.classification == expect
     bound = params.get("max_abs_ke")
-    if bound is not None:
-        passed = passed and max_abs <= bound
-    return CheckResult(name="", passed=passed, measured=max_abs, bound=bound,
-                       detail={"classification": rep.classification,
-                               "expected": expect, "n_valid": rep.n_valid})
+    passed = rep.classification == expect and (bound is None
+                                               or _max_abs(ke) <= bound)
+    return _check(_max_abs(ke), bound, {"classification": rep.classification,
+                                        "expected": expect,
+                                        "n_valid": rep.n_valid}, passed)
 
 
 def _op_reeb_closed_form(params: dict, jobs: int) -> CheckResult:
-    model = reeb_solid_torus()
     n = params.get("n_points", 200)
-    tol = params.get("tolerance", 1e-9)
     rng = np.random.default_rng(params.get("seed", 20240901))
     pts = np.stack([rng.uniform(1e-3, 1.0, n),
                     rng.uniform(0.0, 2 * math.pi, n),
                     rng.uniform(0.0, 2 * math.pi, n)], axis=0)
-    b_num = second_fundamental_form(model.metric, model.distribution(), pts,
-                                    frame=model.frame("paper"))
-    b_closed = closed_form_B_reeb(pts[0])
-    measured = float(np.max(np.abs(b_num - b_closed)))
-    return CheckResult(name="", passed=measured <= tol, measured=measured,
-                       bound=tol, detail={"n_points": n})
+    measured = float(np.max(np.abs(_reeb_b(pts) - closed_form_B_reeb(pts[0]))))
+    return _check(measured, params.get("tolerance", 1e-9), {"n_points": n})
 
 
 def _op_reeb_geodesic_regions(params: dict, jobs: int) -> CheckResult:
-    model = reeb_solid_torus()
-    tol = params.get("tolerance", 1e-10)
     rs = np.concatenate([np.linspace(0.01, 0.30, 40),
                          np.linspace(0.70, 1.0, 40)])
     pts = np.stack([rs, np.full_like(rs, 0.7), np.full_like(rs, 1.3)], axis=0)
-    b = second_fundamental_form(model.metric, model.distribution(), pts,
-                                frame=model.frame("paper"))
-    measured = float(np.max(np.abs(b)))
-    return CheckResult(name="", passed=measured <= tol, measured=measured,
-                       bound=tol, detail={"regions": "[0.01,0.30]+[0.70,1.0]"})
+    measured = float(np.max(np.abs(_reeb_b(pts))))
+    return _check(measured, params.get("tolerance", 1e-10),
+                  {"regions": "[0.01,0.30]+[0.70,1.0]"})
 
 
 def _op_quantity_bound(params: dict, jobs: int) -> CheckResult:
@@ -205,15 +230,12 @@ def _op_quantity_bound(params: dict, jobs: int) -> CheckResult:
     tol = params["tolerance"]
     quantity = params.get("quantity", "frobenius_residual")
     rep = classify(model.metric, dist, grid=grid, jobs=jobs)
-    agg = rep.aggregates[quantity]
-    measured = max(abs(agg["min"]), abs(agg["max"]))
-    return CheckResult(name="", passed=measured <= tol, measured=measured,
-                       bound=tol, detail={"quantity": quantity})
+    return _check(_max_abs(rep.aggregates[quantity]), tol,
+                  {"quantity": quantity})
 
 
 def _op_collar_checks(params: dict, jobs: int) -> CheckResult:
     model = collar_model(params.get("eps", 0.05))
-    tol = params.get("tolerance", 1e-10)
     grid = tuple(params.get("grid", (48, 8, 8)))
     pts = model.chart.sample_grid(grid, margin=1e-6).points
     b = second_fundamental_form(model.metric, model.distribution(), pts,
@@ -222,22 +244,19 @@ def _op_collar_checks(params: dict, jobs: int) -> CheckResult:
     det_b = float(np.max(np.abs(b[..., 0, 0] * b[..., 1, 1]
                                 - b[..., 0, 1] ** 2)))
     rep = classify(model.metric, model.distribution(), grid=grid, jobs=jobs)
-    frob = rep.aggregates["frobenius_residual"]
-    frob_max = max(abs(frob["min"]), abs(frob["max"]))
-    measured = max(t_row, det_b, frob_max)
-    return CheckResult(name="", passed=measured <= tol, measured=measured,
-                       bound=tol,
-                       detail={"t_row": t_row, "det_b": det_b,
-                               "frobenius": frob_max})
+    frob_max = _max_abs(rep.aggregates["frobenius_residual"])
+    return _check(max(t_row, det_b, frob_max), params.get("tolerance", 1e-10),
+                  {"t_row": t_row, "det_b": det_b, "frobenius": frob_max})
 
 
 def _op_frame_invariance(params: dict, jobs: int) -> CheckResult:
     """Constant reframings E' = A E: K_e and H invariant, B -> A^T B A."""
     n_frames = params.get("n_reframings", 100)
-    tol = params.get("tolerance", 1e-9)
     seed = params.get("seed", 1234)
     rng = np.random.default_rng(seed)
     targets = params.get("targets", ["reeb", "spheres", "collar"])
+    per_target = _nonempty(range(n_frames // len(targets)),
+                           f"n_reframings {n_frames} over {len(targets)} targets")
     worst = 0.0
     for target in targets:
         model, dist = _resolve_target(target)
@@ -245,11 +264,11 @@ def _op_frame_invariance(params: dict, jobs: int) -> CheckResult:
         pts = model.chart.random_points(5, seed=seed, margin=1e-2)
         b_ref = second_fundamental_form(model.metric, dist, pts, frame=frame)
         h_ref, ke_ref = _frame_h_ke(model, dist, pts, frame)
-        for _ in range(n_frames // len(targets)):
+        for _ in per_target:
             a = rng.uniform(-1.0, 1.0, size=(2, 2))
             while abs(np.linalg.det(a)) < 0.3:
                 a = rng.uniform(-1.0, 1.0, size=(2, 2))
-            new_frame = _reframe(model, dist, frame, a)
+            new_frame = _reframe(model, frame, a)
             b_new = second_fundamental_form(model.metric, dist, pts,
                                             frame=new_frame)
             h_new, ke_new = _frame_h_ke(model, dist, pts, new_frame)
@@ -260,39 +279,32 @@ def _op_frame_invariance(params: dict, jobs: int) -> CheckResult:
                                             / np.maximum(1.0, np.abs(ke_ref)))))
             worst = max(worst, float(np.max(np.abs(h_new - h_ref)
                                             / np.maximum(1.0, np.abs(h_ref)))))
-    return CheckResult(name="", passed=worst <= tol, measured=worst, bound=tol,
-                       detail={"n_reframings": n_frames,
-                               "targets": list(targets)})
+    return _check(worst, params.get("tolerance", 1e-9),
+                  {"n_reframings": n_frames, "targets": list(targets)})
 
 
 def _frame_h_ke(model, dist, pts, frame):
-    from .distributions import _block_arrays
     arrs = _block_arrays(model.metric.eval(pts), dist, pts, frame).arrs
     return arrs["h"], arrs["k_e"]
 
 
-def _reframe(model, dist, frame, a):
-    from .distributions import distribution_frames
+def _reframe(model, frame, a):
     if frame is None:
         # materialise the derived kernel frame at expression level is not
         # possible in general (the plane index choice varies); built-in
         # targets always carry a named frame
         raise ConfigError("frame invariance check needs a named frame")
     s, t = frame
-    sa = VectorField(model.chart, tuple(a[0, 0] * cs + a[1, 0] * ct
-                                        for cs, ct in zip(s.components,
-                                                          t.components)))
-    ta = VectorField(model.chart, tuple(a[0, 1] * cs + a[1, 1] * ct
-                                        for cs, ct in zip(s.components,
-                                                          t.components)))
-    return sa, ta
+    return tuple(VectorField(model.chart,
+                             tuple(a[0, j] * cs + a[1, j] * ct
+                                   for cs, ct in zip(s.components,
+                                                     t.components)))
+                 for j in (0, 1))
 
 
 def _op_h_divergence_pointwise(params: dict, jobs: int) -> CheckResult:
-    from .distributions import _block_arrays, _normal_divergence
-    tol = params.get("tolerance", 1e-9)
     n = params.get("n_points", 100)
-    seeds = params.get("seeds", [1, 2, 3])
+    seeds = _nonempty(params.get("seeds", [1, 2, 3]), "seeds is empty")
     model = catalog.flat_torus_model()
     worst = 0.0
     for seed in seeds:
@@ -303,31 +315,25 @@ def _op_h_divergence_pointwise(params: dict, jobs: int) -> CheckResult:
         b = _block_arrays(mj, dist, pts)
         div_n = _normal_divergence(mj, b, dist.co_orientation)
         worst = max(worst, float(np.max(np.abs(b.arrs["h"] + div_n))))
-    return CheckResult(name="", passed=worst <= tol, measured=worst, bound=tol,
-                       detail={"seeds": list(seeds), "n_points": n})
+    return _check(worst, params.get("tolerance", 1e-9),
+                  {"seeds": list(seeds), "n_points": n})
 
 
 def _op_integral_h_bound(params: dict, jobs: int) -> CheckResult:
-    tol = params.get("tolerance", 1e-6)
     grid = tuple(params.get("grid", (64, 64, 64)))
-    model = catalog.flat_torus_model()
-    worst = 0.0
+    torus = catalog.flat_torus_model()
+    cases = [(f"seed-{seed}", torus,
+              Distribution.kernel(catalog.random_periodic_form(seed)))
+             for seed in params.get("seeds", [])]
+    cases += [(target, *_resolve_target(target))
+              for target in params.get("targets", [])]
     detail = {}
-    for seed in params.get("seeds", []):
-        alpha = catalog.random_periodic_form(seed)
-        res = integral_mean_curvature(model.metric,
-                                      Distribution.kernel(alpha),
-                                      grid=grid, jobs=jobs, defect=False)
-        detail[f"seed-{seed}"] = res["integral_h"]
-        worst = max(worst, abs(res["integral_h"]))
-    for target in params.get("targets", []):
-        tmodel, tdist = _resolve_target(target)
-        res = integral_mean_curvature(tmodel.metric, tdist, grid=grid,
-                                      jobs=jobs, defect=False)
-        detail[target] = res["integral_h"]
-        worst = max(worst, abs(res["integral_h"]))
-    return CheckResult(name="", passed=worst <= tol, measured=worst, bound=tol,
-                       detail=detail)
+    for key, model, dist in _nonempty(cases, "neither seeds nor targets given"):
+        detail[key] = integral_mean_curvature(model.metric, dist, grid=grid,
+                                              jobs=jobs,
+                                              defect=False)["integral_h"]
+    worst = max(abs(value) for value in detail.values())
+    return _check(worst, params.get("tolerance", 1e-6), detail)
 
 
 def _op_no_elliptic_shipped(params: dict, jobs: int) -> CheckResult:
@@ -349,9 +355,8 @@ def _op_no_elliptic_shipped(params: dict, jobs: int) -> CheckResult:
         if elliptic_contradiction(rep.classification, True,
                                   res["integral_h"], h_tol):
             offenders.append(f"{ex.example_id}(contradiction)")
-    passed = not offenders and worst_h <= h_tol
-    return CheckResult(name="", passed=passed, measured=worst_h, bound=h_tol,
-                       detail={"offenders": offenders})
+    return _check(worst_h, h_tol, {"offenders": offenders},
+                  not offenders and worst_h <= h_tol)
 
 
 def _op_obstruction_mock(params: dict, jobs: int) -> CheckResult:
@@ -361,12 +366,10 @@ def _op_obstruction_mock(params: dict, jobs: int) -> CheckResult:
     calm = elliptic_contradiction("parabolic", periodic=True, integral_h=0.0)
     open_chart = elliptic_contradiction("elliptic", periodic=False,
                                         integral_h=0.0)
-    passed = fired and not calm and not open_chart
-    return CheckResult(name="", passed=passed,
-                       measured=1.0 if fired else 0.0, bound=1.0,
-                       detail={"fired_on_mock": fired,
-                               "quiet_on_parabolic": not calm,
-                               "quiet_on_open_chart": not open_chart})
+    return _check(1.0 if fired else 0.0, 1.0,
+                  {"fired_on_mock": fired, "quiet_on_parabolic": not calm,
+                   "quiet_on_open_chart": not open_chart},
+                  fired and not calm and not open_chart)
 
 
 def _op_dichotomy_shipped(params: dict, jobs: int) -> CheckResult:
@@ -379,49 +382,44 @@ def _op_dichotomy_shipped(params: dict, jobs: int) -> CheckResult:
         model, dist = ex.build()
         rep = classify(model.metric, dist, grid=grid, jobs=jobs)
         cv = rep.aggregates["contact_volume"]
-        frob = rep.aggregates["frobenius_residual"]
         min_abs_cv = min(abs(cv["min"]), abs(cv["max"]))
         if cv["min"] < 0 < cv["max"]:
             min_abs_cv = 0.0
-        max_frob = max(abs(frob["min"]), abs(frob["max"]))
+        max_frob = _max_abs(rep.aggregates["frobenius_residual"])
         is_contact = min_abs_cv > cv_floor
         is_foliation = max_frob < frob_ceiling
         detail[ex.example_id] = {"min_abs_cv": min_abs_cv,
                                  "max_frobenius": max_frob}
         if is_contact == is_foliation:
             offenders.append(ex.example_id)
-        expected_contact = ex.kind == "contact"
-        if is_contact != expected_contact:
+        if is_contact != (ex.kind == "contact"):
             offenders.append(f"{ex.example_id}(kind)")
-    return CheckResult(name="", passed=not offenders,
-                       measured=float(len(offenders)), bound=0.0,
-                       detail={"offenders": offenders, "examples": detail})
+    return _check(float(len(offenders)), 0.0,
+                  {"offenders": offenders, "examples": detail})
 
 
 def _op_contact_volume_constant(params: dict, jobs: int) -> CheckResult:
     model, dist = _resolve_target(params["target"])
     expected = params["expectation"]
-    tol = params.get("tolerance", 1e-12)
     grid = tuple(params.get("grid", (10, 10, 10)))
     rep = classify(model.metric, dist, grid=grid, jobs=jobs)
     cv = rep.aggregates["contact_volume"]
     measured = max(abs(cv["min"] - expected), abs(cv["max"] - expected))
-    return CheckResult(name="", passed=measured <= tol, measured=measured,
-                       bound=tol, detail={"expected": expected})
+    return _check(measured, params.get("tolerance", 1e-12),
+                  {"expected": expected})
 
 
 def _op_frobenius_floor(params: dict, jobs: int) -> CheckResult:
-    from .distributions import frobenius_residual
     model, dist = _resolve_target(params["target"])
     floor = params.get("floor", 0.4)
     half = params.get("half_width", 0.5)
     n = params.get("n_points", 64)
     rng = np.random.default_rng(params.get("seed", 5))
     pts = rng.uniform(-half, half, size=(3, n))
-    res = np.abs(frobenius_residual(model.metric, dist, pts))
-    measured = float(np.min(res))
-    return CheckResult(name="", passed=measured >= floor, measured=measured,
-                       bound=floor, detail={"region_half_width": half})
+    measured = float(np.min(np.abs(frobenius_residual(model.metric, dist,
+                                                      pts))))
+    return _check(measured, floor, {"region_half_width": half},
+                  measured >= floor)
 
 
 def _random_spd_pair(chart, rng) -> tuple:
@@ -440,82 +438,70 @@ def _random_spd_pair(chart, rng) -> tuple:
     u0, u1 = chart.coord_names[0], chart.coord_names[1]
     bump = (f"smoothstep(1.5, 2.5, {u0})*(1 - smoothstep(3.8, 4.8, {u0}))"
             f"*smoothstep(1.5, 2.5, {u1})*(1 - smoothstep(3.8, 4.8, {u1}))")
-    g00, g01, g11 = (float(g0[0, 0]), float(g0[0, 1]), float(g0[1, 1]))
-    m00, m01, m11 = (float(m[0, 0]), float(m[0, 1]), float(m[1, 1]))
-    g = SurfaceMetric.from_strings(chart, (repr(g00), repr(g01), repr(g11)))
-    h = SurfaceMetric.from_strings(chart, (
-        f"{g00!r} + {m00!r}*{bump}",
-        f"{g01!r} + {m01!r}*{bump}",
-        f"{g11!r} + {m11!r}*{bump}"))
-    return g, h, float(np.linalg.det(m))
+    upper = ((0, 0), (0, 1), (1, 1))
+    g = SurfaceMetric.from_strings(chart, [repr(float(g0[i])) for i in upper])
+    h = SurfaceMetric.from_strings(chart, [
+        f"{float(g0[i])!r} + {float(m[i])!r}*{bump}" for i in upper])
+    return g, h
+
+
+def _spd_pairs(params: dict, seed: int, n_pairs: int) -> list:
+    """The seeded metric pairs of the metric-path checks; ``seed`` and
+    ``n_pairs`` are the defaults."""
+    n_pairs = params.get("n_pairs", n_pairs)
+    rng = np.random.default_rng(params.get("seed", seed))
+    chart = torus_surface_chart()
+    return _nonempty([_random_spd_pair(chart, rng) for _ in range(n_pairs)],
+                     f"n_pairs is {n_pairs}")
 
 
 def _op_straight_line_flag(params: dict, jobs: int) -> CheckResult:
     bound = params.get("bound", 1e-3)
-    n_pairs = params.get("n_pairs", 3)
-    rng = np.random.default_rng(params.get("seed", 77))
-    chart = torus_surface_chart()
-    least = math.inf
-    for _ in range(n_pairs):
-        g, h, _ = _random_spd_pair(chart, rng)
-        rep = verify_metric_path(straight_line_path(g, h),
-                                 grid=tuple(params.get("grid", (9, 9, 9))))
-        least = min(least, rep["max_abs_det_dt"])
-    return CheckResult(name="", passed=least > bound, measured=least,
-                       bound=bound, detail={"n_pairs": n_pairs,
-                                            "direction": "must exceed bound"})
+    grid = tuple(params.get("grid", (9, 9, 9)))
+    pairs = _spd_pairs(params, 77, 3)
+    least = min(verify_metric_path(straight_line_path(g, h),
+                                   grid=grid)["max_abs_det_dt"]
+                for g, h in pairs)
+    return _check(least, bound, {"n_pairs": len(pairs),
+                                 "direction": "must exceed bound"},
+                  least > bound)
 
 
 def _op_rank_one_pass(params: dict, jobs: int) -> CheckResult:
-    tol = params.get("tolerance", 1e-8)
-    n_pairs = params.get("n_pairs", 20)
-    rng = np.random.default_rng(params.get("seed", 7))
-    chart = torus_surface_chart()
+    grid = tuple(params.get("grid", (9, 9, 13)))
+    pairs = _spd_pairs(params, 7, 20)
     worst = 0.0
     stage_counts = []
-    for _ in range(n_pairs):
-        g, h, _ = _random_spd_pair(chart, rng)
-        path = rank_one_path(g, h, grid=(9, 9, 17))
-        rep = verify_metric_path(path, grid=tuple(params.get("grid", (9, 9, 13))))
+    for g, h in pairs:
+        rep = verify_metric_path(rank_one_path(g, h, grid=(9, 9, 17)),
+                                 grid=grid)
         stage_counts.append(rep["stages"])
         worst = max(worst, rep["max_abs_det_dt"], rep["collar0_residual"],
                     rep["collar1_residual"], rep["boundary_residual"])
-    return CheckResult(name="", passed=worst <= tol, measured=worst, bound=tol,
-                       detail={"n_pairs": n_pairs,
-                               "stage_counts": stage_counts})
+    return _check(worst, params.get("tolerance", 1e-8),
+                  {"n_pairs": len(pairs), "stage_counts": stage_counts})
 
 
 def _op_twist_det(params: dict, jobs: int) -> CheckResult:
-    from .models import annulus_surface_chart
-    tol = params.get("tolerance", 1e-10)
-    chart = annulus_surface_chart()
-    g = SurfaceMetric.from_strings(chart, ("1 + 0.2*sin(th)^2", "0.1", "1"))
+    g, pts = _twist_case()
     tw = TwistSpec(1.0, 1.5, params.get("k", 1))
-    h = dehn_twist_pullback(g, tw)
-    pts = chart.sample_grid((14, 10, 1), margin=1e-6).points
-    hval, _ = _entry_eval(h.entries, pts)
+    hval, _ = _entry_eval(dehn_twist_pullback(g, tw).entries, pts)
     gval, _ = _entry_eval(g.entries, twist_map_points(tw, pts))
     det_h = hval[..., 0, 0] * hval[..., 1, 1] - hval[..., 0, 1] ** 2
     det_g = gval[..., 0, 0] * gval[..., 1, 1] - gval[..., 0, 1] ** 2
     measured = float(np.max(np.abs(det_h - det_g)))
-    return CheckResult(name="", passed=measured <= tol, measured=measured,
-                       bound=tol, detail={"k": tw.k})
+    return _check(measured, params.get("tolerance", 1e-10), {"k": tw.k})
 
 
 def _op_twist_roundtrip(params: dict, jobs: int) -> CheckResult:
-    from .models import annulus_surface_chart
-    tol = params.get("tolerance", 1e-9)
     k = params.get("k", 1)
-    chart = annulus_surface_chart()
-    g = SurfaceMetric.from_strings(chart, ("1 + 0.2*sin(th)^2", "0.1", "1"))
+    g, pts = _twist_case()
     back = dehn_twist_pullback(dehn_twist_pullback(g, TwistSpec(1.0, 1.5, k)),
                                TwistSpec(1.0, 1.5, -k))
-    pts = chart.sample_grid((14, 10, 1), margin=1e-6).points
     gval, _ = _entry_eval(g.entries, pts)
     bval, _ = _entry_eval(back.entries, pts)
     measured = float(np.max(np.abs(gval - bval)))
-    return CheckResult(name="", passed=measured <= tol, measured=measured,
-                       bound=tol, detail={"k": k})
+    return _check(measured, params.get("tolerance", 1e-9), {"k": k})
 
 
 def _op_product_geodesic(params: dict, jobs: int) -> CheckResult:
@@ -525,11 +511,9 @@ def _op_product_geodesic(params: dict, jobs: int) -> CheckResult:
     model = product_fibration(sm)
     rep = classify(model.metric, model.distribution(),
                    grid=tuple(params.get("grid", (12, 12, 6))), jobs=jobs)
-    b = rep.aggregates["b_norm"]
-    measured = max(abs(b["min"]), abs(b["max"]))
-    passed = measured <= tol and rep.classification == "parabolic"
-    return CheckResult(name="", passed=passed, measured=measured, bound=tol,
-                       detail={"classification": rep.classification})
+    measured = _max_abs(rep.aggregates["b_norm"])
+    return _check(measured, tol, {"classification": rep.classification},
+                  measured <= tol and rep.classification == "parabolic")
 
 
 def _op_atlas_overlaps(params: dict, jobs: int) -> CheckResult:
@@ -539,12 +523,11 @@ def _op_atlas_overlaps(params: dict, jobs: int) -> CheckResult:
         classify_grid=tuple(params.get("classify_grid", (48, 8, 8))),
         tolerance=tol, jobs=jobs)
     measured = rep.max_metric_mismatch
-    passed = (measured <= tol and rep.max_leaf_residual <= leaf_tol
-              and rep.all_parabolic)
-    return CheckResult(name="", passed=passed, measured=measured, bound=tol,
-                       detail={"leaf_residual": rep.max_leaf_residual,
-                               "all_parabolic": rep.all_parabolic,
-                               "charts": rep.charts})
+    return _check(measured, tol, {"leaf_residual": rep.max_leaf_residual,
+                                  "all_parabolic": rep.all_parabolic,
+                                  "charts": rep.charts},
+                  measured <= tol and rep.max_leaf_residual <= leaf_tol
+                  and rep.all_parabolic)
 
 
 def _op_transfer_pipeline(params: dict, jobs: int) -> CheckResult:
@@ -558,25 +541,19 @@ def _op_transfer_pipeline(params: dict, jobs: int) -> CheckResult:
     measured = max(rep.max_form_residual, rep.max_det_residual)
     # report mode: completing with a schema-valid payload is the pass
     # condition; the residuals are information, not an assertion
-    passed = rep.new_metric_spd
     bound = params.get("tolerance")
-    if bound is not None:
-        passed = passed and measured <= bound
-    return CheckResult(name="", passed=passed, measured=measured, bound=bound,
-                       detail=rep.body())
+    return _check(measured, bound, rep.body(),
+                  rep.new_metric_spd and (bound is None or measured <= bound))
 
 
 def _op_scan_zero_beta(params: dict, jobs: int) -> CheckResult:
-    from .geometry import OneForm
     model = catalog.flat_torus_model()
     beta = OneForm(model.chart, ("0", "0", "0"))
     rep = contact_deformation_scan(model.metric, model.form("vertical"), beta,
                                    [0.0, 0.3, 1.0], grid=(6, 6, 6))
     measured = max(max(abs(r["contact_volume_min"]),
                        abs(r["contact_volume_max"])) for r in rep.rows)
-    tol = params.get("tolerance", 1e-15)
-    return CheckResult(name="", passed=measured <= tol, measured=measured,
-                       bound=tol, detail={})
+    return _check(measured, params.get("tolerance", 1e-15), {})
 
 
 def _op_scan_torus_quadratic(params: dict, jobs: int) -> CheckResult:
@@ -592,15 +569,12 @@ def _op_scan_torus_quadratic(params: dict, jobs: int) -> CheckResult:
         expected = -row["s"] ** 2
         worst = max(worst, abs(row["contact_volume_min"] - expected),
                     abs(row["contact_volume_max"] - expected))
-    passed = worst <= tol and angle_small_s <= 2.0 * abs(s_values[0])
-    return CheckResult(name="", passed=passed, measured=worst, bound=tol,
-                       detail={"angle_at_smallest_s": angle_small_s})
+    return _check(worst, tol, {"angle_at_smallest_s": angle_small_s},
+                  worst <= tol and angle_small_s <= 2.0 * abs(s_values[0]))
 
 
 def _op_scan_reeb_pattern(params: dict, jobs: int) -> CheckResult:
-    from .geometry import OneForm
     model = reeb_solid_torus()
-    tol = params.get("tolerance", 1e-9)
     s_values = params.get("s_values", [0.2, 0.5])
     beta = OneForm(model.chart, ("0", "1", "0"))
     grid = (24, 6, 6)
@@ -612,8 +586,8 @@ def _op_scan_reeb_pattern(params: dict, jobs: int) -> CheckResult:
     for row, s in zip(rep.rows, s_values):
         worst = max(worst, abs(row["contact_volume_max"] - s * fp_max))
         worst = max(worst, abs(row["contact_volume_min"]))   # zero off the rise
-    return CheckResult(name="", passed=worst <= tol, measured=worst, bound=tol,
-                       detail={"f_prime_max_on_grid": fp_max})
+    return _check(worst, params.get("tolerance", 1e-9),
+                  {"f_prime_max_on_grid": fp_max})
 
 
 def _op_quadrature_convergence(params: dict, jobs: int) -> CheckResult:
@@ -621,20 +595,17 @@ def _op_quadrature_convergence(params: dict, jobs: int) -> CheckResult:
     model = catalog.flat_torus_model()
     probe = model.vectors["quadrature-probe"]
     levels = params.get("levels", [8, 16, 32, 64])
-    values = []
-    for n in levels:
-        v = integrate_scalar(model.metric,
-                             lambda p: divergence(model.metric, probe, p),
-                             (n, n, n), jobs=jobs)
-        values.append(abs(v))
+    values = [abs(integrate_scalar(model.metric,
+                                   lambda p: divergence(model.metric, probe, p),
+                                   (n, n, n), jobs=jobs))
+              for n in levels]
     monotone = all(values[i] > values[i + 1]
                    for i in range(len(levels) - 2))
     measured = values[-1]
-    return CheckResult(name="", passed=monotone and measured <= tol,
-                       measured=measured, bound=tol,
-                       detail={"levels": list(levels),
-                               "abs_integrals": values,
-                               "monotone": monotone})
+    return _check(measured, tol, {"levels": list(levels),
+                                  "abs_integrals": values,
+                                  "monotone": monotone},
+                  monotone and measured <= tol)
 
 
 OPERATIONS: dict = {

@@ -154,7 +154,7 @@ def test_criterion_06_metric_path_interface():
     flagged_min = math.inf
     worst = 0.0
     for _ in range(20):
-        g, h, _ = _random_spd_pair(chart, rng)
+        g, h = _random_spd_pair(chart, rng)
         line = verify_metric_path(straight_line_path(g, h), grid=(9, 9, 9))
         flagged_min = min(flagged_min, line["max_abs_det_dt"])
         path = rank_one_path(g, h, grid=(9, 9, 17))

@@ -1,13 +1,15 @@
 """The CI workflow runs the Tier-1 suite and the benchmark self-check on
 every supported Python, once on the oldest supported numpy, compares
-a suite's and a flat-torus integral's report bodies at one and two
-processes and a Reeb sweep's at one, two and three, and bounds the peak
-RSS of 128^3 sweeps."""
+every builtin suite's and a flat-torus integral's report bodies at one
+and two processes and a Reeb sweep's at one, two and three, and bounds
+the peak RSS of 128^3 sweeps."""
 
 import re
 from pathlib import Path
 
 import pytest
+
+from planefield.verify import builtin_suite_names
 
 yaml = pytest.importorskip("yaml")
 
@@ -51,13 +53,15 @@ def test_workflow_runs_tier1_on_the_numpy_floor():
 
 
 def test_workflow_compares_suite_bodies_across_worker_counts():
-    """One step runs builtin:quadrature at --jobs 1 and 2 and fails unless
-    the two report bodies are equal."""
+    """One step loops over every builtin suite, runs it at --jobs 1 and 2
+    and fails unless the two report bodies are equal."""
     workflow = yaml.safe_load(WORKFLOW.read_text(encoding="utf-8"))
     runs = [step.get("run", "") for step in workflow["jobs"]["tests"]["steps"]]
-    step = next(run for run in runs if "builtin:quadrature" in run)
+    step = next(run for run in runs if "builtin:$suite" in run)
+    loop = re.search(r"^for suite in (.*); do$", step, re.MULTILINE)
+    assert loop and sorted(loop.group(1).split()) == builtin_suite_names()
     for jobs in (1, 2):
-        assert ("PYTHONPATH=src python -m planefield.cli verify builtin:quadrature "
+        assert ('PYTHONPATH=src python -m planefield.cli verify "builtin:$suite" '
                 f"--jobs {jobs} --output jobs{jobs}.json") in step
     assert "['body']" in step and "sys.exit(a != b)" in step
 

@@ -199,7 +199,7 @@ def test_twist_roundtrip_restores_metric():
 
 
 def test_twist_annulus_must_fit_chart():
-    chart = annulus_surface_chart(0.5, 2.0)
+    chart = annulus_surface_chart()
     g = SurfaceMetric.from_strings(chart, ("1", "0", "1"))
     with pytest.raises(DomainError):
         dehn_twist_pullback(g, TwistSpec(0.2, 1.0, 1))

@@ -120,3 +120,17 @@ def test_frobenius_floor_separates_contact_from_foliation(
     assert result.error is None
     assert result.passed == passed
     assert result.measured == pytest.approx(measured, abs=1e-12)
+
+
+@pytest.mark.parametrize("operation, params, names", [
+    ("integral-h-bound", {}, "neither seeds nor targets"),
+    ("h-divergence-pointwise", {"seeds": []}, "seeds is empty"),
+    ("rank-one-pass", {"n_pairs": 0}, "n_pairs is 0"),
+    ("straight-line-flag", {"n_pairs": 0}, "n_pairs is 0"),
+    ("frame-invariance", {"n_reframings": 2}, "n_reframings 2 over 3 targets")])
+def test_a_check_that_measures_nothing_fails(operation, params, names):
+    """Each of these used to pass while measuring nothing."""
+    result = _run_one(operation, params)
+    assert not result.passed
+    assert result.error.startswith("ConfigError: ")
+    assert names in result.error
