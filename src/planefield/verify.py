@@ -194,14 +194,15 @@ def _op_classify_expect(params: dict, jobs: int) -> CheckResult:
     grid = tuple(params.get("grid", (16, 16, 16)))
     tol = params.get("tolerance", 1e-8)
     rep = classify(model.metric, dist, grid=grid, tol=tol, jobs=jobs)
-    ke = rep.aggregates.get("k_e", {"min": math.nan, "max": math.nan})
+    max_abs = _max_abs(rep.aggregates.get("k_e", {"min": math.nan,
+                                                   "max": math.nan}))
     expect = params["expectation"]
     bound = params.get("max_abs_ke")
     passed = rep.classification == expect and (bound is None
-                                               or _max_abs(ke) <= bound)
-    return _check(_max_abs(ke), bound, {"classification": rep.classification,
-                                        "expected": expect,
-                                        "n_valid": rep.n_valid}, passed)
+                                               or max_abs <= bound)
+    return _check(max_abs, bound, {"classification": rep.classification,
+                                   "expected": expect, "n_valid": rep.n_valid},
+                  passed)
 
 
 def _op_reeb_closed_form(params: dict, jobs: int) -> CheckResult:
