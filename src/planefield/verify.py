@@ -255,7 +255,8 @@ def _op_frame_invariance(params: dict, jobs: int) -> CheckResult:
     n_frames = params.get("n_reframings", 100)
     seed = params.get("seed", 1234)
     rng = np.random.default_rng(seed)
-    targets = params.get("targets", ["reeb", "spheres", "collar"])
+    targets = _nonempty(params.get("targets", ["reeb", "spheres", "collar"]),
+                        "targets is empty")
     per_target = _nonempty(range(n_frames // len(targets)),
                            f"n_reframings {n_frames} over {len(targets)} targets")
     worst = 0.0

@@ -127,9 +127,11 @@ def test_frobenius_floor_separates_contact_from_foliation(
     ("h-divergence-pointwise", {"seeds": []}, "seeds is empty"),
     ("rank-one-pass", {"n_pairs": 0}, "n_pairs is 0"),
     ("straight-line-flag", {"n_pairs": 0}, "n_pairs is 0"),
-    ("frame-invariance", {"n_reframings": 2}, "n_reframings 2 over 3 targets")])
+    ("frame-invariance", {"n_reframings": 2}, "n_reframings 2 over 3 targets"),
+    ("frame-invariance", {"targets": []}, "targets is empty")])
 def test_a_check_that_measures_nothing_fails(operation, params, names):
-    """Each of these used to pass while measuring nothing."""
+    """A suite input that leaves an operation nothing to measure fails the
+    check with a ConfigError naming that input; it does not pass vacuously."""
     result = _run_one(operation, params)
     assert not result.passed
     assert result.error.startswith("ConfigError: ")
