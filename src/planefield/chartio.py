@@ -19,7 +19,7 @@ import jsonschema
 
 from .errors import ConfigError
 from .expr import to_string
-from .geometry import Chart, MetricField, OneForm, SingularLocus, VectorField
+from .geometry import Chart, MetricField, OneForm, SingularLocus, VectorField, _as_nodes
 from .models.base import Model
 from .models.openbook import Transition
 
@@ -165,7 +165,7 @@ def atlas_from_payload(payload: dict) -> tuple:
         src = by_id[t["source"]]
         transitions.append(Transition(
             source=t["source"], target=t["target"],
-            forward=tuple(src.chart.parse_expr(e) for e in t["forward"]),
+            forward=_as_nodes(src.chart, t["forward"]),
             overlap=tuple((lo, hi) for lo, hi in t["overlap"])))
     return payload["atlas_id"], models, transitions
 

@@ -22,7 +22,7 @@ import numpy as np
 from ..distributions import classify, distribution_frames
 from ..errors import ConfigError, OverlapMismatchError
 from ..expr import Tape
-from ..geometry import Chart, MetricField, OneForm, VectorField
+from ..geometry import Chart, MetricField, OneForm, VectorField, _as_nodes
 from .base import Model
 from .collar import collar_model
 from .reeb import reeb_solid_torus
@@ -139,21 +139,19 @@ def assemble_open_book_demo(eps: float = 0.05, classify_grid=(48, 8, 8),
     two_pi = 2.0 * math.pi
     full = (0.0, two_pi)
 
-    def fwd(model, exprs):
-        return tuple(model.chart.parse_expr(e) for e in exprs)
-
     transitions = [
         Transition("binding-a", "collar-a",
-                   fwd(binding_a, ("r", "phi", "t")),
+                   _as_nodes(binding_a.chart, ("r", "phi", "t")),
                    ((1.0 - _DELTA, 1.0), full, full)),
         Transition("collar-a", "page-cylinder",
-                   fwd(collar_a, (f"r - {1.0 + eps!r}", "phi", "t")),
+                   _as_nodes(collar_a.chart, (f"r - {1.0 + eps!r}", "phi", "t")),
                    ((1.0 + eps, 1.0 + 2.0 * eps), full, full)),
         Transition("page-cylinder", "collar-b",
-                   fwd(pages, (f"{1.0 + eps + _PAGE_LENGTH!r} - rho", "phi", "t")),
+                   _as_nodes(pages.chart, (f"{1.0 + eps + _PAGE_LENGTH!r} - rho",
+                                           "phi", "t")),
                    ((_PAGE_LENGTH - eps, _PAGE_LENGTH), full, full)),
         Transition("collar-b", "binding-b",
-                   fwd(collar_b, ("r", "phi", "t")),
+                   _as_nodes(collar_b.chart, ("r", "phi", "t")),
                    ((1.0 - _DELTA, 1.0), full, full)),
     ]
 

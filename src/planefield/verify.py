@@ -35,8 +35,9 @@ import numpy as np
 from . import catalog
 from .chartio import load_model, validate_payload
 from .distributions import (Distribution, _block_arrays, _normal_divergence,
-                            classify, frobenius_residual,
-                            integral_mean_curvature, second_fundamental_form)
+                            classify, extrinsic_curvature, frobenius_residual,
+                            integral_mean_curvature, mean_curvature,
+                            second_fundamental_form)
 from .errors import ConfigError
 from .expr import smoothstep_deriv
 from .geometry import OneForm, VectorField, divergence, integrate_scalar
@@ -265,7 +266,8 @@ def _op_frame_invariance(params: dict, jobs: int) -> CheckResult:
         frame = next(iter(model.named_frames.values()), None)
         pts = model.chart.random_points(5, seed=seed, margin=1e-2)
         b_ref = second_fundamental_form(model.metric, dist, pts, frame=frame)
-        h_ref, ke_ref = _frame_h_ke(model, dist, pts, frame)
+        h_ref = mean_curvature(model.metric, dist, pts, frame=frame)
+        ke_ref = extrinsic_curvature(model.metric, dist, pts, frame=frame)
         for _ in per_target:
             a = rng.uniform(-1.0, 1.0, size=(2, 2))
             while abs(np.linalg.det(a)) < 0.3:
@@ -273,7 +275,8 @@ def _op_frame_invariance(params: dict, jobs: int) -> CheckResult:
             new_frame = _reframe(model, frame, a)
             b_new = second_fundamental_form(model.metric, dist, pts,
                                             frame=new_frame)
-            h_new, ke_new = _frame_h_ke(model, dist, pts, new_frame)
+            h_new = mean_curvature(model.metric, dist, pts, frame=new_frame)
+            ke_new = extrinsic_curvature(model.metric, dist, pts, frame=new_frame)
             b_expect = np.einsum("ca,...cd,db->...ab", a, b_ref, a)
             scale = max(1.0, float(np.max(np.abs(b_expect))))
             worst = max(worst, float(np.max(np.abs(b_new - b_expect))) / scale)
@@ -283,11 +286,6 @@ def _op_frame_invariance(params: dict, jobs: int) -> CheckResult:
                                             / np.maximum(1.0, np.abs(h_ref)))))
     return _check(worst, params.get("tolerance", 1e-9),
                   {"n_reframings": n_frames, "targets": list(targets)})
-
-
-def _frame_h_ke(model, dist, pts, frame):
-    arrs = _block_arrays(model.metric.eval(pts), dist, pts, frame).arrs
-    return arrs["h"], arrs["k_e"]
 
 
 def _reframe(model, frame, a):
