@@ -15,6 +15,11 @@ whose t-derivative has rank at most one by construction:
 At points where the eigenvalues of D collide the eigenvectors need not
 vary smoothly; those points are flagged (EigenCrossing) rather than
 rejected, and the determinant check simply reports them separately.
+
+``verify_metric_path`` evaluates a path once, on one batch of points, so a
+path's ``eval`` must be pointwise: each point gets the same bits whatever
+else is in the batch, as numpy elementwise ops, batched ``eigh`` and
+``einsum`` give.
 """
 
 from __future__ import annotations
@@ -201,11 +206,31 @@ def verify_metric_path(path, grid=(9, 9, 17)) -> dict:
     and t >= 0.95), the t-independence residual near non-periodic
     surface boundaries, and whether the family stays SPD (failure raises
     NotSPD with the offending (t, p)).
+
+    The path is evaluated once, on one batch in this order: the grid; the
+    t = 0 reference slice of the surface points and its collar-0 slices;
+    the t = 1 reference slice and its collar-1 slices; the t = 0 reference
+    slice of the points near non-periodic edges and its slices over [0, 1].
+    A residual is the largest |G(slice) - G(reference)| of its group, or
+    0.0 for an empty group (periodic charts have no edge points).
     """
     chart = path.chart
-    sample = chart.sample_grid(grid, margin=1e-9)
-    pts = sample.points
-    g, dg = path.eval(pts)
+    pts = chart.sample_grid(grid, margin=1e-9).points
+    n = pts.shape[1]
+    surf = chart.sample_grid((grid[0], grid[1], 1), margin=1e-9).points[:2]
+    near_edge = np.zeros(surf.shape[1], dtype=bool)
+    for axis in range(2):
+        if chart.periodic[axis]:
+            continue
+        lo, hi = chart.domain[axis]
+        near_edge |= (surf[axis] - lo <= _BOUNDARY_MARGIN) | (hi - surf[axis] <= _BOUNDARY_MARGIN)
+    groups = [(surf, [0.0, *np.linspace(0.0, _DELTA0, _COLLAR_SAMPLES)]),
+              (surf, [1.0, *np.linspace(1.0 - _DELTA1, 1.0, _COLLAR_SAMPLES)]),
+              (surf[:, near_edge], [0.0, *np.linspace(0.0, 1.0, 2 * _COLLAR_SAMPLES + 1)])]
+    slices = [np.vstack([p, np.full((1, p.shape[1]), t)])
+              for p, ts in groups for t in ts]
+    g_all, dg_all = path.eval(np.hstack([pts] + slices))
+    g, dg = g_all[:n], dg_all[:n]
 
     failure = _first_not_spd(g)
     if failure is not None:
@@ -213,45 +238,16 @@ def verify_metric_path(path, grid=(9, 9, 17)) -> dict:
 
     det_dt = dg[..., 0, 0] * dg[..., 1, 1] - dg[..., 0, 1] ** 2
     flagged = path.crossing_mask(pts)
-    clear = ~flagged
-    max_det = float(np.max(np.abs(det_dt[clear]))) if np.any(clear) else 0.0
-    max_det_flagged = (float(np.max(np.abs(det_dt[flagged])))
-                       if np.any(flagged) else 0.0)
+    max_det = float(np.max(np.abs(det_dt[~flagged]), initial=0.0))
+    max_det_flagged = float(np.max(np.abs(det_dt[flagged]), initial=0.0))
 
-    # end collars: G_t must equal the t=0 / t=1 metric within the margins
-    nu, nv = grid[0], grid[1]
-    surf = chart.sample_grid((nu, nv, 1), margin=1e-9).points[:2]
-
-    def _freeze_residual(t_ref: float, t_window: np.ndarray) -> float:
-        ref_pts = np.vstack([surf, np.full((1, surf.shape[1]), t_ref)])
-        g_ref, _ = path.eval(ref_pts)
-        worst = 0.0
-        for tc in t_window:
-            probe = np.vstack([surf, np.full((1, surf.shape[1]), tc)])
-            g_probe, _ = path.eval(probe)
-            worst = max(worst, float(np.max(np.abs(g_probe - g_ref))))
-        return worst
-
-    collar0 = _freeze_residual(0.0, np.linspace(0.0, _DELTA0, _COLLAR_SAMPLES))
-    collar1 = _freeze_residual(1.0, np.linspace(1.0 - _DELTA1, 1.0, _COLLAR_SAMPLES))
-
-    # boundary neighbourhood: t-independence near non-periodic edges
-    near_edge = np.zeros(surf.shape[1], dtype=bool)
-    for axis in range(2):
-        if chart.periodic[axis]:
-            continue
-        lo, hi = chart.domain[axis]
-        near_edge |= (surf[axis] - lo <= _BOUNDARY_MARGIN) | (hi - surf[axis] <= _BOUNDARY_MARGIN)
-    boundary_residual = 0.0
-    if np.any(near_edge):
-        edge = surf[:, near_edge]
-        ref_pts = np.vstack([edge, np.zeros((1, edge.shape[1]))])
-        g_ref, _ = path.eval(ref_pts)
-        for tc in np.linspace(0.0, 1.0, 2 * _COLLAR_SAMPLES + 1):
-            probe = np.vstack([edge, np.full((1, edge.shape[1]), tc)])
-            g_probe, _ = path.eval(probe)
-            boundary_residual = max(boundary_residual,
-                                    float(np.max(np.abs(g_probe - g_ref))))
+    residuals, start = [], n
+    for p, ts in groups:
+        m = p.shape[1]
+        g_group = g_all[start:start + len(ts) * m].reshape(len(ts), m, 2, 2)
+        residuals.append(float(np.max(np.abs(g_group[1:] - g_group[0]), initial=0.0)))
+        start += len(ts) * m
+    collar0, collar1, boundary_residual = residuals
 
     return {
         "grid": list(grid),

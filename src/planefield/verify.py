@@ -595,12 +595,13 @@ def _op_quadrature_convergence(params: dict, jobs: int) -> CheckResult:
     model = catalog.flat_torus_model()
     probe = model.vectors["quadrature-probe"]
     levels = params.get("levels", [8, 16, 32, 64])
+    _nonempty(levels[1:], f"levels {list(levels)} has fewer than two entries")
     values = [abs(integrate_scalar(model.metric,
                                    lambda p: divergence(model.metric, probe, p),
                                    (n, n, n), jobs=jobs))
               for n in levels]
     monotone = all(values[i] > values[i + 1]
-                   for i in range(len(levels) - 2))
+                   for i in range(len(levels) - 1))
     measured = values[-1]
     return _check(measured, tol, {"levels": list(levels),
                                   "abs_integrals": values,

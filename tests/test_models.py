@@ -19,6 +19,7 @@ from planefield.models import (ExprMetricPath, SurfaceMetric, TwistSpec,
                                straight_line_path, torus_surface_chart,
                                transfer_metric, twist_map_points,
                                verify_metric_path)
+from planefield.models import paths
 from planefield.models.paths import _entry_eval
 
 
@@ -231,6 +232,8 @@ def test_non_spd_path_names_its_failing_minor(entries, index, value):
     assert err.value.minor_index == index
     assert err.value.minor_value == value
     assert f"leading minor {index + 1} = {value!r}" in str(err.value)
+    first = torus_surface_chart().sample_grid((3, 3, 3), margin=1e-9).points[:, 0]
+    assert err.value.point == tuple(first)
 
 
 def test_single_direction_stretch_is_degenerate_but_breaks_collars():
@@ -291,6 +294,95 @@ def test_rank_one_path_subdivides_until_spd():
     assert path.substeps >= 4
     rep = verify_metric_path(path, grid=(4, 4, 33))
     assert rep["max_abs_det_dt"] <= 1e-10
+
+
+def _verify_metric_path_per_slice(path, grid):
+    """The report of ``verify_metric_path`` as it was computed with one
+    ``path.eval`` per probe slice, kept as a reference for the batch."""
+    chart = path.chart
+    pts = chart.sample_grid(grid, margin=1e-9).points
+    g, dg = path.eval(pts)
+    failure = paths._first_not_spd(g)
+    if failure is not None:
+        raise NotSPDError(pts[:, failure[0]], *failure[1:])
+    det_dt = dg[..., 0, 0] * dg[..., 1, 1] - dg[..., 0, 1] ** 2
+    flagged = path.crossing_mask(pts)
+    clear = ~flagged
+    max_det = float(np.max(np.abs(det_dt[clear]))) if np.any(clear) else 0.0
+    max_det_flagged = (float(np.max(np.abs(det_dt[flagged])))
+                       if np.any(flagged) else 0.0)
+    surf = chart.sample_grid((grid[0], grid[1], 1), margin=1e-9).points[:2]
+
+    def freeze_residual(points, t_ref, t_window):
+        g_ref, _ = path.eval(np.vstack([points, np.full((1, points.shape[1]), t_ref)]))
+        worst = 0.0
+        for tc in t_window:
+            probe = np.vstack([points, np.full((1, points.shape[1]), tc)])
+            g_probe, _ = path.eval(probe)
+            worst = max(worst, float(np.max(np.abs(g_probe - g_ref))))
+        return worst
+
+    near_edge = np.zeros(surf.shape[1], dtype=bool)
+    for axis in range(2):
+        if chart.periodic[axis]:
+            continue
+        lo, hi = chart.domain[axis]
+        near_edge |= ((surf[axis] - lo <= paths._BOUNDARY_MARGIN)
+                      | (hi - surf[axis] <= paths._BOUNDARY_MARGIN))
+    n = paths._COLLAR_SAMPLES
+    boundary = 0.0
+    if np.any(near_edge):
+        boundary = freeze_residual(surf[:, near_edge], 0.0,
+                                   np.linspace(0.0, 1.0, 2 * n + 1))
+    return {
+        "grid": list(grid),
+        "stages": int(getattr(path, "stages", 0)),
+        "max_abs_det_dt": max_det,
+        "max_abs_det_dt_flagged": max_det_flagged,
+        "n_flagged": int(np.count_nonzero(flagged)),
+        "n_points": int(pts.shape[1]),
+        "collar0_residual": freeze_residual(
+            surf, 0.0, np.linspace(0.0, paths._DELTA0, n)),
+        "collar1_residual": freeze_residual(
+            surf, 1.0, np.linspace(1.0 - paths._DELTA1, 1.0, n)),
+        "boundary_points": int(np.count_nonzero(near_edge)),
+        "boundary_residual": boundary,
+        "parabolic": bool(max_det <= paths._DET_TOL),
+        "det_tol": paths._DET_TOL,
+    }
+
+
+def _torus_pair():
+    """The pair whose rank-one path needs at least four substeps."""
+    chart = torus_surface_chart()
+    return (SurfaceMetric.from_strings(chart, ("1", "0.9", "1")),
+            SurfaceMetric.from_strings(chart, ("0.5", "0.9", "3")))
+
+
+def _annulus_pair():
+    """The annulus metric and its Dehn-twist pullback."""
+    g = SurfaceMetric.from_strings(annulus_surface_chart(), ("1", "0", "1"))
+    return g, dehn_twist_pullback(g, TwistSpec(1.0, 1.5, 1))
+
+
+@pytest.mark.parametrize("pair, edge_points", [(_torus_pair, 0),
+                                               (_annulus_pair, 18)],
+                         ids=["torus", "annulus"])
+@pytest.mark.parametrize("make_path", [
+    straight_line_path,
+    lambda g, h: rank_one_path(g, h, grid=(9, 9, 17)),
+    lambda g, h: rank_one_path(g, g),
+    lambda g, h: ExprMetricPath(g.chart, ("1 + t*t", "0.1*t", "1 + t"))],
+    ids=["straight-line", "rank-one", "constant", "edge-stretch"])
+def test_batched_path_verifier_matches_per_slice_evaluation(
+        pair, edge_points, make_path):
+    """One batched ``path.eval`` gives every bit of the per-slice report;
+    the stretch in t also moves the metric at the annulus edges."""
+    g, h = pair()
+    path = make_path(g, h)
+    rep = verify_metric_path(path, grid=(9, 9, 13))
+    assert rep == _verify_metric_path_per_slice(path, (9, 9, 13))
+    assert rep["boundary_points"] == edge_points
 
 
 def test_path_time_derivative_matches_finite_difference():

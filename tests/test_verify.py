@@ -136,3 +136,18 @@ def test_a_check_that_measures_nothing_fails(operation, params, names):
     assert not result.passed
     assert result.error.startswith("ConfigError: ")
     assert names in result.error
+
+
+@pytest.mark.parametrize("levels, monotone", [
+    ([8, 64, 32], False),      # |integral| rises 6.35e-16 -> 1.42e-15 last
+    ([64, 8], False),
+    ([64], None)])             # one level compares nothing
+def test_quadrature_convergence_compares_every_consecutive_pair(levels,
+                                                                monotone):
+    result = _run_one("quadrature-convergence", {"levels": levels})
+    assert not result.passed
+    if monotone is None:
+        assert result.error.startswith("ConfigError: levels [64]")
+    else:
+        assert result.error is None
+        assert result.detail["monotone"] is monotone
