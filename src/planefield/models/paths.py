@@ -212,7 +212,7 @@ def verify_metric_path(path, grid=(9, 9, 17)) -> dict:
     the t = 1 reference slice and its collar-1 slices; the t = 0 reference
     slice of the points near non-periodic edges and its slices over [0, 1].
     A residual is the largest |G(slice) - G(reference)| of its group, or
-    0.0 for an empty group (periodic charts have no edge points).
+    0.0 for an empty group (no edge points on a chart periodic in u and v).
     """
     chart = path.chart
     pts = chart.sample_grid(grid, margin=1e-9).points
@@ -255,7 +255,7 @@ def verify_metric_path(path, grid=(9, 9, 17)) -> dict:
         "max_abs_det_dt": max_det,
         "max_abs_det_dt_flagged": max_det_flagged,
         "n_flagged": int(np.count_nonzero(flagged)),
-        "n_points": int(pts.shape[1]),
+        "n_points": n,
         "collar0_residual": collar0,
         "collar1_residual": collar1,
         "boundary_points": int(np.count_nonzero(near_edge)),

@@ -236,6 +236,15 @@ def test_non_spd_path_names_its_failing_minor(entries, index, value):
     assert err.value.point == tuple(first)
 
 
+def test_overflowing_path_reports_a_nan_collar_residual():
+    """At t >= 0.95 this metric is inf, and inf - inf shows no frozen collar."""
+    path = ExprMetricPath(torus_surface_chart(), ("exp(800*t)", "0", "1"))
+    with np.errstate(over="ignore", invalid="ignore"):
+        rep = verify_metric_path(path, grid=(3, 3, 5))
+    assert math.isnan(rep["collar1_residual"])
+    assert not rep["parabolic"]
+
+
 def test_single_direction_stretch_is_degenerate_but_breaks_collars():
     chart = torus_surface_chart()
     path = ExprMetricPath(chart, ("1 + t", "0", "1"))
