@@ -7,6 +7,7 @@ from typing import Optional
 
 from ..distributions import Distribution
 from ..errors import ConfigError
+from ..expr import coord_indices
 from ..geometry import Chart, MetricField, OneForm, _as_nodes
 
 __all__ = ["Model", "SurfaceMetric"]
@@ -45,6 +46,12 @@ class Model:
             raise ConfigError(
                 f"model {self.model_id!r} has no frame named {name!r}")
         return self.named_frames[name]
+
+
+def require_static(entries, what: str) -> None:
+    """ConfigError if an entry reads the chart's third coordinate."""
+    if any(2 in coord_indices(e) for e in entries):
+        raise ConfigError(f"{what} needs a t-independent surface metric")
 
 
 @dataclass

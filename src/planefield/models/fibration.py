@@ -23,7 +23,7 @@ import numpy as np
 from ..errors import ConfigError, DomainError
 from ..expr import substitute
 from ..geometry import Chart, VectorField
-from .base import Model, SurfaceMetric
+from .base import Model, SurfaceMetric, require_static
 
 __all__ = ["product_fibration", "TwistSpec", "dehn_twist_pullback",
            "torus_surface_chart", "annulus_surface_chart"]
@@ -51,10 +51,7 @@ def annulus_surface_chart() -> Chart:
 
 def product_fibration(surface: SurfaceMetric, model_id: str = "product-fibration") -> Model:
     """Model dt^2 + G on (surface) x S^1 with the fiber foliation ker(dt)."""
-    from ..expr import coord_indices
-    for e in surface.entries:
-        if 2 in coord_indices(e):
-            raise ConfigError("product fibration needs a t-independent surface metric")
+    require_static(surface.entries, "product fibration")
     chart = surface.chart
     metric = surface.product_metric()
     from ..geometry import OneForm

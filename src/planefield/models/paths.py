@@ -16,10 +16,11 @@ At points where the eigenvalues of D collide the eigenvectors need not
 vary smoothly; those points are flagged (EigenCrossing) rather than
 rejected, and the determinant check simply reports them separately.
 
-``verify_metric_path`` evaluates a path once, on one batch of points, so a
-path's ``eval`` must be pointwise: each point gets the same bits whatever
-else is in the batch, as numpy elementwise ops, batched ``eigh`` and
-``einsum`` give.
+``eval_product`` evaluates a path on S surface points (2, S) times T times
+(T,): G_t and d_t G_t shaped (T, S, 2, 2), and the crossing mask (S,).
+``RankOnePath`` splits H - G once per surface point and broadcasts over t.
+Each point gets the bits ``eval`` gives it alone, as numpy elementwise ops,
+batched ``eigh`` and broadcasting ``einsum`` do.
 """
 
 from __future__ import annotations
@@ -30,9 +31,9 @@ from typing import Optional
 import numpy as np
 
 from .. import expr
-from ..errors import ConfigError, NonSPDPathError, NotSPDError
+from ..errors import ConfigError, DomainError, NonSPDPathError, NotSPDError
 from ..geometry import Chart, _as_nodes
-from .base import SurfaceMetric
+from .base import SurfaceMetric, require_static
 
 __all__ = ["ExprMetricPath", "RankOnePath", "rank_one_path",
            "straight_line_path", "verify_metric_path"]
@@ -72,8 +73,10 @@ class ExprMetricPath:
     def eval(self, points) -> tuple:
         return _entry_eval(self._tape, points)
 
-    def crossing_mask(self, points) -> np.ndarray:
-        return np.zeros(points.shape[1:], dtype=bool)
+    def eval_product(self, surf, times) -> tuple:
+        """(G_t, d_t G_t) on (2, S) surface points x (T,) times; no crossings."""
+        pts = np.broadcast_arrays(surf[0], surf[1], np.asarray(times, dtype=float)[:, None])
+        return (*self.eval(np.stack(pts)), np.zeros(surf.shape[1], dtype=bool))
 
 
 def straight_line_path(g: SurfaceMetric, h: SurfaceMetric) -> ExprMetricPath:
@@ -94,58 +97,59 @@ class RankOnePath:
     base_entries: tuple       # G, t-independent
     diff_entries: tuple       # H - G, t-independent
     substeps: int             # 0 means the constant path
-    _cuts: np.ndarray = field(default=None, repr=False)
     _base: expr.Tape = field(init=False, repr=False, compare=False)
     _diff: expr.Tape = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
+        require_static(self.base_entries + self.diff_entries, "rank-one path")
         self._base, self._diff = expr.Tape(self.base_entries), expr.Tape(self.diff_entries)
-        if self.substeps:
-            self._cuts = np.linspace(_DELTA0, 1.0 - _DELTA1, 2 * self.substeps + 1)
 
     @property
     def stages(self) -> int:
         return 2 * self.substeps
 
     def _spectral(self, points) -> tuple:
+        """G, H - G, and the eigenvalues and projections (..., a, i, j) of H - G."""
         gb, _ = _entry_eval(self._base, points)
         d, _ = _entry_eval(self._diff, points)
         mu, u = np.linalg.eigh(d)
-        return gb, mu, u
+        return gb, d, mu, np.einsum("...ia,...ja->...aij", u, u)
 
     def _time_weights(self, t: np.ndarray) -> tuple:
         """Accumulated smoothstep weight and speed per eigen-slot."""
-        coef = np.zeros((2,) + t.shape)
-        dcoef = np.zeros((2,) + t.shape)
+        coef, dcoef = np.zeros((2, 2) + t.shape)
+        cuts = np.linspace(_DELTA0, 1.0 - _DELTA1, self.stages + 1)
         inv_m = 1.0 / self.substeps
         for q in range(self.stages):
-            lo, hi = self._cuts[q], self._cuts[q + 1]
+            lo, hi = cuts[q], cuts[q + 1]
             w = (t - lo) / (hi - lo)
             step, dstep = expr._transition(w, 1)
             coef[q % 2] += step * inv_m
             dcoef[q % 2] += dstep / (hi - lo) * inv_m
         return coef, dcoef
 
+    def _mix(self, pieces, t: np.ndarray) -> tuple:
+        """(G_t, d_t G_t) from ``_spectral`` pieces and times broadcast to them."""
+        gb, _, mu, proj = pieces
+        if self.substeps == 0:
+            g = np.broadcast_to(gb, np.broadcast_shapes(t.shape, gb.shape[:-2]) + (2, 2)).copy()
+            return g, np.zeros_like(g)
+        g, dg = (np.einsum("a...,...a,...aij->...ij", c, mu, proj)
+                 for c in self._time_weights(t))
+        return gb + g, dg
+
     def eval(self, points) -> tuple:
         points = np.asarray(points, dtype=float)
-        if self.substeps == 0:
-            gb, _ = _entry_eval(self._base, points)
-            return gb, np.zeros_like(gb)
-        gb, mu, u = self._spectral(points)
-        coef, dcoef = self._time_weights(points[2])
-        proj = np.einsum("...ia,...ja->...aij", u, u)
-        g = gb + np.einsum("a...,...a,...aij->...ij",
-                           coef, mu, proj)
-        dg = np.einsum("a...,...a,...aij->...ij", dcoef, mu, proj)
-        return g, dg
+        return self._mix(self._spectral(points), points[2])
 
-    def crossing_mask(self, points) -> np.ndarray:
-        points = np.asarray(points, dtype=float)
-        if self.substeps == 0:
-            return np.zeros(points.shape[1:], dtype=bool)
-        d, _ = _entry_eval(self._diff, points)
-        mu = np.linalg.eigvalsh(d)
-        return np.abs(mu[..., 1] - mu[..., 0]) < _CROSSING_TOL
+    def eval_product(self, surf, times) -> tuple:
+        """(G_t, d_t G_t) on (2, S) surface points x (T,) times, and where the
+        eigenvalues of H - G collide.  Only a DomainError's point reads t."""
+        times = np.asarray(times, dtype=float)
+        pieces = self._spectral(np.vstack([surf, np.full((1, surf.shape[1]), times[0])]))
+        mu = pieces[2]
+        return (*self._mix(pieces, times[:, None]),
+                (np.abs(mu[..., 1] - mu[..., 0]) < _CROSSING_TOL) & (self.substeps > 0))
 
 
 def _first_not_spd(g: np.ndarray) -> Optional[tuple]:
@@ -162,40 +166,33 @@ def _first_not_spd(g: np.ndarray) -> Optional[tuple]:
     return i, k, minors[i, k]
 
 
-def _spd_failure(path, grid) -> Optional[tuple]:
-    """First (t, p) where a path metric leaves the SPD cone, or None."""
-    nu, nv, nt = grid
-    upts, _ = path.chart.axis_points(0, nu, margin=1e-6)
-    vpts, _ = path.chart.axis_points(1, nv, margin=1e-6)
-    tline = np.linspace(0.0, 1.0, nt)
-    mu, mv, mt = np.meshgrid(upts, vpts, tline, indexing="ij")
-    pts = np.stack([mu.reshape(-1), mv.reshape(-1), mt.reshape(-1)], axis=0)
-    g, _ = path.eval(pts)
-    failure = _first_not_spd(g)
-    if failure is None:
-        return None
-    i = failure[0]
-    return float(pts[2, i]), (float(pts[0, i]), float(pts[1, i]))
-
-
 def rank_one_path(g: SurfaceMetric, h: SurfaceMetric, grid=(9, 9, 33),
                   max_depth: int = 8) -> RankOnePath:
-    """Default parabolic path from G to H (SPD-validated, see module doc)."""
+    """Default parabolic path from G to H (SPD-validated, see module doc);
+    H - G is split once, on the probe surface, for every subdivision depth."""
     if g.chart is not h.chart:
         raise ConfigError("both surface metrics must share one chart")
-    diff = tuple(he - ge for ge, he in zip(g.entries, h.entries))
-    probe = g.chart.sample_grid((grid[0], grid[1], 1), margin=1e-6)
-    dval, _ = _entry_eval(diff, probe.points)
-    if float(np.max(np.abs(dval))) < 1e-14:
-        return RankOnePath(g.chart, g.entries, diff, substeps=0)
-    failure = None
+    path = RankOnePath(g.chart, g.entries,
+                       tuple(he - ge for ge, he in zip(g.entries, h.entries)), substeps=0)
+    probe = g.chart.sample_grid((grid[0], grid[1], 1), margin=1e-6).points
+    pieces = path._spectral(probe)
+    bad = ~np.isfinite(np.stack(pieces[:2], axis=1))
+    if bad.any():
+        s, which, i, j = np.unravel_index(np.argmax(bad), bad.shape)
+        raise DomainError("rank_one_path", float(pieces[which][s, i, j]),
+                          f"{('G', 'H - G')[which]} entry g{i + 1}{j + 1} is not finite",
+                          point=probe[:2, s])
+    if float(np.max(np.abs(pieces[1]))) < 1e-14:
+        return path
     for depth in range(max_depth + 1):
-        path = RankOnePath(g.chart, g.entries, diff, substeps=2 ** depth)
-        nt = max(grid[2], 8 * path.substeps + 1)
-        failure = _spd_failure(path, (grid[0], grid[1], nt))
+        path.substeps = 2 ** depth
+        tline = np.linspace(0.0, 1.0, max(grid[2], 8 * path.substeps + 1))
+        g_t, _ = path._mix(pieces, tline[:, None])
+        failure = _first_not_spd(g_t.swapaxes(0, 1).reshape(-1, 2, 2))
         if failure is None:
             return path
-    raise NonSPDPathError(failure[0], failure[1], max_depth)
+    s, it = divmod(failure[0], len(tline))
+    raise NonSPDPathError(tline[it], probe[:2, s], max_depth)
 
 
 def verify_metric_path(path, grid=(9, 9, 17)) -> dict:
@@ -207,46 +204,45 @@ def verify_metric_path(path, grid=(9, 9, 17)) -> dict:
     surface boundaries, and whether the family stays SPD (failure raises
     NotSPD with the offending (t, p)).
 
-    The path is evaluated once, on one batch in this order: the grid; the
-    t = 0 reference slice of the surface points and its collar-0 slices;
-    the t = 1 reference slice and its collar-1 slices; the t = 0 reference
-    slice of the points near non-periodic edges and its slices over [0, 1].
-    A residual is the largest |G(slice) - G(reference)| of its group, or
-    0.0 for an empty group (no edge points on a chart periodic in u and v).
+    One ``eval_product`` covers the grid's surface points at the grid's t
+    axis, at t = 0 and the collar-0 times, at t = 1 and the collar-1 times
+    and, if points lie near an edge, at t = 0 and times over [0, 1]; its grid
+    part is read in the grid's u-major, t-fastest order.  A residual is the
+    largest |G(t) - G(reference)| of its group, or 0.0 without edge points.
     """
     chart = path.chart
-    pts = chart.sample_grid(grid, margin=1e-9).points
-    n = pts.shape[1]
     surf = chart.sample_grid((grid[0], grid[1], 1), margin=1e-9).points[:2]
+    tgrid, _ = chart.axis_points(2, grid[2], margin=1e-9)
+    nt = len(tgrid)
     near_edge = np.zeros(surf.shape[1], dtype=bool)
     for axis in range(2):
         if chart.periodic[axis]:
             continue
         lo, hi = chart.domain[axis]
         near_edge |= (surf[axis] - lo <= _BOUNDARY_MARGIN) | (hi - surf[axis] <= _BOUNDARY_MARGIN)
-    groups = [(surf, [0.0, *np.linspace(0.0, _DELTA0, _COLLAR_SAMPLES)]),
-              (surf, [1.0, *np.linspace(1.0 - _DELTA1, 1.0, _COLLAR_SAMPLES)]),
-              (surf[:, near_edge], [0.0, *np.linspace(0.0, 1.0, 2 * _COLLAR_SAMPLES + 1)])]
-    slices = [np.vstack([p, np.full((1, p.shape[1]), t)])
-              for p, ts in groups for t in ts]
-    g_all, dg_all = path.eval(np.hstack([pts] + slices))
-    g, dg = g_all[:n], dg_all[:n]
+    groups = [([0.0, *np.linspace(0.0, _DELTA0, _COLLAR_SAMPLES)], slice(None)),
+              ([1.0, *np.linspace(1.0 - _DELTA1, 1.0, _COLLAR_SAMPLES)], slice(None))]
+    if np.any(near_edge):
+        groups.append(([0.0, *np.linspace(0.0, 1.0, 2 * _COLLAR_SAMPLES + 1)], near_edge))
+    g_all, dg_all, flagged = path.eval_product(
+        surf, np.concatenate([tgrid] + [ts for ts, _ in groups]))
+    g, dg = g_all[:nt], dg_all[:nt]
 
-    failure = _first_not_spd(g)
+    failure = _first_not_spd(g.swapaxes(0, 1).reshape(-1, 2, 2))
     if failure is not None:
-        raise NotSPDError(pts[:, failure[0]], *failure[1:])
+        s, it = divmod(failure[0], nt)
+        raise NotSPDError((*surf[:, s], tgrid[it]), *failure[1:])
 
     det_dt = dg[..., 0, 0] * dg[..., 1, 1] - dg[..., 0, 1] ** 2
-    flagged = path.crossing_mask(pts)
+    flagged = np.broadcast_to(flagged, det_dt.shape)
     max_det = float(np.max(np.abs(det_dt[~flagged]), initial=0.0))
     max_det_flagged = float(np.max(np.abs(det_dt[flagged]), initial=0.0))
 
-    residuals, start = [], n
-    for p, ts in groups:
-        m = p.shape[1]
-        g_group = g_all[start:start + len(ts) * m].reshape(len(ts), m, 2, 2)
-        residuals.append(float(np.max(np.abs(g_group[1:] - g_group[0]), initial=0.0)))
-        start += len(ts) * m
+    residuals, start = [0.0, 0.0, 0.0], nt
+    for k, (ts, cols) in enumerate(groups):
+        g_group = g_all[start:start + len(ts), cols]
+        residuals[k] = float(np.max(np.abs(g_group[1:] - g_group[0]), initial=0.0))
+        start += len(ts)
     collar0, collar1, boundary_residual = residuals
 
     return {
@@ -255,7 +251,7 @@ def verify_metric_path(path, grid=(9, 9, 17)) -> dict:
         "max_abs_det_dt": max_det,
         "max_abs_det_dt_flagged": max_det_flagged,
         "n_flagged": int(np.count_nonzero(flagged)),
-        "n_points": n,
+        "n_points": nt * surf.shape[1],
         "collar0_residual": collar0,
         "collar1_residual": collar1,
         "boundary_points": int(np.count_nonzero(near_edge)),

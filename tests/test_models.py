@@ -21,6 +21,7 @@ from planefield.models import (ExprMetricPath, SurfaceMetric, TwistSpec,
                                verify_metric_path)
 from planefield.models import paths
 from planefield.models.paths import _entry_eval
+from planefield.verify import _spd_pairs
 
 
 # ---------------------------------------------------------------------------
@@ -236,6 +237,20 @@ def test_non_spd_path_names_its_failing_minor(entries, index, value):
     assert err.value.point == tuple(first)
 
 
+def test_non_spd_path_names_the_first_point_a_grid_sweep_meets():
+    """G_11 <= 0 for u > 3 early in t and for u < 3 late in t: the reported
+    point is the first in the grid's u-major, t-fastest order."""
+    chart = torus_surface_chart()
+    path = ExprMetricPath(chart, ("(u - 3)*(t - 0.5)", "0", "1"))
+    with pytest.raises(NotSPDError) as err:
+        verify_metric_path(path, grid=(9, 9, 13))
+    pts = chart.sample_grid((9, 9, 13), margin=1e-9).points
+    bad = (pts[0] - 3) * (pts[2] - 0.5) <= 0
+    assert err.value.point == tuple(pts[:, np.argmax(bad)])
+    t_major = np.lexsort((pts[1], pts[0], pts[2]))
+    assert err.value.point != tuple(pts[:, t_major[np.argmax(bad[t_major])]])
+
+
 def test_overflowing_path_reports_a_nan_collar_residual():
     """At t >= 0.95 this metric is inf, and inf - inf shows no frozen collar."""
     path = ExprMetricPath(torus_surface_chart(), ("exp(800*t)", "0", "1"))
@@ -297,12 +312,54 @@ def test_rank_one_path_subdivides_until_spd():
     chart = torus_surface_chart()
     g = SurfaceMetric.from_strings(chart, ("1", "0.9", "1"))
     h = SurfaceMetric.from_strings(chart, ("0.5", "0.9", "3"))
-    with pytest.raises(NonSPDPathError):
-        rank_one_path(g, h, max_depth=1)
+    for depth, t in [(0, 0.25), (1, 0.21875)]:
+        with pytest.raises(NonSPDPathError) as err:
+            rank_one_path(g, h, max_depth=depth)
+        assert (err.value.t, err.value.depth) == (t, depth)
+        assert err.value.point == (0.3490658503988659, 0.3490658503988659)
     path = rank_one_path(g, h, max_depth=8)
     assert path.substeps >= 4
     rep = verify_metric_path(path, grid=(4, 4, 33))
     assert rep["max_abs_det_dt"] <= 1e-10
+
+
+def test_rank_one_path_rejects_t_dependent_metrics():
+    """d_t G_t of a rank-one path leaves out any t-derivative of G or H."""
+    chart = torus_surface_chart()
+    g = SurfaceMetric.from_strings(chart, ("1", "0", "1"))
+    h = SurfaceMetric.from_strings(chart, ("2+t", "0", "1"))
+    for pair in [(g, h), (h, g)]:
+        with pytest.raises(ConfigError, match="rank-one path needs a t-independent"):
+            rank_one_path(*pair)
+
+
+def test_rank_one_path_names_a_non_finite_entry_before_subdividing(monkeypatch):
+    chart = torus_surface_chart()
+    g = SurfaceMetric.from_strings(chart, ("1", "0", "1"))
+    h = SurfaceMetric.from_strings(chart, ("exp(800*u)", "0", "1"))
+
+    def subdivide(*args):
+        raise AssertionError("rank_one_path subdivided a non-finite H - G")
+
+    monkeypatch.setattr(paths.RankOnePath, "_time_weights", subdivide)
+    with np.errstate(over="ignore"), pytest.raises(DomainError) as err:
+        rank_one_path(g, h)
+    upts, _ = chart.axis_points(0, 9, margin=1e-6)
+    vpts, _ = chart.axis_points(1, 9, margin=1e-6)
+    assert upts[0] < math.log(np.finfo(float).max) / 800 < upts[1]
+    assert err.value.point == (upts[1], vpts[0])
+    assert err.value.value == math.inf
+    assert "(H - G entry g11 is not finite)" in str(err.value)
+
+
+def _crossing_mask(path, points):
+    """Points where the eigenvalues of H - G collide, from the difference
+    tape and ``eigvalsh``: the mask a path computed apart from its ``eigh``."""
+    if getattr(path, "substeps", 0) == 0:
+        return np.zeros(points.shape[1:], dtype=bool)
+    d, _ = _entry_eval(path.diff_entries, points)
+    mu = np.linalg.eigvalsh(d)
+    return np.abs(mu[..., 1] - mu[..., 0]) < paths._CROSSING_TOL
 
 
 def _verify_metric_path_per_slice(path, grid):
@@ -315,7 +372,7 @@ def _verify_metric_path_per_slice(path, grid):
     if failure is not None:
         raise NotSPDError(pts[:, failure[0]], *failure[1:])
     det_dt = dg[..., 0, 0] * dg[..., 1, 1] - dg[..., 0, 1] ** 2
-    flagged = path.crossing_mask(pts)
+    flagged = _crossing_mask(path, pts)
     clear = ~flagged
     max_det = float(np.max(np.abs(det_dt[clear]))) if np.any(clear) else 0.0
     max_det_flagged = (float(np.max(np.abs(det_dt[flagged])))
@@ -392,6 +449,40 @@ def test_batched_path_verifier_matches_per_slice_evaluation(
     rep = verify_metric_path(path, grid=(9, 9, 13))
     assert rep == _verify_metric_path_per_slice(path, (9, 9, 13))
     assert rep["boundary_points"] == edge_points
+
+
+def _product_cases():
+    """The 20 default rank-one-pass pairs (seed 7) and the torus and annulus
+    pairs above, each with the paths the verifier sees on them."""
+    cases = [(f"seed-7-pair-{i}", lambda g=g, h=h: rank_one_path(g, h, grid=(9, 9, 17)))
+             for i, (g, h) in enumerate(_spd_pairs({}, 7, 20))]
+    makers = [("rank-one", lambda g, h: rank_one_path(g, h, grid=(9, 9, 17))),
+              ("constant", lambda g, h: rank_one_path(g, g)),
+              ("straight-line", straight_line_path)]
+    for name, pair in [("torus", _torus_pair), ("annulus", _annulus_pair)]:
+        cases += [(f"{name}-{kind}", lambda p=pair, m=make: m(*p())) for kind, make in makers]
+    return cases
+
+
+@pytest.mark.parametrize("make_path", [m for _, m in _product_cases()],
+                         ids=[name for name, _ in _product_cases()])
+def test_product_evaluation_matches_pointwise_eval(make_path):
+    """``eval_product`` gives every (surface point, t) the bits of ``eval``
+    at that point, and the crossing mask of ``eigvalsh``."""
+    path = make_path()
+    chart = path.chart
+    surf = chart.sample_grid((9, 9, 1), margin=1e-9).points[:2]
+    times = np.concatenate([chart.axis_points(2, 13, margin=1e-9)[0],
+                            [0.0, *np.linspace(0.0, 0.05, 5)],
+                            [1.0, *np.linspace(0.95, 1.0, 5)],
+                            np.linspace(0.0, 1.0, 11)])
+    g, dg, flagged = path.eval_product(surf, times)
+    s = surf.shape[1]
+    assert g.shape == dg.shape == (len(times), s, 2, 2)
+    g_ref, dg_ref = path.eval(np.vstack([np.tile(surf, len(times)), np.repeat(times, s)]))
+    assert np.array_equal(g.reshape(-1, 2, 2), g_ref)
+    assert np.array_equal(dg.reshape(-1, 2, 2), dg_ref)
+    assert np.array_equal(flagged, _crossing_mask(path, np.vstack([surf, np.zeros(s)])))
 
 
 def test_path_time_derivative_matches_finite_difference():
