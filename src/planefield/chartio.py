@@ -4,18 +4,23 @@ A chart file carries {coords, domain, periodic, singular_loci, metric,
 forms, vectors} with every expression in the DSL; model files extend that
 with {model_id, parameters, named_frames, foliation}.  Atlas files list
 chart payloads plus transition maps (an expression triple per direction).
-All writers emit deterministic JSON (sorted keys); readers validate
-against the schemas shipped with the package.
+All writers emit deterministic JSON (sorted keys); readers refuse the
+NaN and Infinity literals that the writers never emit.
+
+Payloads are checked against the schemas shipped with the package by a
+verdict-only checker of the JSON Schema (draft 2020-12) keywords those
+schemas use.  jsonschema is imported only when that checker rejects a
+payload: it words the error, and it stays the authority on that path.
 """
 
 from __future__ import annotations
 
 import json
+import numbers
+import re
 from functools import cache
 from importlib import resources
 from pathlib import Path
-
-import jsonschema
 
 from .errors import ConfigError
 from .expr import to_string
@@ -24,18 +29,89 @@ from .models.base import Model
 from .models.openbook import Transition
 
 __all__ = [
-    "validate_payload", "dump_json",
+    "validate_payload", "dump_json", "read_json",
     "chart_payload", "model_payload", "model_from_payload",
     "load_model", "save_model", "atlas_payload", "atlas_from_payload",
     "save_atlas", "load_atlas",
 ]
 
 
+# The draft 2020-12 keywords the checker implements, with jsonschema's
+# type predicates: a bool is neither a number nor an integer, 1.0 is an integer.
+_TYPES = {
+    "object": lambda x: isinstance(x, dict),
+    "array": lambda x: isinstance(x, list),
+    "string": lambda x: isinstance(x, str),
+    "boolean": lambda x: isinstance(x, bool),
+    "null": lambda x: x is None,
+    "number": lambda x: isinstance(x, numbers.Number) and not isinstance(x, bool),
+    "integer": lambda x: not isinstance(x, bool) and (
+        isinstance(x, int) or isinstance(x, float) and x.is_integer()),
+}
+_KEYWORDS = {"$schema", "$id", "title", "type", "properties", "required",
+             "additionalProperties", "items", "minItems", "maxItems",
+             "minimum", "exclusiveMinimum", "pattern", "enum"}
+
+
+def _subset_only(schema, name: str) -> None:
+    """Raise ConfigError where ``schema`` leaves the checker's keyword subset."""
+    if isinstance(schema, bool):
+        return
+    unknown = sorted(schema.keys() - _KEYWORDS)
+    if any(isinstance(e, (list, dict)) for e in schema.get("enum", ())):
+        unknown.append("an enum of arrays or objects")
+    if unknown:
+        raise ConfigError(f"{name} schema uses {', '.join(unknown)}, "
+                          "which chartio's schema checker does not implement")
+    for sub in [*schema.get("properties", {}).values(),
+                schema.get("additionalProperties", True), schema.get("items", True)]:
+        _subset_only(sub, name)
+
+
 @cache
-def _validator(name: str):
-    """The shipped schema's validator, its schema checked once per process."""
+def _schema(name: str):
+    """A shipped schema, loaded once per process and held to the subset."""
     ref = resources.files("planefield.schemas").joinpath(f"{name}.schema.json")
     schema = json.loads(ref.read_text(encoding="utf-8"))
+    _subset_only(schema, name)
+    return schema
+
+
+def _accepts(schema, x) -> bool:
+    """jsonschema's verdict on ``x`` for a schema within the subset."""
+    if isinstance(schema, bool):
+        return schema
+    types = schema.get("type")
+    if types is not None and not any(
+            _TYPES[t](x) for t in ([types] if isinstance(types, str) else types)):
+        return False
+    # enum members are scalars, and jsonschema's equality tells bools apart
+    if "enum" in schema and not any(
+            e is x or isinstance(e, bool) == isinstance(x, bool) and e == x
+            for e in schema["enum"]):
+        return False
+    if _TYPES["number"](x) and (
+            "minimum" in schema and x < schema["minimum"]
+            or "exclusiveMinimum" in schema and x <= schema["exclusiveMinimum"]):
+        return False
+    if isinstance(x, str) and "pattern" in schema and not re.search(schema["pattern"], x):
+        return False
+    if isinstance(x, list):
+        if not schema.get("minItems", 0) <= len(x) <= schema.get("maxItems", len(x)):
+            return False
+        return all(_accepts(schema.get("items", True), v) for v in x)
+    if isinstance(x, dict):
+        props, extra = schema.get("properties", {}), schema.get("additionalProperties", True)
+        return (all(k in x for k in schema.get("required", ()))
+                and all(_accepts(props.get(k, extra), v) for k, v in x.items()))
+    return True
+
+
+@cache
+def _validator(name: str):
+    """jsonschema's validator of a shipped schema, checked once per process."""
+    import jsonschema
+    schema = _schema(name)
     cls = jsonschema.validators.validator_for(schema)
     cls.check_schema(schema)
     return cls(schema)
@@ -43,11 +119,27 @@ def _validator(name: str):
 
 def validate_payload(payload: dict, schema_name: str) -> None:
     """Raise ConfigError when a payload does not match a shipped schema."""
+    if _accepts(_schema(schema_name), payload):
+        return
+    import jsonschema
     err = jsonschema.exceptions.best_match(
         _validator(schema_name).iter_errors(payload))
     if err is not None:
         raise ConfigError(
             f"payload fails {schema_name} schema: {err.message}") from err
+
+
+def _refuse_constant(name: str):
+    raise ValueError(f"{name} is not a JSON number")
+
+
+def read_json(path):
+    """Parse a JSON file, refusing the NaN and Infinity dump_json never writes."""
+    p = Path(path)
+    try:
+        return json.loads(p.read_text(encoding="utf-8"), parse_constant=_refuse_constant)
+    except ValueError as err:
+        raise ConfigError(f"{p}: not valid JSON ({err})") from err
 
 
 def dump_json(payload: dict, path) -> None:
@@ -122,12 +214,7 @@ def model_from_payload(payload: dict, default_id: str = "chart") -> Model:
 
 
 def load_model(path) -> Model:
-    p = Path(path)
-    try:
-        payload = json.loads(p.read_text(encoding="utf-8"))
-    except json.JSONDecodeError as err:
-        raise ConfigError(f"{p}: not valid JSON ({err})") from err
-    return model_from_payload(payload, default_id=p.stem)
+    return model_from_payload(read_json(path), default_id=Path(path).stem)
 
 
 def save_model(model: Model, path) -> None:
@@ -177,9 +264,4 @@ def save_atlas(atlas_id: str, models: list, transitions: list, path) -> None:
 
 
 def load_atlas(path) -> tuple:
-    p = Path(path)
-    try:
-        payload = json.loads(p.read_text(encoding="utf-8"))
-    except json.JSONDecodeError as err:
-        raise ConfigError(f"{p}: not valid JSON ({err})") from err
-    return atlas_from_payload(payload)
+    return atlas_from_payload(read_json(path))

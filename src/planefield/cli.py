@@ -26,8 +26,8 @@ from pathlib import Path
 
 import numpy as np
 
-from .chartio import (atlas_payload, dump_json, load_model, save_model,
-                      validate_payload)
+from .chartio import (atlas_payload, dump_json, load_model, read_json,
+                      save_model, validate_payload)
 from .distributions import classify as classify_op
 from .distributions import integral_mean_curvature
 from .errors import ConfigError, PlanefieldError
@@ -178,7 +178,7 @@ def _cmd_verify(args) -> int:
         path = Path(args.suite)
         if not path.exists():
             raise ConfigError(f"input file not found: {path}")
-        spec = suite_from_payload(json.loads(path.read_text(encoding="utf-8")))
+        spec = suite_from_payload(read_json(path))
     report = run_suite(spec, jobs=args.jobs)
     _emit_report(report.body(), report.timings(), "suite-report", args.output)
     if report.vacuous:

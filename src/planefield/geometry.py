@@ -258,11 +258,16 @@ class Chart:
         if len(self.domain) != 3 or len(self.periodic) != 3:
             raise ConfigError("chart needs 3 domain intervals and 3 periodicity flags")
         for name, (lo, hi) in zip(self.coord_names, self.domain):
+            if not (math.isfinite(lo) and math.isfinite(hi)):
+                raise ConfigError(f"interval for {name!r} is not finite: [{lo}, {hi}]")
             if not lo < hi:
                 raise ConfigError(f"empty interval for {name!r}: [{lo}, {hi}]")
         for locus in self.singular_loci:
             if locus.coordinate not in self.coord_names:
                 raise ConfigError(f"singular locus names unknown coordinate {locus.coordinate!r}")
+            if not math.isfinite(locus.value):
+                raise ConfigError(f"singular locus of {locus.coordinate!r} is not finite: "
+                                  f"{locus.value}")
 
     def axis(self, name: str) -> int:
         return self.coord_names.index(name)

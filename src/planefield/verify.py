@@ -26,8 +26,10 @@ run; reports are deterministic apart from the timing section.
 from __future__ import annotations
 
 import math
+import operator
 import time
 from dataclasses import dataclass, field
+from functools import cache, reduce
 from typing import Optional
 
 import numpy as np
@@ -39,7 +41,7 @@ from .distributions import (Distribution, _block_arrays, _normal_divergence,
                             integral_mean_curvature, mean_curvature,
                             second_fundamental_form)
 from .errors import ConfigError
-from .expr import smoothstep_deriv
+from .expr import Num, parse, smoothstep_deriv
 from .geometry import OneForm, VectorField, divergence, integrate_scalar
 from .models import (SurfaceMetric, TwistSpec, annulus_surface_chart,
                      assemble_open_book_demo, closed_form_B_reeb, collar_model,
@@ -422,9 +424,19 @@ def _op_frobenius_floor(params: dict, jobs: int) -> CheckResult:
                   measured >= floor)
 
 
+@cache
+def _bump_factors(coords: tuple) -> tuple:
+    """The factors, in order, of the smoothstep bump on the first two
+    coordinates, parsed once per coordinate names."""
+    return tuple(parse(text, coords) for c in coords[:2] for text in (
+        f"smoothstep(1.5, 2.5, {c})", f"1 - smoothstep(3.8, 4.8, {c})"))
+
+
 def _random_spd_pair(chart, rng) -> tuple:
-    """Constant SPD base plus a bump-supported symmetric change, written as
-    expressions; the pair agrees outside the bump's box."""
+    """Constant SPD base plus a bump-supported symmetric change; the pair
+    agrees outside the bump's box.  Each entry of the change, ``a + b*bump``,
+    is the tree the parser gives for that text: b times each bump factor in
+    turn."""
     a = rng.uniform(-1.0, 1.0, size=(2, 2))
     g0 = a.T @ a + 0.3 * np.eye(2)
     while True:
@@ -435,13 +447,12 @@ def _random_spd_pair(chart, rng) -> tuple:
     lam_min = float(np.linalg.eigvalsh(g0)[0])
     rho = float(np.max(np.abs(np.linalg.eigvalsh(m))))
     m *= 0.8 * lam_min / rho
-    u0, u1 = chart.coord_names[0], chart.coord_names[1]
-    bump = (f"smoothstep(1.5, 2.5, {u0})*(1 - smoothstep(3.8, 4.8, {u0}))"
-            f"*smoothstep(1.5, 2.5, {u1})*(1 - smoothstep(3.8, 4.8, {u1}))")
+    bump = _bump_factors(chart.coord_names)
     upper = ((0, 0), (0, 1), (1, 1))
-    g = SurfaceMetric.from_strings(chart, [repr(float(g0[i])) for i in upper])
-    h = SurfaceMetric.from_strings(chart, [
-        f"{float(g0[i])!r} + {float(m[i])!r}*{bump}" for i in upper])
+    g = SurfaceMetric(chart, tuple(Num(float(g0[i])) for i in upper))
+    h = SurfaceMetric(chart, tuple(
+        Num(float(g0[i])) + reduce(operator.mul, bump, Num(float(m[i])))
+        for i in upper))
     return g, h
 
 

@@ -1,12 +1,29 @@
 import contextlib
 import signal
 
+import jsonschema
 import numpy as np
 import pytest
 
+from planefield import chartio
 from planefield.catalog import box_contact_model, flat_torus_model
 from planefield.geometry import Chart, MetricField, SingularLocus
 from planefield.models import collar_model, reeb_solid_torus
+
+
+@pytest.fixture(autouse=True)
+def schema_checker_agrees_with_jsonschema(monkeypatch):
+    """Every verdict of chartio's schema checker in any test, on a payload
+    or on one of its parts, must equal jsonschema's."""
+    accepts = chartio._accepts
+
+    def checked(schema, payload):
+        verdict = accepts(schema, payload)
+        oracle = jsonschema.Draft202012Validator(schema).is_valid(payload)
+        assert verdict == oracle, f"checker says {verdict} on {payload!r}"
+        return verdict
+
+    monkeypatch.setattr(chartio, "_accepts", checked)
 
 
 @pytest.fixture(scope="session")

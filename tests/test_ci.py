@@ -1,8 +1,9 @@
 """The CI workflow runs the Tier-1 suite and the benchmark self-check on
 every supported Python, once on the oldest supported numpy, compares
 every builtin suite's and a flat-torus integral's report bodies at one
-and two processes and a Reeb sweep's at one, two and three, and bounds
-the peak RSS of 128^3 sweeps."""
+and two processes and a Reeb sweep's at one, two and three, bounds
+the peak RSS of 128^3 sweeps and checks that valid inputs never import
+jsonschema."""
 
 import re
 from pathlib import Path
@@ -112,3 +113,18 @@ def test_workflow_bounds_the_peak_rss_of_128_cubed_sweeps():
             in step and '"--s-range", "0:0.5:3"]' in step)
     assert '"--grid", "128,128,128"' in step and "check=True" in step
     assert "ru_maxrss / 1024" in step and "sys.exit(peak_mb > 500)" in step
+
+
+def test_workflow_fails_if_valid_inputs_import_jsonschema():
+    """One step emits the Reeb model, classifies it at 16^3 and runs the
+    open-book-collar suite through cli.main in one interpreter, then fails
+    if jsonschema was imported."""
+    workflow = yaml.safe_load(WORKFLOW.read_text(encoding="utf-8"))
+    runs = [step.get("run", "") for step in workflow["jobs"]["tests"]["steps"]]
+    step = next(run for run in runs if '"jsonschema" in sys.modules' in run)
+    assert "from planefield.cli import main" in step
+    assert 'main(["model", "reeb", "--emit", "reeb.json"])' in step
+    assert ('main(["classify", "reeb.json", "--grid", "16,16,16", '
+            '"--output", "reeb16.json"])') in step
+    assert 'main(["verify", "builtin:open-book-collar"])' in step
+    assert 'sys.exit("jsonschema" in sys.modules)' in step

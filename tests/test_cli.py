@@ -1,12 +1,17 @@
 import json
+import os
+import subprocess
+import sys
 from importlib import resources
+from pathlib import Path
 
 import jsonschema
 import numpy as np
 import pytest
 
 from planefield import chartio, geometry
-from planefield.chartio import load_model, model_payload, save_model, validate_payload
+from planefield.chartio import (load_atlas, load_model, model_payload, save_model,
+                                validate_payload)
 from planefield.catalog import flat_torus_model, two_pi_torus_model
 from planefield.cli import main
 from planefield.errors import ConfigError
@@ -67,6 +72,72 @@ def test_each_schema_is_checked_once_per_process(monkeypatch):
     with pytest.raises(ConfigError):
         validate_payload(_broken_chart(), "chart")
     assert calls == [1]
+
+
+def test_valid_inputs_never_import_jsonschema(tmp_path):
+    """Emitting the Reeb model, classifying it and running a builtin suite
+    in one interpreter leave jsonschema unimported: the shipped schemas are
+    checked without it, and it is only imported to word a rejection."""
+    script = """if True:
+        import sys
+        from planefield.cli import main
+        assert main(["model", "reeb", "--emit", "reeb.json"]) == 0
+        assert main(["classify", "reeb.json", "--grid", "16,16,16",
+                     "--output", "reeb16.json"]) == 0
+        assert main(["verify", "builtin:open-book-collar"]) == 0
+        print(sorted(m for m in sys.modules if m.split(".")[0] == "jsonschema"))
+        """
+    src = Path(__file__).resolve().parents[1] / "src"
+    done = subprocess.run([sys.executable, "-c", script], cwd=tmp_path,
+                          env=dict(os.environ, PYTHONPATH=str(src)),
+                          capture_output=True, text=True, timeout=120)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.splitlines()[-1] == "[]"
+    assert _read(tmp_path / "reeb16.json")["body"]["classification"] == "parabolic"
+
+
+@pytest.mark.parametrize("literal", ["NaN", "Infinity", "-Infinity"])
+def test_readers_refuse_the_literals_dump_json_never_writes(reeb_file, tmp_path, literal,
+                                                            capsys):
+    """load_model, load_atlas and verify's suite-file read all refuse them."""
+    model = tmp_path / "model.json"
+    model.write_text(reeb_file.read_text().replace('"value": 0.0', f'"value": {literal}'))
+    with pytest.raises(ConfigError) as err:
+        load_model(model)
+    assert str(err.value) == f"{model}: not valid JSON ({literal} is not a JSON number)"
+
+    atlas = tmp_path / "atlas.json"
+    assert main(["model", "atlas", "--emit", str(atlas)]) == 0
+    text = atlas.read_text()
+    overlap = text.index('"overlap"')
+    lo = text.index("0.", overlap)
+    atlas.write_text(text[:lo] + literal + text[text.index(",", lo):])
+    with pytest.raises(ConfigError) as err:
+        load_atlas(atlas)
+    assert str(err.value) == f"{atlas}: not valid JSON ({literal} is not a JSON number)"
+
+    suite = tmp_path / "suite.json"
+    suite.write_text('{"suite": "s", "checks": [{"name": "c", "operation": '
+                     f'"classify-expect", "tolerance": {literal}}}]}}')
+    capsys.readouterr()
+    assert main(["verify", str(suite)]) == 2
+    assert capsys.readouterr().err == (
+        f"error: {suite}: not valid JSON ({literal} is not a JSON number)\n")
+
+
+@pytest.mark.parametrize("old, new, message", [
+    ('[\n      0.0,\n      1.0\n    ]', '[0.0, 1e999]', "interval for 'r' is not finite: [0.0, inf]"),
+    ('"value": 0.0', '"value": -1e999', "singular locus of 'r' is not finite: -inf"),
+])
+def test_classify_names_a_non_finite_chart_bound(reeb_file, tmp_path, capsys, old, new,
+                                                 message):
+    """JSON reads 1e999 as inf; the chart refuses it instead of sampling it."""
+    path = tmp_path / "reeb.json"
+    text = reeb_file.read_text()
+    assert text.count(old) == 1
+    path.write_text(text.replace(old, new))
+    assert main(["classify", str(path), "--grid", "4,4,4"]) == 2
+    assert capsys.readouterr().err == f"error: {message}\n"
 
 
 def test_model_emit_round_trips(reeb_file):

@@ -40,6 +40,19 @@ def test_chart_rejects_empty_interval():
         Chart(("x", "y", "z"), ((1, 1), (0, 1), (0, 1)), (False,) * 3)
 
 
+@pytest.mark.parametrize("domain, loci, message", [
+    (((0, math.inf), (0, 1), (0, 1)), (), "interval for 'x' is not finite: [0.0, inf]"),
+    (((0, 1), (-math.inf, 1), (0, 1)), (), "interval for 'y' is not finite: [-inf, 1.0]"),
+    (((0, 1), (0, 1), (math.nan, 1)), (), "interval for 'z' is not finite: [nan, 1.0]"),
+    (((0, 1),) * 3, (SingularLocus("y", math.inf),), "singular locus of 'y' is not finite: inf"),
+    (((0, 1),) * 3, (SingularLocus("x", math.nan),), "singular locus of 'x' is not finite: nan"),
+])
+def test_chart_rejects_non_finite_bounds_and_loci(domain, loci, message):
+    with pytest.raises(ConfigError) as err:
+        Chart(("x", "y", "z"), domain, (False,) * 3, singular_loci=loci)
+    assert str(err.value) == message
+
+
 def test_chart_rejects_duplicate_names():
     with pytest.raises(ConfigError):
         Chart(("x", "x", "z"), ((0, 1),) * 3, (False,) * 3)

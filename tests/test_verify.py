@@ -1,11 +1,13 @@
 import json
 
+import numpy as np
 import pytest
 
 from planefield.errors import ConfigError
-from planefield.verify import (CheckSpec, SuiteSpec, builtin_suite,
-                               builtin_suite_names, elliptic_contradiction,
-                               run_suite, suite_from_payload)
+from planefield.models import SurfaceMetric, annulus_surface_chart, torus_surface_chart
+from planefield.verify import (CheckSpec, SuiteSpec, _random_spd_pair, _spd_pairs,
+                               builtin_suite, builtin_suite_names,
+                               elliptic_contradiction, run_suite, suite_from_payload)
 
 
 def test_contradiction_detector_semantics():
@@ -151,3 +153,48 @@ def test_quadrature_convergence_compares_every_consecutive_pair(levels,
     else:
         assert result.error is None
         assert result.detail["monotone"] is monotone
+
+
+def _spd_pair_from_text(chart, rng):
+    """The seeded metric pair written as expression text and parsed back:
+    the reference for the node trees that ``_random_spd_pair`` builds."""
+    a = rng.uniform(-1.0, 1.0, size=(2, 2))
+    g0 = a.T @ a + 0.3 * np.eye(2)
+    while True:
+        m = rng.uniform(-1.0, 1.0, size=(2, 2))
+        m = 0.5 * (m + m.T)
+        if abs(np.linalg.det(m)) >= 0.25:
+            break
+    lam_min = float(np.linalg.eigvalsh(g0)[0])
+    rho = float(np.max(np.abs(np.linalg.eigvalsh(m))))
+    m *= 0.8 * lam_min / rho
+    u0, u1 = chart.coord_names[0], chart.coord_names[1]
+    bump = (f"smoothstep(1.5, 2.5, {u0})*(1 - smoothstep(3.8, 4.8, {u0}))"
+            f"*smoothstep(1.5, 2.5, {u1})*(1 - smoothstep(3.8, 4.8, {u1}))")
+    upper = ((0, 0), (0, 1), (1, 1))
+    g = SurfaceMetric.from_strings(chart, [repr(float(g0[i])) for i in upper])
+    h = SurfaceMetric.from_strings(chart, [
+        f"{float(g0[i])!r} + {float(m[i])!r}*{bump}" for i in upper])
+    return g, h
+
+
+@pytest.mark.parametrize("default_seed, n_pairs", [(77, 3), (7, 20)],
+                         ids=["straight-line-flag", "rank-one-pass"])
+def test_seeded_metric_pairs_equal_their_parsed_text(default_seed, n_pairs):
+    """For seeds 0-49 the pairs of both metric-path checks are the trees
+    that parsing their expression text gives, so every check body keeps its
+    bits."""
+    for seed in [None, *range(50)]:
+        params = {} if seed is None else {"seed": seed}
+        rng = np.random.default_rng(default_seed if seed is None else seed)
+        want = [_spd_pair_from_text(torus_surface_chart(), rng) for _ in range(n_pairs)]
+        got = _spd_pairs(params, default_seed, n_pairs)
+        assert [(g.entries, h.entries) for g, h in got] \
+            == [(g.entries, h.entries) for g, h in want]
+
+
+def test_seeded_metric_pairs_follow_the_chart_coordinates():
+    chart = annulus_surface_chart()
+    got = _random_spd_pair(chart, np.random.default_rng(0))
+    want = _spd_pair_from_text(chart, np.random.default_rng(0))
+    assert [s.entries for s in got] == [s.entries for s in want]
