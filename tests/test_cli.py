@@ -96,33 +96,38 @@ def test_valid_inputs_never_import_jsonschema(tmp_path):
     assert _read(tmp_path / "reeb16.json")["body"]["classification"] == "parabolic"
 
 
-@pytest.mark.parametrize("literal", ["NaN", "Infinity", "-Infinity"])
-def test_readers_refuse_the_literals_dump_json_never_writes(reeb_file, tmp_path, literal,
-                                                            capsys):
-    """load_model, load_atlas and verify's suite-file read all refuse them."""
-    model = tmp_path / "model.json"
-    model.write_text(reeb_file.read_text().replace('"value": 0.0', f'"value": {literal}'))
-    with pytest.raises(ConfigError) as err:
-        load_model(model)
-    assert str(err.value) == f"{model}: not valid JSON ({literal} is not a JSON number)"
+_LITERALS = pytest.mark.parametrize("literal", ["NaN", "Infinity", "-Infinity"])
 
-    atlas = tmp_path / "atlas.json"
-    assert main(["model", "atlas", "--emit", str(atlas)]) == 0
-    text = atlas.read_text()
-    overlap = text.index('"overlap"')
-    lo = text.index("0.", overlap)
-    atlas.write_text(text[:lo] + literal + text[text.index(",", lo):])
-    with pytest.raises(ConfigError) as err:
-        load_atlas(atlas)
-    assert str(err.value) == f"{atlas}: not valid JSON ({literal} is not a JSON number)"
 
-    suite = tmp_path / "suite.json"
-    suite.write_text('{"suite": "s", "checks": [{"name": "c", "operation": '
-                     f'"classify-expect", "tolerance": {literal}}}]}}')
-    capsys.readouterr()
-    assert main(["verify", str(suite)]) == 2
+@_LITERALS
+def test_load_model_refuses_the_literals_dump_json_never_writes(reeb_file, tmp_path, literal):
+    path = tmp_path / "model.json"
+    path.write_text(reeb_file.read_text().replace('"value": 0.0', f'"value": {literal}'))
+    with pytest.raises(ConfigError) as err:
+        load_model(path)
+    assert str(err.value) == f"{path}: not valid JSON ({literal} is not a JSON number)"
+
+
+@_LITERALS
+def test_load_atlas_refuses_the_literals_dump_json_never_writes(tmp_path, literal):
+    path = tmp_path / "atlas.json"
+    assert main(["model", "atlas", "--emit", str(path)]) == 0
+    text = path.read_text()
+    lo = text.index("0.", text.index('"overlap"'))
+    path.write_text(text[:lo] + literal + text[text.index(",", lo):])
+    with pytest.raises(ConfigError) as err:
+        load_atlas(path)
+    assert str(err.value) == f"{path}: not valid JSON ({literal} is not a JSON number)"
+
+
+@_LITERALS
+def test_verify_refuses_a_suite_file_with_the_literals(tmp_path, literal, capsys):
+    path = tmp_path / "suite.json"
+    path.write_text('{"suite": "s", "checks": [{"name": "c", "operation": '
+                    f'"classify-expect", "tolerance": {literal}}}]}}')
+    assert main(["verify", str(path)]) == 2
     assert capsys.readouterr().err == (
-        f"error: {suite}: not valid JSON ({literal} is not a JSON number)\n")
+        f"error: {path}: not valid JSON ({literal} is not a JSON number)\n")
 
 
 @pytest.mark.parametrize("old, new, message", [
