@@ -137,7 +137,11 @@ def read_json(path):
     """Parse a JSON file, refusing the NaN and Infinity dump_json never writes."""
     p = Path(path)
     try:
-        return json.loads(p.read_text(encoding="utf-8"), parse_constant=_refuse_constant)
+        text = p.read_text(encoding="utf-8")
+    except OSError as err:
+        raise ConfigError(f"{p}: cannot read ({err.strerror or err})") from err
+    try:
+        return json.loads(text, parse_constant=_refuse_constant)
     except ValueError as err:
         raise ConfigError(f"{p}: not valid JSON ({err})") from err
 

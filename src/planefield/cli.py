@@ -144,17 +144,11 @@ def _emit_report(body: dict, timings: dict, schema: str, output) -> None:
         print(json.dumps(payload["body"], indent=2, sort_keys=True))
 
 
-def _load(path: Path):
-    if not path.exists():
-        raise ConfigError(f"input file not found: {path}")
-    return load_model(path)
-
-
 def _cmd_check(args, full: bool) -> int:
     csv = full and args.format == "csv"
     if csv and args.output is None:
         raise ConfigError("--format csv requires --output")
-    model = _load(args.chart)
+    model = load_model(args.chart)
     dist = model.distribution(args.distribution)
     start = time.perf_counter()
     rep = classify_op(model.metric, dist, grid=args.grid, tol=args.tol,
@@ -175,10 +169,7 @@ def _cmd_verify(args) -> int:
     if args.suite.startswith("builtin:"):
         spec = builtin_suite(args.suite.split(":", 1)[1])
     else:
-        path = Path(args.suite)
-        if not path.exists():
-            raise ConfigError(f"input file not found: {path}")
-        spec = suite_from_payload(read_json(path))
+        spec = suite_from_payload(read_json(args.suite))
     report = run_suite(spec, jobs=args.jobs)
     _emit_report(report.body(), report.timings(), "suite-report", args.output)
     if report.vacuous:
@@ -213,7 +204,7 @@ def _cmd_model(args) -> int:
 
 
 def _cmd_scan(args) -> int:
-    model = _load(args.chart)
+    model = load_model(args.chart)
     alpha = model.form(args.alpha)
     beta = model.form(args.beta)
     start = time.perf_counter()
@@ -226,7 +217,7 @@ def _cmd_scan(args) -> int:
 
 
 def _cmd_integrate_h(args) -> int:
-    model = _load(args.chart)
+    model = load_model(args.chart)
     dist = model.distribution(args.distribution)
     start = time.perf_counter()
     res = integral_mean_curvature(model.metric, dist, grid=args.grid,
@@ -239,13 +230,16 @@ def _cmd_integrate_h(args) -> int:
 
 def _cmd_plotdata(args) -> int:
     from .distributions import _point_arrays
-    model = _load(args.chart)
+    model = load_model(args.chart)
     dist = model.distribution(args.distribution)
     chart = model.chart
     axis = chart.axis(args.along)
     others = [i for i in range(3) if i != axis]
     if args.fixed is not None:
-        fixed = [float(v) for v in args.fixed.split(",")]
+        try:
+            fixed = [float(v) for v in args.fixed.split(",")]
+        except ValueError as err:
+            raise ConfigError(f"--fixed {args.fixed!r}: {err}") from None
         if len(fixed) != 2:
             raise ConfigError("--fixed needs exactly two values")
     else:

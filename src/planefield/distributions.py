@@ -360,10 +360,9 @@ def _point_block(metric: MetricField, dist: Distribution, point,
     """The sweep's block kernel at a point or a small batch, after the SPD
     check: (block, points as (3, N), whether the input was one point)."""
     p, squeeze = _single(point)
-    with jetalg.column_signs():
-        mj = metric.eval(p)
-        mj.require_spd(p)
-        return _block_arrays(mj, dist, p, frame), p, squeeze
+    mj = metric.eval(p)
+    mj.require_spd(p)
+    return _block_arrays(mj, dist, p, frame), p, squeeze
 
 
 def tangent_frame(metric: MetricField, dist: Distribution, point,
@@ -388,8 +387,9 @@ def normal_field(metric: MetricField, dist: Distribution, point) -> np.ndarray:
 def _point_arrays(metric, dist, point, frame=None) -> dict:
     b, p, squeeze = _point_block(metric, dist, point, frame)
     _require_plane(b.arrs["ok"], p, "degenerate plane field")
-    b.arrs["_squeeze"] = squeeze
-    return b.arrs
+    arrs = _canonical(b.arrs, b.arrs["ok"])
+    arrs["_squeeze"] = squeeze
+    return arrs
 
 
 def _point_value(key, metric, dist, point, frame):
@@ -424,7 +424,7 @@ def frobenius_residual(metric: MetricField, dist: Distribution, point,
 def contact_volume(alpha: OneForm, point):
     """alpha ^ d(alpha) against the chart volume element dx1^dx2^dx3."""
     p, squeeze = _single(point)
-    out = column(_contact_volume(*alpha._tape.entries(p)), p.shape[1:])
+    out = column(_contact_volume(*alpha._tape.entries(p)), p.shape[1:]) + 0.0
     return float(out[0]) if squeeze else np.array(out)
 
 
@@ -525,15 +525,24 @@ def _summarise(arrs: dict, spd: np.ndarray, keep_points: bool) -> _SweepBlock:
     if valid.size:
         for name in _FIELDS:
             v = arrs[name] if valid.size == ok.size else arrs[name][ok]
-            stats[name] = (np.min(v), np.max(v), ExactSum(v))
+            stats[name] = (np.min(v) + 0.0, np.max(v) + 0.0, ExactSum(v))
     top = _top(valid, arrs["k_e"])
     bad = np.nonzero(~ok)[0][:_N_ERRORS]
     return _SweepBlock(
         n_points=ok.size, n_valid=valid.size, stats=stats, worst=top,
         worst_vals=np.stack([arrs[k][top] for k in ("k_e", "h", "b_norm")],
-                            axis=-1),
+                            axis=-1) + 0.0,
         invalid=bad, invalid_spd=spd[bad],
-        per_point=arrs if keep_points else None)
+        per_point=_canonical(arrs, ok) if keep_points else None)
+
+
+def _canonical(arrs: dict, ok: np.ndarray) -> dict:
+    """Per-point fields as reported: every exact zero is +0.0, and where
+    ``ok`` is false every field but the contact volume is NaN.  The sign of
+    a zero is not part of any result; the kernel's zeros carry whatever
+    sign their arithmetic gave."""
+    return {k: v if k == "ok" else v + 0.0 if k == "contact_volume"
+            else np.where(ok, v + 0.0, np.nan) for k, v in arrs.items()}
 
 
 def _point(points: np.ndarray, i) -> list:
@@ -561,10 +570,9 @@ def classify(metric: MetricField, dist: Distribution, grid=(16, 16, 16),
     sample = chart.sample_grid(grid)
 
     def kernel(pts):
-        with jetalg.column_signs():
-            mj = metric.eval(pts)
-            b = _block_arrays(mj, dist, pts, frame)
-            b.arrs["contact_volume"] = column(_contact_volume(b.a, b.da), pts.shape[1:])
+        mj = metric.eval(pts)
+        b = _block_arrays(mj, dist, pts, frame)
+        b.arrs["contact_volume"] = column(_contact_volume(b.a, b.da), pts.shape[1:])
         return _summarise(b.arrs, mj.spd, keep_points)
 
     blocks = chunked_eval(kernel, sample.points, jobs)
@@ -634,15 +642,14 @@ def integral_mean_curvature(metric: MetricField, dist: Distribution,
     sample = chart.quadrature_grid(grid)
 
     def kernel(pts):
-        with jetalg.column_signs():
-            mj = metric.eval(pts)
-            mj.require_spd(pts)
-            b = _block_arrays(mj, dist, pts)
-            _require_plane(b.arrs["ok"], pts)
-            out = {"weighted_h": ExactSum(b.arrs["h"] * np.sqrt(mj.det()))}
-            if defect:
-                div_n = _normal_divergence(mj, b, dist.co_orientation)
-                out["defect"] = np.max(np.abs(b.arrs["h"] + div_n))
+        mj = metric.eval(pts)
+        mj.require_spd(pts)
+        b = _block_arrays(mj, dist, pts)
+        _require_plane(b.arrs["ok"], pts)
+        out = {"weighted_h": ExactSum(b.arrs["h"] * np.sqrt(mj.det()))}
+        if defect:
+            div_n = _normal_divergence(mj, b, dist.co_orientation)
+            out["defect"] = np.max(np.abs(b.arrs["h"] + div_n))
         return out
 
     blocks = chunked_eval(kernel, sample.points, jobs)

@@ -270,6 +270,9 @@ class Chart:
                                   f"{locus.value}")
 
     def axis(self, name: str) -> int:
+        if name not in self.coord_names:
+            raise ConfigError(f"unknown coordinate {name!r}; the chart's are "
+                              f"{', '.join(self.coord_names)}")
         return self.coord_names.index(name)
 
     def parse_expr(self, text: str) -> expr.Node:

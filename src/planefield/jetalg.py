@@ -11,17 +11,16 @@ only first derivatives of the primitive fields are ever consumed.
 
 On columns, floats and ``None`` (``mul``, ``add``, ``sub``, ``div``) a
 result has the bits of the same operation on dense arrays holding the
-constants and ``+0.0`` for ``None``, signs of zeros included.  Constants
-fold in Python, and a zero times a finite column of one sign is that
-signed zero, so structural zeros and the zeros they produce cost no array
-work.
+constants and ``+0.0`` for ``None``, except in the sign of a zero:
+constants fold in Python, and a zero constant times any column is
+``+0.0``, so structural zeros and the zeros they produce cost no array
+work.  The fold also gives ``+0.0``, not NaN, for a zero times an
+infinite column.  Reported zeros are ``+0.0`` by one output rule
+(``distributions._canonical``).
 """
 
 from __future__ import annotations
 
-import weakref
-from contextlib import contextmanager
-from contextvars import ContextVar
 from functools import reduce
 from math import copysign
 
@@ -30,48 +29,15 @@ import numpy as np
 from .expr import Jet1, column, dense
 
 __all__ = [
-    "dot3", "matvec", "cross", "adjugate3", "det3", "mul", "add", "sub", "column_signs",
+    "dot3", "matvec", "cross", "adjugate3", "det3", "mul", "add", "sub",
     "div", "neg", "column", "dense", "take", "jets_from_metric",
 ]
 
-_INF_BITS = 0x7FF0000000000000       # int64 bits of +inf; -inf is -2**52
-_NEG_INF_BITS = -0x0010000000000000
 _ARRAYS = (np.ndarray, Jet1)
 
 
-_SIGNS: ContextVar = ContextVar("column_signs", default=None)
-
-
-@contextmanager
-def column_signs():
-    """Remember the sign test of each column inside the block: a batch's
-    few columns meet many structural zeros.  The memo holds weak
-    references, so it keeps no column alive."""
-    token = _SIGNS.set({})
-    try:
-        yield
-    finally:
-        _SIGNS.reset(token)
-
-
-def _one_sign(x):
-    """0.0 or -0.0 if the column x is finite with that sign bit throughout
-    (so a zero times it is that zero, with no NaN to propagate), else None."""
-    memo = _SIGNS.get()
-    if memo is not None and id(x) in memo:
-        ref, sign = memo[id(x)]
-        if ref() is x:               # else x is a new column with a freed one's id
-            return sign
-    bits = x.view(np.int64)
-    lo, hi = np.minimum.reduce(bits, axis=None), np.maximum.reduce(bits, axis=None)
-    sign = 0.0 if lo >= 0 and hi < _INF_BITS else -0.0 if hi < _NEG_INF_BITS else None
-    if memo is not None:
-        memo[id(x)] = (weakref.ref(x), sign)
-    return sign
-
-
 def mul(u, v):
-    """u * v on entries."""
+    """u * v on entries; a zero constant times a column is +0.0."""
     if isinstance(u, _ARRAYS):
         if isinstance(v, _ARRAYS):
             return u * v
@@ -83,9 +49,7 @@ def mul(u, v):
     if c == 1.0:
         return x
     if c == 0.0 and isinstance(x, np.ndarray):
-        sign = _one_sign(x)
-        if sign is not None:
-            return c * sign
+        return 0.0
     return c * x
 
 
@@ -112,18 +76,11 @@ def sub(u, v):
 
 
 def div(u, v):
-    """u / v on entries; a zero over a finite column of one sign without
-    zeros is a signed zero."""
+    """u / v on entries."""
     u = 0.0 if u is None else u
-    if isinstance(u, _ARRAYS):
+    if isinstance(u, _ARRAYS) or isinstance(v, _ARRAYS):
         return u / v
-    if not isinstance(v, _ARRAYS):
-        return np.divide(np.float64(u), v)
-    if u == 0.0 and isinstance(v, np.ndarray):
-        sign = _one_sign(v)
-        if sign is not None and v.all():
-            return u * sign
-    return u / v
+    return np.divide(np.float64(u), v)
 
 
 def dot3(u, v):

@@ -20,7 +20,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .. import jetalg
 from ..distributions import _contact_volume, _unit_normal
 from ..errors import ConfigError
 from ..geometry import MetricField, OneForm, chunked_eval
@@ -73,17 +72,16 @@ def contact_deformation_scan(metric: MetricField, alpha0: OneForm,
         gn0 = matvec(mj.g, n0)
         rows = []
         for s in s_values:
-            with jetalg.column_signs():     # per s, so the memo stays small
-                a = [add(x, mul(s, y)) for x, y in zip(a0, b)]
-                da = [[add(x, mul(s, y)) for x, y in zip(r0, r)] for r0, r in zip(da0, db)]
-                cv = column(_contact_volume(a, da), shape)
-                ns, good = _unit_normal(mj, a, 1)
-                cosang = np.abs(column(dot3(ns, gn0), shape))[good]
+            a = [add(x, mul(s, y)) for x, y in zip(a0, b)]
+            da = [[add(x, mul(s, y)) for x, y in zip(r0, r)] for r0, r in zip(da0, db)]
+            cv = column(_contact_volume(a, da), shape)
+            ns, good = _unit_normal(mj, a, 1)
+            cosang = np.abs(column(dot3(ns, gn0), shape))[good]
             angles = np.arccos(np.clip(cosang, 0.0, 1.0))
             rows.append([np.min(cv), np.max(cv), np.min(np.abs(cv)),
                          np.min(angles, initial=np.inf), np.max(angles, initial=-np.inf),
                          np.count_nonzero(~good)])
-        return np.array(rows)
+        return np.array(rows) + 0.0          # reported zeros are +0.0
 
     points = chart.sample_grid(grid).points
     blocks = chunked_eval(kernel, points)

@@ -1,7 +1,8 @@
 """The CI workflow runs the Tier-1 suite and the benchmark self-check on
 every supported Python, once on the oldest supported numpy, compares
 every builtin suite's and a flat-torus integral's report bodies at one
-and two processes and a Reeb sweep's at one, two and three, bounds
+and two processes and a Reeb sweep's at one, two and three, compares a
+Reeb per-point CSV at one and two processes and checks it for -0.0, bounds
 the peak RSS of 128^3 sweeps and checks that valid inputs never import
 jsonschema."""
 
@@ -81,6 +82,21 @@ def test_workflow_compares_reeb_classify_bodies_across_worker_counts():
                 f"--grid 48,48,48 --jobs {jobs} --output reeb{jobs}.json") in step
     assert "('reeb1.json', 'reeb2.json', 'reeb3.json')" in step
     assert "sys.exit(not a == b == c)" in step
+
+
+def test_workflow_compares_reeb_csv_across_worker_counts():
+    """One step writes the Reeb per-point CSV at 32^3 (two blocks) with
+    --jobs 1 and 2, fails unless the files are byte-identical, and fails if
+    any field reads -0.0."""
+    workflow = yaml.safe_load(WORKFLOW.read_text(encoding="utf-8"))
+    runs = [step.get("run", "") for step in workflow["jobs"]["tests"]["steps"]]
+    step = next(run for run in runs if "--format csv" in run)
+    assert "PYTHONPATH=src python -m planefield.cli model reeb --emit reeb.json" in step
+    for jobs in (1, 2):
+        assert ("PYTHONPATH=src python -m planefield.cli check reeb.json --grid 32,32,32 "
+                f"--format csv --jobs {jobs} --output points{jobs}.csv") in step
+    assert "cmp points1.csv points2.csv" in step
+    assert "sys.exit('-0.0' in fields)" in step
 
 
 def test_workflow_compares_torus_integral_bodies_across_worker_counts():

@@ -363,6 +363,27 @@ def test_plotdata_evaluates_each_field_once(reeb_file, tmp_path, monkeypatch):
     assert out.read_text(encoding="utf-8") == want
 
 
+@pytest.mark.parametrize("args, message", [
+    (["--along", "r", "--fixed", "a,b"], "--fixed 'a,b': could not convert string to float: 'a'"),
+    (["--along", "q"], "unknown coordinate 'q'; the chart's are r, phi, t"),
+])
+def test_plotdata_refuses_a_bad_line_with_a_usage_error(reeb_file, args, message, capsys):
+    assert main(["plotdata", str(reeb_file), *args, "--n", "4"]) == 2
+    assert capsys.readouterr().err == f"error: {message}\n"
+
+
+@pytest.mark.parametrize("command", [["classify"], ["scan", "--alpha", "a", "--beta", "b",
+                                                    "--s-range", "0:1:2"], ["verify"]])
+def test_a_directory_as_input_file_is_a_usage_error(tmp_path, command, capsys):
+    """Model, suite and atlas files are read through one function, which
+    names the path it cannot read."""
+    assert main([command[0], str(tmp_path), *command[1:]]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {tmp_path}: cannot read (") and err.endswith(")\n")
+    with pytest.raises(ConfigError, match="cannot read"):
+        load_atlas(tmp_path)
+
+
 def test_model_atlas_emit(tmp_path):
     out = tmp_path / "atlas.json"
     assert main(["model", "atlas", "--emit", str(out)]) == 0

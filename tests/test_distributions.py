@@ -7,7 +7,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from planefield import distributions, geometry, jetalg
+from planefield import distributions, geometry
 from planefield.catalog import (box_contact_model, flat_torus_model,
                                 polar_cylinder_model, random_periodic_form,
                                 shipped_examples, sphere_model,
@@ -18,15 +18,18 @@ from planefield.distributions import (Distribution, classify, contact_volume,
                                       integral_mean_curvature, mean_curvature,
                                       normal_arrays, normal_field,
                                       second_fundamental_form, tangent_frame)
-from planefield.distributions import (_block_arrays, _contact_volume, _dense_frame,
-                                      _kernel_frame, _normal_divergence, _top)
+from planefield.distributions import (_block_arrays, _canonical, _contact_volume,
+                                      _dense_frame, _kernel_frame, _normal_divergence,
+                                      _top)
 from planefield.errors import (ConfigError, DegenerateDistributionError,
                                DomainError, NonSPDPathError, NotSPDError,
                                NotTransverseError)
 from planefield.geometry import (Chart, MetricField, OneForm, VectorField,
                                  christoffel, integrate_scalar)
-from planefield.expr import Jet1, Num, jet_sqrt
-from planefield.models import (contact_deformation_scan, reeb_solid_torus,
+from planefield.chartio import save_model
+from planefield.cli import main
+from planefield.expr import Jet1, Num, column, jet_sqrt
+from planefield.models import (Model, contact_deformation_scan, reeb_solid_torus,
                                transfer_metric)
 
 
@@ -848,7 +851,9 @@ def _oracle_christoffel(dg, v):
 
 
 def _oracle_block(metric, dist, pts, frame=None):
-    """Every field ``_summarise`` receives, from the dense kernel."""
+    """Every field ``_summarise`` receives, from the dense kernel, as a report
+    gives it: exact zeros are +0.0, and at invalid points every field but
+    the contact volume is NaN."""
     mj = metric.eval(pts)
     spd = _oracle_minors(mj)[2]
     aval, ajac = _oracle_annihilator(dist, pts)
@@ -881,13 +886,15 @@ def _oracle_block(metric, dist, pts, frame=None):
         h = (b00 * gram11 + b11 * gram00 - 2.0 * b01 * gram01) / det_gram
         k_e = (b00 * b11 - b01 ** 2) / det_gram
         frob = _odot([p - q for p, q in zip(w[0][1], w[1][0])], nu) / np.sqrt(det_gram)
-    return {"b00": b00, "b01": b01, "b11": b11, "gram00": gram00,
-            "gram01": gram01, "gram11": gram11, "det_gram": det_gram,
-            "h": h, "k_e": k_e, "frobenius_residual": frob,
-            "b_norm": np.sqrt(b00 ** 2 + 2.0 * b01 ** 2 + b11 ** 2),
-            "ok": ok & spd & (norm2 > 0.0),
-            "contact_volume": 0.5 * np.einsum("ijk,...i,...jk->...", geometry.LEVI, aval,
-                                              ajac - np.swapaxes(ajac, -2, -1))}
+    ok = ok & spd & (norm2 > 0.0)
+    fields = {"b00": b00, "b01": b01, "b11": b11, "gram00": gram00,
+              "gram01": gram01, "gram11": gram11, "det_gram": det_gram,
+              "h": h, "k_e": k_e, "frobenius_residual": frob,
+              "b_norm": np.sqrt(b00 ** 2 + 2.0 * b01 ** 2 + b11 ** 2)}
+    out = {k: np.where(ok, v + 0.0, np.nan) for k, v in fields.items()}
+    cv = 0.5 * np.einsum("ijk,...i,...jk->...", geometry.LEVI, aval,
+                         ajac - np.swapaxes(ajac, -2, -1))
+    return {**out, "ok": ok, "contact_volume": cv + 0.0}
 
 
 def _oracle_integrand(metric, dist, pts):
@@ -910,11 +917,10 @@ def _oracle_integrand(metric, dist, pts):
 
 
 def _kernel_block(metric, dist, pts, frame=None):
-    """The block kernel as a sweep runs it: one sign memo per block."""
-    with jetalg.column_signs():
-        b = _block_arrays(metric.eval(pts), dist, pts, frame)
-        b.arrs["contact_volume"] = _contact_volume(b.a, b.da)
-    return b
+    """The block kernel's arrays as a report gives them."""
+    b = _block_arrays(metric.eval(pts), dist, pts, frame)
+    b.arrs["contact_volume"] = column(_contact_volume(b.a, b.da), pts.shape[1:])
+    return _canonical(b.arrs, b.arrs["ok"])
 
 
 def _assert_same_bits(got: dict, want: dict, where: str):
@@ -966,9 +972,9 @@ _ORACLE_CASES = _oracle_cases()
 def test_block_kernel_bit_identical_to_the_dense_kernel(case):
     metric, dist, pts, frame = _ORACLE_CASES[case]
     want = _oracle_block(metric, dist, pts, frame)
-    _assert_same_bits(_kernel_block(metric, dist, pts, frame).arrs, want, case)
+    _assert_same_bits(_kernel_block(metric, dist, pts, frame), want, case)
     for i in range(0, pts.shape[1], 37):      # 1-point batches
-        one = _kernel_block(metric, dist, pts[:, i:i + 1], frame).arrs
+        one = _kernel_block(metric, dist, pts[:, i:i + 1], frame)
         _assert_same_bits(one, {k: v[i:i + 1] for k, v in want.items()}, (case, i))
 
 
@@ -1005,10 +1011,9 @@ def test_integrand_bit_identical_to_the_jet_divergence(seed, curved):
     dist = Distribution.kernel(random_periodic_form(seed), co_orientation=1 - 2 * (seed % 2))
     pts = torus.chart.quadrature_grid((16, 16, 16)).points
     mj = metric.eval(pts)
-    with jetalg.column_signs():
-        b = _block_arrays(mj, dist, pts)
-        got = (b.arrs["h"] * np.sqrt(mj.det()),
-               np.abs(b.arrs["h"] + _normal_divergence(mj, b, dist.co_orientation)))
+    b = _block_arrays(mj, dist, pts)
+    got = (b.arrs["h"] * np.sqrt(mj.det()),
+           np.abs(b.arrs["h"] + _normal_divergence(mj, b, dist.co_orientation)))
     for x, y in zip(got, _oracle_integrand(metric, dist, pts)):
         assert x.tobytes() == y.tobytes()
 
@@ -1041,10 +1046,56 @@ def test_sweeps_build_no_dense_metric_or_field_arrays(monkeypatch, reeb, torus):
                              [0.5], grid=(8, 8, 8))
 
 
-@pytest.mark.parametrize("n", [16, 64])
+@pytest.mark.parametrize("n", [16, 64, "overflow"])
 def test_reeb_classify_body_has_no_negative_zero(reeb, n):
     """K_e vanishes identically on the Reeb foliation and is reported as
-    0.0; no aggregate or worst point carries a -0.0."""
-    body = classify(reeb.metric, reeb.distribution(), grid=(n, n, n)).body()
+    0.0; no aggregate or worst point carries a -0.0.  The same holds for
+    ker(exp(800x) dx + dz) on the flat box at 8^3, whose kernel overflows
+    (the frame Gram product from x = 0.375 on, |alpha|^2 from x = 0.5 on):
+    the three slabs x >= 0.375 are reported invalid and the rest valid."""
+    if n == "overflow":
+        grid = (8, 8, 8)
+        with np.errstate(over="ignore", invalid="ignore"):
+            body = classify(_FLAT_BOX, Distribution.kernel(OneForm(_BOX, ("exp(800*x)", "0", "1"))),
+                            grid=grid).body()
+        points = _BOX.sample_grid(grid).points
+        assert body["n_valid"] == 320
+        assert body["errors"] == [{"point": p, "reason": "degenerate-frame"}
+                                  for p in points[:, 320:352].T.tolist()] + [
+            {"point": None, "reason": "... 160 more invalid points"}]
+    else:
+        body = classify(reeb.metric, reeb.distribution(), grid=(n, n, n)).body()
     assert body["aggregates"]["k_e"] == {"min": 0.0, "max": 0.0, "mean": 0.0}
     assert "-0.0" not in json.dumps(body)
+
+
+def _check_csv(model, tmp_path, grid: str, code: int) -> list:
+    """Rows of ``planefield check --format csv`` as lists of fields; the
+    command exits with ``code`` (1 when the grid has invalid points)."""
+    chart, out = tmp_path / "model.json", tmp_path / "points.csv"
+    save_model(model, chart)
+    assert main(["check", str(chart), "--grid", grid, "--format", "csv",
+                 "--output", str(out)]) == code
+    return [line.split(",") for line in out.read_text(encoding="utf-8").splitlines()[1:]]
+
+
+def test_check_csv_writes_no_negative_zero(reeb, tmp_path):
+    rows = _check_csv(reeb, tmp_path, "16,16,16", 0)
+    assert len(rows) == 16 ** 3
+    assert "-0.0" not in {f for row in rows for f in row}
+
+
+def test_check_csv_rows_of_invalid_points_are_nan_but_the_contact_volume(tmp_path):
+    """The warped metric is not SPD where x < -0.5: every curvature column
+    of those rows, Gram entries included, reads nan, and the contact volume,
+    which needs no metric, stays finite on every row."""
+    model = Model(model_id="warped-box", chart=_BOX, metric=_WARPED,
+                  forms={"vanishing": _WARPED_PLANES["kernel"].alpha}, foliation="vanishing")
+    rows = _check_csv(model, tmp_path, "8,8,8", 1)
+    values = np.array(rows, dtype=float)
+    invalid = np.isnan(values[:, 3:12]).any(axis=1)
+    assert np.isnan(values[invalid, 3:12]).all()
+    assert np.isfinite(values[:, 12]).all()
+    assert np.count_nonzero(invalid) == 8 ** 3 - classify(
+        _WARPED, _WARPED_PLANES["kernel"], grid=(8, 8, 8)).n_valid
+    assert invalid[values[:, 0] < -0.5].all() and invalid.any() and not invalid.all()
