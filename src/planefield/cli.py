@@ -54,10 +54,13 @@ def _grid(text: str) -> tuple:
 def _s_range(text: str) -> list:
     try:
         a, b, n = text.split(":")
-        return list(np.linspace(float(a), float(b), int(n)))
+        a, b, n = float(a), float(b), int(n)
     except ValueError as err:
         raise argparse.ArgumentTypeError(
             f"s-range must be a:b:n, got {text!r}") from err
+    if not np.isfinite([a, b]).all():
+        raise argparse.ArgumentTypeError(f"s-range endpoints must be finite, got {text!r}")
+    return list(np.linspace(a, b, n))
 
 
 def _jobs(text: str) -> int:

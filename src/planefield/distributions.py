@@ -564,8 +564,8 @@ def classify(metric: MetricField, dist: Distribution, grid=(16, 16, 16),
     order makes the report independent of ``jobs`` and the block size.
     Whole-grid per-point arrays are kept only with ``keep_points``.
     """
-    if tol <= 0:
-        raise ConfigError(f"tolerance must be positive, got {tol}")
+    if not 0 < tol < np.inf:
+        raise ConfigError(f"tolerance must be positive and finite, got {tol}")
     chart = metric.chart
     sample = chart.sample_grid(grid)
 

@@ -13,9 +13,13 @@ it once per point batch.  Compiling shares equal subexpressions (hash
 consing), folds constant subtrees to plain floats with the IEEE operations
 a batch would apply, and tracks structural zeros: a partial along a
 coordinate the value does not depend on is ``None`` and never computed.
-Values are those of the dense computation bit for bit; a partial may
-differ from it in the sign of a zero, and is an exact zero where the dense
-computation multiplied a non-finite derivative by a zero partial.
+Partials are computed with ``jetalg.add``, ``sub``, ``mul`` and ``neg``
+and follow their rules: anything times ``None`` is ``None``, adding
+``None`` or a zero constant returns the other operand, and a zero
+constant times a column is ``+0.0``.  Values are those of the dense
+computation bit for bit; a partial may differ from it in the sign of a
+zero, and is an exact zero where the dense computation multiplied a zero
+by a non-finite number.
 
 Grammar::
 
@@ -51,6 +55,7 @@ from typing import Mapping, Sequence
 import numpy as np
 
 from .errors import ArityError, DomainError, ParseError, UnknownIdentifierError
+from .jetalg import add, dense, mul, neg, sub
 
 __all__ = [
     "Jet1", "Tape", "Node", "Num", "Coord", "Const", "Neg", "BinOp", "Call",
@@ -85,18 +90,6 @@ def _split(x) -> tuple:
     return (x.value, x.partials) if isinstance(x, Jet1) else (x, _NO_PARTIALS)
 
 
-def _plus(d, e):
-    return e if d is None else d if e is None else d + e
-
-
-def _minus(d, e):
-    return d if e is None else -e if d is None else d - e
-
-
-def _times(c, d):
-    return None if d is None else c * d
-
-
 def _require(bad, arg, points, function: str, message: str = "") -> None:
     """Raise DomainError at the first point where ``bad`` holds, with the
     offending argument ``arg`` there."""
@@ -111,22 +104,22 @@ def _require(bad, arg, points, function: str, message: str = "") -> None:
 
 def _add(x, y, points=None) -> "Jet1":
     (xv, xp), (yv, yp) = _split(x), _split(y)
-    return _jet(xv + yv, map(_plus, xp, yp))
+    return _jet(xv + yv, map(add, xp, yp))
 
 
 def _sub(x, y, points=None) -> "Jet1":
     (xv, xp), (yv, yp) = _split(x), _split(y)
-    return _jet(xv - yv, map(_minus, xp, yp))
+    return _jet(xv - yv, map(sub, xp, yp))
 
 
 def _neg(x, points=None) -> "Jet1":
     xv, xp = _split(x)
-    return _jet(-xv, [None if a is None else -a for a in xp])
+    return _jet(-xv, map(neg, xp))
 
 
 def _mul(x, y, points=None) -> "Jet1":
     (xv, xp), (yv, yp) = _split(x), _split(y)
-    return _jet(xv * yv, [_plus(_times(yv, a), _times(xv, b)) for a, b in zip(xp, yp)])
+    return _jet(xv * yv, [add(mul(yv, a), mul(xv, b)) for a, b in zip(xp, yp)])
 
 
 def _div(x, y, points=None) -> "Jet1":
@@ -134,12 +127,12 @@ def _div(x, y, points=None) -> "Jet1":
     _require(yv == 0.0, yv, points, "divide", "division by zero")
     inv = 1.0 / yv
     val = xv * inv
-    return _jet(val, [_times(inv, _minus(a, _times(val, b))) for a, b in zip(xp, yp)])
+    return _jet(val, [mul(inv, sub(a, mul(val, b))) for a, b in zip(xp, yp)])
 
 
 def _chain(x, value, deriv) -> "Jet1":
     """f(x) from the value and the derivative of f at the value of x."""
-    return _jet(value, [_times(deriv, a) for a in _split(x)[1]])
+    return _jet(value, [mul(deriv, a) for a in _split(x)[1]])
 
 
 def _unary(f, df):
@@ -186,31 +179,7 @@ def _pow(base, expo, points=None) -> "Jet1":
     logb = np.log(bv)
     val = np.exp(ev * logb)
     q = ev / bv
-    return _jet(val, [_times(val, _plus(_times(logb, a), _times(q, b)))
-                      for a, b in zip(ep, bp)])
-
-
-def column(x, shape) -> np.ndarray:
-    """An entry (array, float or ``None`` for +0.0) as an array of the
-    batch shape."""
-    if isinstance(x, np.ndarray) and x.shape == shape:
-        return x
-    return np.full(shape, 0.0 if x is None else x)
-
-
-def dense(x, shape: tuple) -> np.ndarray:
-    """Nested lists of entries as one array, entry indices last."""
-    dims, y = (), x
-    while isinstance(y, list):
-        dims, y = dims + (len(y),), y[0]
-    out = np.zeros(shape + dims)
-    for index in np.ndindex(*dims):
-        y = x
-        for i in index:
-            y = y[i]
-        if y is not None:
-            out[(Ellipsis,) + index] = y
-    return out
+    return _jet(val, [mul(val, add(mul(logb, a), mul(q, b))) for a, b in zip(ep, bp)])
 
 
 class Jet1:

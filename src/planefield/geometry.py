@@ -585,14 +585,13 @@ def divergence_entries(mj: MetricJets, x: list, dx: list):
     """div X = d_i X^i + X^i d_i log sqrt(det g), with d_i log sqrt(det g) =
     g^lm d_i g_lm / 2, for entries x[k] and dx[i][k] = d_i X^k.  The trace
     adds in index order from +0.0, the two contractions are einsums on dense
-    arrays.  On a constant metric with a finite inverse each g^lm d_i g_lm
-    is a sum of zeros with the +0.0 terms of g^-1's positive diagonal among
-    them, so it is +0.0 in any order, and X^i times it, summed from +0.0 as
-    einsum does, is +0.0 (NaN where X is not finite)."""
+    arrays.  On a constant metric with a finite inverse every d_i log
+    sqrt(det g) is zero, so div X is the trace alone, where X is not finite
+    too: a component that overflows to inf gives inf, not NaN."""
     trace = reduce(add, (dx[i][i] for i in range(3)), 0.0)
     inv = mj.inv_entries()
     if all(d is None for d in sum(sum(mj.dg, []), [])) and np.isfinite(inv).all():
-        return add(trace, reduce(add, (mul(c, 0.0) for c in x), 0.0))
+        return trace
     dlog = 0.5 * np.einsum("...lm,...ilm->...i", dense(inv, mj.shape), mj.dval)
     return add(trace, np.einsum("...i,...i->...", dense(x, mj.shape), dlog))
 

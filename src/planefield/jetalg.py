@@ -1,86 +1,108 @@
-"""The package's 3x3 algebra, written once over component-first entries.
+"""The package's one entry algebra, and the 3x3 algebra written once on it.
 
 A matrix is a nested list ``m[i][j]`` and a vector a list ``v[k]`` whose
-entries are batch columns (numpy arrays of one point-batch shape), floats
-constant over the batch, ``None`` for a structural zero, or first-order
-jets (:class:`~planefield.expr.Jet1`).  The formulas are plain arithmetic
-on entries, so the same code gives metric minors and inverses on sweep
+entries are batch columns (numpy arrays of one point-batch shape, 0-d ones
+included), constants (``float`` or ``int``; ``np.float64`` is a float),
+``None`` for a structural zero, or first-order jets
+(:class:`~planefield.expr.Jet1`).  The formulas are plain arithmetic on
+entries, so the same code gives metric minors and inverses on sweep
 columns and, on jets, exact Jacobians for derived fields (unit normals,
-frame pushforwards, transferred metrics) without any symbolic blow-up:
-only first derivatives of the primitive fields are ever consumed.
+frame pushforwards, transferred metrics) without any symbolic blow-up.
+The jet tape of ``expr`` computes its partials with the same ``add``,
+``sub``, ``mul`` and ``neg``.
 
-On columns, floats and ``None`` (``mul``, ``add``, ``sub``, ``div``) a
-result has the bits of the same operation on dense arrays holding the
-constants and ``+0.0`` for ``None``, except in the sign of a zero:
-constants fold in Python, and a zero constant times any column is
-``+0.0``, so structural zeros and the zeros they produce cost no array
-work.  The fold also gives ``+0.0``, not NaN, for a zero times an
-infinite column.  Reported zeros are ``+0.0`` by one output rule
-(``distributions._canonical``).
+The zero rules: anything times ``None``, and ``neg(None)``, is ``None``;
+adding ``None`` or a zero constant returns the other operand, uncopied;
+a zero constant times a column or jet is ``+0.0``, and so is a zero
+numerator (``None`` included) over one.  Otherwise a result has the bits
+of numpy on dense operands (the constants, and ``+0.0`` for ``None``) up
+to the sign of a zero, and a folded zero is exact where numpy gives NaN
+for a non-finite column.  An entry reaches numpy only through ``column``
+or ``dense``; reported zeros are ``+0.0`` by ``distributions._canonical``.
 """
 
 from __future__ import annotations
 
 from functools import reduce
-from math import copysign
 
 import numpy as np
-
-from .expr import Jet1, column, dense
 
 __all__ = [
     "dot3", "matvec", "cross", "adjugate3", "det3", "mul", "add", "sub",
     "div", "neg", "column", "dense", "take", "jets_from_metric",
 ]
 
-_ARRAYS = (np.ndarray, Jet1)
-
 
 def mul(u, v):
-    """u * v on entries; a zero constant times a column is +0.0."""
-    if isinstance(u, _ARRAYS):
-        if isinstance(v, _ARRAYS):
+    """u * v on entries."""
+    if u is None or v is None:
+        return None
+    if isinstance(u, (int, float)):
+        if isinstance(v, (int, float)):
             return u * v
-        c, x = (0.0 if v is None else v), u
+        c, x = u, v
+    elif isinstance(v, (int, float)):
+        c, x = v, u
     else:
-        c, x = (0.0 if u is None else u), v
-        if not isinstance(v, _ARRAYS):
-            return c * (0.0 if v is None else v)
+        return u * v
     if c == 1.0:
         return x
-    if c == 0.0 and isinstance(x, np.ndarray):
-        return 0.0
-    return c * x
+    return 0.0 if c == 0.0 else c * x
 
 
 def add(u, v):
-    """u + v on entries; adding -0.0 changes nothing, +0.0 only -0.0."""
-    u, v = (0.0 if u is None else u), (0.0 if v is None else v)
-    if not isinstance(v, _ARRAYS):
-        if isinstance(u, _ARRAYS) and v == 0.0 and copysign(1.0, v) < 0.0:
-            return u
-    elif not isinstance(u, _ARRAYS) and u == 0.0 and copysign(1.0, u) < 0.0:
+    """u + v on entries."""
+    if v is None or isinstance(v, (int, float)) and v == 0.0:
+        return u
+    if u is None or isinstance(u, (int, float)) and u == 0.0:
         return v
     return u + v
 
 
 def neg(u):
-    return -0.0 if u is None else -u
+    return None if u is None else -u
 
 
 def sub(u, v):
     """u - v on entries."""
-    if v is None or (not isinstance(v, _ARRAYS) and v == 0.0):
-        return add(u, neg(v))
-    return (0.0 if u is None else u) - v
+    if v is None or isinstance(v, (int, float)) and v == 0.0:
+        return u
+    if u is None or isinstance(u, (int, float)) and u == 0.0:
+        return -v
+    return u - v
 
 
 def div(u, v):
-    """u / v on entries."""
-    u = 0.0 if u is None else u
-    if isinstance(u, _ARRAYS) or isinstance(v, _ARRAYS):
+    """u / v on entries; a constant over a constant divides as numpy does."""
+    u, v = (0.0 if u is None else u), (0.0 if v is None else v)
+    if not isinstance(u, (int, float)):
         return u / v
-    return np.divide(np.float64(u), v)
+    if isinstance(v, (int, float)):
+        return np.divide(np.float64(u), v)
+    return 0.0 if u == 0.0 else u / v
+
+
+def column(x, shape) -> np.ndarray:
+    """An entry (array, float or ``None`` for +0.0) as an array of the
+    batch shape."""
+    if isinstance(x, np.ndarray) and x.shape == shape:
+        return x
+    return np.full(shape, 0.0 if x is None else x)
+
+
+def dense(x, shape: tuple) -> np.ndarray:
+    """Nested lists of entries as one array, entry indices last."""
+    dims, y = (), x
+    while isinstance(y, list):
+        dims, y = dims + (len(y),), y[0]
+    out = np.zeros(shape + dims)
+    for index in np.ndindex(*dims):
+        y = x
+        for i in index:
+            y = y[i]
+        if y is not None:
+            out[(Ellipsis,) + index] = y
+    return out
 
 
 def dot3(u, v):

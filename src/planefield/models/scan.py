@@ -56,6 +56,8 @@ def contact_deformation_scan(metric: MetricField, alpha0: OneForm,
     s_values = [float(s) for s in s_values]
     if not s_values:
         raise ConfigError("scan needs at least one deformation parameter")
+    if not np.isfinite(s_values).all():
+        raise ConfigError(f"deformation parameters must be finite, got {s_values}")
     chart = metric.chart
 
     def kernel(pts):

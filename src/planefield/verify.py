@@ -664,9 +664,9 @@ def suite_from_payload(payload: dict) -> SuiteSpec:
             if key in row:
                 params[key] = row[key]
         tol = params.get("tolerance")
-        if tol is not None and tol <= 0:
-            raise ConfigError(
-                f"check {row['name']!r}: tolerance must be positive, got {tol}")
+        if tol is not None and not 0 < tol < math.inf:
+            raise ConfigError(f"check {row['name']!r}: tolerance must be "
+                              f"positive and finite, got {tol}")
         checks.append(CheckSpec(name=row["name"], operation=row["operation"],
                                 params=params))
     return SuiteSpec(suite=payload["suite"], checks=checks)

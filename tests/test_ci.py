@@ -1,10 +1,10 @@
 """The CI workflow runs the Tier-1 suite and the benchmark self-check on
 every supported Python, once on the oldest supported numpy, compares
 every builtin suite's and a flat-torus integral's report bodies at one
-and two processes and a Reeb sweep's at one, two and three, compares a
-Reeb per-point CSV at one and two processes and checks it for -0.0, bounds
-the peak RSS of 128^3 sweeps and checks that valid inputs never import
-jsonschema."""
+and two processes and a Reeb sweep's at one, two and three, compares the
+per-point CSVs of the Reeb model and of the flat torus's graph foliation
+at one and two processes and checks them for -0.0, bounds the peak RSS of
+128^3 sweeps and checks that valid inputs never import jsonschema."""
 
 import re
 from pathlib import Path
@@ -85,17 +85,24 @@ def test_workflow_compares_reeb_classify_bodies_across_worker_counts():
 
 
 def test_workflow_compares_reeb_csv_across_worker_counts():
-    """One step writes the Reeb per-point CSV at 32^3 (two blocks) with
-    --jobs 1 and 2, fails unless the files are byte-identical, and fails if
-    any field reads -0.0."""
+    """One step writes the per-point CSVs at 32^3 (two blocks) of the Reeb
+    model and of the flat torus's graph foliation, where most zeros fold,
+    with --jobs 1 and 2, fails unless each pair is byte-identical, and fails
+    if any field of either reads -0.0."""
     workflow = yaml.safe_load(WORKFLOW.read_text(encoding="utf-8"))
     runs = [step.get("run", "") for step in workflow["jobs"]["tests"]["steps"]]
     step = next(run for run in runs if "--format csv" in run)
     assert "PYTHONPATH=src python -m planefield.cli model reeb --emit reeb.json" in step
+    assert "chartio.save_model(catalog.flat_torus_model(), 'torus.json')" in step
     for jobs in (1, 2):
         assert ("PYTHONPATH=src python -m planefield.cli check reeb.json --grid 32,32,32 "
                 f"--format csv --jobs {jobs} --output points{jobs}.csv") in step
+        assert ("PYTHONPATH=src python -m planefield.cli check torus.json "
+                "--distribution graph-foliation --grid 32,32,32 "
+                f"--format csv --jobs {jobs} --output torus-points{jobs}.csv") in step
     assert "cmp points1.csv points2.csv" in step
+    assert "cmp torus-points1.csv torus-points2.csv" in step
+    assert "('points1.csv', 'torus-points1.csv')" in step
     assert "sys.exit('-0.0' in fields)" in step
 
 

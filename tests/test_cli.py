@@ -12,9 +12,10 @@ import pytest
 from planefield import chartio, geometry
 from planefield.chartio import (load_atlas, load_model, model_payload, save_model,
                                 validate_payload)
-from planefield.catalog import flat_torus_model, two_pi_torus_model
+from planefield.catalog import flat_torus_model, sphere_model, two_pi_torus_model
 from planefield.cli import main
 from planefield.errors import ConfigError
+from planefield.models import contact_deformation_scan
 
 
 @pytest.fixture()
@@ -279,6 +280,46 @@ def test_verify_rejects_negative_tolerance(tmp_path):
     path = tmp_path / "suite.json"
     path.write_text(json.dumps(spec))
     assert main(["verify", str(path)]) == 2
+
+
+@pytest.mark.parametrize("model, tol", [("reeb", "nan"), ("spheres", "inf")])
+def test_classify_refuses_a_non_finite_tolerance(reeb_file, tmp_path, capsys, model, tol):
+    path = reeb_file
+    if model == "spheres":
+        path = tmp_path / "spheres.json"
+        save_model(sphere_model(), path)
+    assert main(["classify", str(path), "--grid", "8,8,8", "--tol", tol]) == 2
+    assert capsys.readouterr().err == f"error: tolerance must be positive and finite, got {tol}\n"
+
+
+def test_verify_refuses_an_infinite_tolerance(tmp_path, capsys):
+    path = tmp_path / "suite.json"
+    path.write_text('{"suite": "custom", "checks": [{"name": "loose", '
+                    '"operation": "classify-expect", "target": "reeb", "grid": [8, 8, 8], '
+                    '"tolerance": 1e999, "expectation": "parabolic"}]}')
+    assert main(["verify", str(path)]) == 2
+    assert capsys.readouterr().err == (
+        "error: check 'loose': tolerance must be positive and finite, got inf\n")
+
+
+@pytest.mark.parametrize("output", [False, True])
+def test_scan_refuses_a_non_finite_s_range(torus_file, tmp_path, capsys, output):
+    args = ["scan", str(torus_file), "--alpha", "vertical", "--beta", "winding-contact",
+            "--grid", "4,4,4", "--s-range", "nan:1:2"]
+    with pytest.raises(SystemExit) as err:
+        main(args + ["--output", str(tmp_path / "scan.json")] if output else args)
+    assert err.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "error: argument --s-range: s-range endpoints must be finite, got 'nan:1:2'" in captured.err
+
+
+@pytest.mark.parametrize("s", [np.nan, np.inf])
+def test_scan_refuses_a_non_finite_deformation_parameter(s):
+    model = flat_torus_model()
+    with pytest.raises(ConfigError, match="deformation parameters must be finite"):
+        contact_deformation_scan(model.metric, model.forms["vertical"],
+                                 model.forms["winding-contact"], [0.0, s], grid=(4, 4, 4))
 
 
 def test_scan_subcommand(tmp_path):

@@ -204,3 +204,57 @@ def test_jets_from_metric_hands_out_the_metric_entry_jets():
             assert g[i][j] is g[j][i] is mj.jets[i][j]
             assert np.array_equal(g[i][j].value, mj.val[:, i, j])
             assert np.array_equal(np.moveaxis(g[i][j].gradient, 0, -1), mj.dval[:, :, i, j])
+
+
+# ---------------------------------------------------------------------------
+# the entry rules, against numpy on dense operands
+
+_VALUES = np.array([0.0, -0.0, 1.5, np.inf, -np.inf, np.nan])
+_N = _VALUES.size ** 2
+# every pair of the values meets once between the two columns
+_OPERANDS = [None, 0.0, -0.0, 1.0, 2.5, np.repeat(_VALUES, _VALUES.size),
+             np.tile(_VALUES, _VALUES.size)]
+_DENSE_OPS = {jetalg.add: np.add, jetalg.sub: np.subtract,
+              jetalg.mul: np.multiply, jetalg.div: np.divide}
+
+
+def _is_zero(x):
+    return x is None or not isinstance(x, np.ndarray) and x == 0.0
+
+
+@pytest.mark.parametrize("op", list(_DENSE_OPS), ids=lambda op: op.__name__)
+def test_entry_ops_equal_numpy_on_dense_operands(op):
+    """Equal up to the sign of a zero, except for the exact zero a folded
+    zero gives: a zero constant or None times a column, or over one."""
+    for u in _OPERANDS:
+        for v in _OPERANDS:
+            with np.errstate(all="ignore"):
+                got = jetalg.column(op(u, v), (_N,))
+                want = _DENSE_OPS[op](jetalg.column(u, (_N,)), jetalg.column(v, (_N,)))
+            folded = ((op is jetalg.mul and (_is_zero(u) and isinstance(v, np.ndarray)
+                                             or _is_zero(v) and isinstance(u, np.ndarray)))
+                      or op is jetalg.div and _is_zero(u) and isinstance(v, np.ndarray))
+            if folded:
+                assert np.all(got == 0.0), (u, v)
+                assert np.array_equal(got[np.isfinite(want)], want[np.isfinite(want)])
+            else:
+                assert np.array_equal(got, want, equal_nan=True), (u, v)
+
+
+def test_neg_equals_numpy_on_dense_operands():
+    for u in _OPERANDS:
+        assert np.array_equal(jetalg.column(jetalg.neg(u), (_N,)),
+                              -jetalg.column(u, (_N,)), equal_nan=True)
+
+
+def test_structural_and_constant_zeros_cost_no_array_work():
+    col = _OPERANDS[-1]
+    assert jetalg.mul(None, col) is None and jetalg.mul(col, None) is None
+    assert jetalg.neg(None) is None
+    for zero in (None, 0.0, -0.0):
+        assert jetalg.add(col, zero) is col and jetalg.add(zero, col) is col
+        assert jetalg.sub(col, zero) is col
+    folded = [jetalg.mul(0.0, col), jetalg.mul(col, -0.0)]
+    folded += [jetalg.div(zero, col) for zero in (None, 0.0, -0.0)]
+    for x in folded:
+        assert type(x) is float and x == 0.0
