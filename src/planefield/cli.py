@@ -28,8 +28,8 @@ import numpy as np
 
 from .chartio import (atlas_payload, dump_json, load_model, read_json,
                       save_model, validate_payload)
+from .distributions import _require_tol, integral_mean_curvature, write_point_csv
 from .distributions import classify as classify_op
-from .distributions import integral_mean_curvature
 from .errors import ConfigError, PlanefieldError
 from .models import (SurfaceMetric, assemble_open_book_demo, collar_model,
                      contact_deformation_scan, product_fibration,
@@ -153,17 +153,17 @@ def _cmd_check(args, full: bool) -> int:
         raise ConfigError("--format csv requires --output")
     model = load_model(args.chart)
     dist = model.distribution(args.distribution)
+    if csv:
+        _require_tol(args.tol)
+        return _CHECK_FAILURE if write_point_csv(model.metric, dist, args.output,
+                                                 args.grid, args.jobs) else _OK
     start = time.perf_counter()
-    rep = classify_op(model.metric, dist, grid=args.grid, tol=args.tol,
-                      jobs=args.jobs, keep_points=csv)
+    rep = classify_op(model.metric, dist, grid=args.grid, tol=args.tol, jobs=args.jobs)
     elapsed = time.perf_counter() - start
     body = rep.body()
     body["distribution"] = args.distribution or model.foliation
     if not full:
         body.pop("worst_points")
-    if csv:
-        rep.write_csv(args.output)
-        return _OK if not rep.errors else _CHECK_FAILURE
     _emit_report(body, {"seconds": elapsed}, "report", args.output)
     return _OK if not rep.errors else _CHECK_FAILURE
 
@@ -232,7 +232,7 @@ def _cmd_integrate_h(args) -> int:
 
 
 def _cmd_plotdata(args) -> int:
-    from .distributions import _point_arrays
+    from .distributions import _csv_rows, _point_arrays
     model = load_model(args.chart)
     dist = model.distribution(args.distribution)
     chart = model.chart
@@ -245,6 +245,8 @@ def _cmd_plotdata(args) -> int:
             raise ConfigError(f"--fixed {args.fixed!r}: {err}") from None
         if len(fixed) != 2:
             raise ConfigError("--fixed needs exactly two values")
+        if not np.isfinite(fixed).all():
+            raise ConfigError(f"--fixed values must be finite, got {args.fixed!r}")
     else:
         fixed = [0.5 * (chart.domain[i][0] + chart.domain[i][1])
                  for i in others]
@@ -254,11 +256,7 @@ def _cmd_plotdata(args) -> int:
     for i, v in zip(others, fixed):
         pts[i] = v
     arrs = _point_arrays(model.metric, dist, pts)
-    k_e, h = arrs["k_e"], arrs["h"]
-    lines = [f"{args.along},k_e,h"]
-    for j in range(args.n):
-        lines.append(f"{float(line[j])!r},{float(k_e[j])!r},{float(h[j])!r}")
-    text = "\n".join(lines) + "\n"
+    text = f"{args.along},k_e,h\n" + _csv_rows([line, arrs["k_e"], arrs["h"]])
     if args.output is not None:
         Path(args.output).write_text(text, encoding="utf-8")
     else:

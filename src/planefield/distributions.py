@@ -30,7 +30,7 @@ one array.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
@@ -48,7 +48,7 @@ __all__ = [
     "Distribution", "FrameData", "CurvatureReport",
     "tangent_frame", "normal_field", "second_fundamental_form",
     "mean_curvature", "extrinsic_curvature", "frobenius_residual",
-    "contact_volume", "classify", "integral_mean_curvature",
+    "contact_volume", "classify", "write_point_csv", "integral_mean_curvature",
     "curvature_arrays", "distribution_frames", "normal_arrays",
 ]
 
@@ -193,10 +193,11 @@ def distribution_frames(dist: Distribution, points: np.ndarray,
 
 def _unit_normal(mj: MetricJets, a: list, co_orientation: int) -> tuple:
     """Unit normal entries co * g^-1 a / |a|_g and where they are defined;
-    g^-1 is the identity where the metric is not SPD."""
-    raised = matvec(mj.inv_entries(), a)
-    norm2 = dot3(a, raised)
-    with np.errstate(invalid="ignore", divide="ignore"):
+    g^-1 is the identity where the metric is not SPD.  Floating-point
+    warnings are off: an entry that overflows is left non-finite."""
+    with np.errstate(all="ignore"):
+        raised = matvec(mj.inv_entries(), a)
+        norm2 = dot3(a, raised)
         root = np.sqrt(norm2)
         n = [div(mul(float(co_orientation), r), root) for r in raised]
     return n, mj.spd & (norm2 > 0.0)
@@ -249,42 +250,42 @@ def _curvature(mj: MetricJets, e: list, de: list, n: list,
                frame_ok: np.ndarray) -> dict:
     """All pointwise curvature quantities for frame entries e[b][k] with
     de[b][i][k] = d_i E_b^k and unit normal entries n[k] (formulas in the
-    module docstring)."""
-    g = mj.g
-    nu = matvec(g, n)                           # lowered normal g n
-    m = christoffel_contract(mj.dg, n)
-    me = [matvec(m, e[b]) for b in range(2)]
-    del m                                       # each array goes after its last use
-    # w[a][b]^k = E_a^i d_i E_b^k, the derivative of E_b along E_a
-    w = [[matvec(list(zip(*de[b])), e[a]) for b in range(2)] for a in range(2)]
-    d = [[dot3(w[a][b], nu) for b in range(2)] for a in range(2)]
-    bracket = column(dot3(list(map(sub, w[0][1], w[1][0])), nu), mj.shape)
-    del w
-    b00, b01, b11 = (column(x, mj.shape) for x in (
-        add(d[0][0], dot3(e[0], me[0])),
-        add(mul(0.5, add(d[0][1], d[1][0])), dot3(e[0], me[1])),
-        add(d[1][1], dot3(e[1], me[1]))))
-    del d, me
-    ge = [matvec(g, e[b]) for b in range(2)]
-    gram00, gram01, gram11 = (column(x, mj.shape) for x in (
-        dot3(e[0], ge[0]), dot3(e[0], ge[1]), dot3(e[1], ge[1])))
-    del ge
+    module docstring), with numpy's floating-point warnings off."""
+    with np.errstate(all="ignore"):
+        g = mj.g
+        nu = matvec(g, n)                           # lowered normal g n
+        m = christoffel_contract(mj.dg, n)
+        me = [matvec(m, e[b]) for b in range(2)]
+        del m                                       # each array goes after its last use
+        # w[a][b]^k = E_a^i d_i E_b^k, the derivative of E_b along E_a
+        w = [[matvec(list(zip(*de[b])), e[a]) for b in range(2)] for a in range(2)]
+        d = [[dot3(w[a][b], nu) for b in range(2)] for a in range(2)]
+        bracket = column(dot3(list(map(sub, w[0][1], w[1][0])), nu), mj.shape)
+        del w
+        b00, b01, b11 = (column(x, mj.shape) for x in (
+            add(d[0][0], dot3(e[0], me[0])),
+            add(mul(0.5, add(d[0][1], d[1][0])), dot3(e[0], me[1])),
+            add(d[1][1], dot3(e[1], me[1]))))
+        del d, me
+        ge = [matvec(g, e[b]) for b in range(2)]
+        gram00, gram01, gram11 = (column(x, mj.shape) for x in (
+            dot3(e[0], ge[0]), dot3(e[0], ge[1]), dot3(e[1], ge[1])))
+        del ge
 
-    scale = gram00 * gram11
-    det_gram = scale - gram01 ** 2
-    ok = frame_ok & mj.spd & (det_gram > _DEGENERATE_REL * np.maximum(scale, 1e-300))
+        scale = gram00 * gram11
+        det_gram = scale - gram01 ** 2
+        ok = frame_ok & mj.spd & (det_gram > _DEGENERATE_REL * np.maximum(scale, 1e-300))
 
-    with np.errstate(invalid="ignore", divide="ignore"):
         h = (b00 * gram11 + b11 * gram00 - 2.0 * b01 * gram01) / det_gram
         k_e = (b00 * b11 - b01 ** 2) / det_gram
         frob = bracket / np.sqrt(det_gram)
-    b_norm = np.sqrt(b00 ** 2 + 2.0 * b01 ** 2 + b11 ** 2)
-    return {
-        "b00": b00, "b01": b01, "b11": b11,
-        "gram00": gram00, "gram01": gram01, "gram11": gram11,
-        "det_gram": det_gram, "h": h, "k_e": k_e,
-        "frobenius_residual": frob, "b_norm": b_norm, "ok": ok,
-    }
+        b_norm = np.sqrt(b00 ** 2 + 2.0 * b01 ** 2 + b11 ** 2)
+        return {
+            "b00": b00, "b01": b01, "b11": b11,
+            "gram00": gram00, "gram01": gram01, "gram11": gram11,
+            "det_gram": det_gram, "h": h, "k_e": k_e,
+            "frobenius_residual": frob, "b_norm": b_norm, "ok": ok,
+        }
 
 
 def curvature_arrays(mj: MetricJets, fd: FrameData, nval: np.ndarray) -> dict:
@@ -446,8 +447,6 @@ class CurvatureReport:
     errors: list
     n_points: int
     n_valid: int
-    per_point: Optional[dict] = field(default=None, repr=False)
-    points: Optional[np.ndarray] = field(default=None, repr=False)
 
     def body(self) -> dict:
         """Deterministic JSON-safe payload (no timings)."""
@@ -464,18 +463,6 @@ class CurvatureReport:
             "n_valid": self.n_valid,
         }
 
-    def write_csv(self, path):
-        if self.per_point is None or self.points is None:
-            raise ConfigError("classify(..., keep_points=True) required for CSV")
-        cols = ["b00", "b01", "b11", "gram00", "gram01", "gram11",
-                "h", "k_e", "frobenius_residual", "contact_volume"]
-        with open(path, "w", encoding="utf-8") as fh:
-            fh.write(",".join(["p1", "p2", "p3"] + cols) + "\n")
-            for i in range(self.n_points):
-                row = [repr(float(self.points[a, i])) for a in range(3)]
-                row += [repr(float(self.per_point[c][i])) for c in cols]
-                fh.write(",".join(row) + "\n")
-
 
 def _classification(k_min: float, k_max: float, tol: float) -> str:
     if max(abs(k_min), abs(k_max)) <= tol:
@@ -488,6 +475,8 @@ def _classification(k_min: float, k_max: float, tol: float) -> str:
 
 
 _FIELDS = ("k_e", "h", "frobenius_residual", "contact_volume", "b_norm")
+_CSV_FIELDS = ("b00", "b01", "b11", "gram00", "gram01", "gram11",
+               "h", "k_e", "frobenius_residual", "contact_volume")
 _N_WORST = 10
 _N_ERRORS = 32
 
@@ -504,7 +493,6 @@ class _SweepBlock:
     worst_vals: np.ndarray   # (len(worst), 3): k_e, h, b_norm there
     invalid: np.ndarray      # the first _N_ERRORS invalid points
     invalid_spd: np.ndarray  # whether the metric was SPD there
-    per_point: Optional[dict]
 
 
 def _top(valid: np.ndarray, k_e: np.ndarray) -> np.ndarray:
@@ -518,7 +506,7 @@ def _top(valid: np.ndarray, k_e: np.ndarray) -> np.ndarray:
     return valid[np.argsort(key, kind="stable")[:_N_WORST]]
 
 
-def _summarise(arrs: dict, spd: np.ndarray, keep_points: bool) -> _SweepBlock:
+def _summarise(arrs: dict, spd: np.ndarray) -> _SweepBlock:
     ok = arrs.pop("ok")
     valid = np.nonzero(ok)[0]
     stats = {}
@@ -532,8 +520,7 @@ def _summarise(arrs: dict, spd: np.ndarray, keep_points: bool) -> _SweepBlock:
         n_points=ok.size, n_valid=valid.size, stats=stats, worst=top,
         worst_vals=np.stack([arrs[k][top] for k in ("k_e", "h", "b_norm")],
                             axis=-1) + 0.0,
-        invalid=bad, invalid_spd=spd[bad],
-        per_point=_canonical(arrs, ok) if keep_points else None)
+        invalid=bad, invalid_spd=spd[bad])
 
 
 def _canonical(arrs: dict, ok: np.ndarray) -> dict:
@@ -545,14 +532,22 @@ def _canonical(arrs: dict, ok: np.ndarray) -> dict:
             else np.where(ok, v + 0.0, np.nan) for k, v in arrs.items()}
 
 
-def _point(points: np.ndarray, i) -> list:
-    return [float(points[a, i]) for a in range(3)]
+def _sweep_arrays(metric, dist, pts, frame=None) -> tuple:
+    """A block's curvature arrays with the contact volume, and its SPD mask."""
+    mj = metric.eval(pts)
+    b = _block_arrays(mj, dist, pts, frame)
+    b.arrs["contact_volume"] = column(_contact_volume(b.a, b.da), pts.shape[1:])
+    return b.arrs, mj.spd
+
+
+def _require_tol(tol: float) -> None:
+    if not 0 < tol < np.inf:
+        raise ConfigError(f"tolerance must be positive and finite, got {tol}")
 
 
 def classify(metric: MetricField, dist: Distribution, grid=(16, 16, 16),
              tol: float = 1e-8, jobs: int = 1,
-             frame: Optional[tuple] = None, keep_points: bool = False
-             ) -> CurvatureReport:
+             frame: Optional[tuple] = None) -> CurvatureReport:
     """Sweep the chart grid and classify the plane field by the sign of its
     extrinsic curvature (|K_e| <= tol everywhere -> parabolic, K_e >= tol
     -> elliptic, K_e <= -tol -> hyperbolic, anything else -> mixed).
@@ -562,27 +557,18 @@ def classify(metric: MetricField, dist: Distribution, grid=(16, 16, 16),
     is reduced to its count, per-field min/max and exact sum, its top 10
     points by |K_e| and its first 32 invalid points; merging these in block
     order makes the report independent of ``jobs`` and the block size.
-    Whole-grid per-point arrays are kept only with ``keep_points``.
     """
-    if not 0 < tol < np.inf:
-        raise ConfigError(f"tolerance must be positive and finite, got {tol}")
-    chart = metric.chart
-    sample = chart.sample_grid(grid)
-
-    def kernel(pts):
-        mj = metric.eval(pts)
-        b = _block_arrays(mj, dist, pts, frame)
-        b.arrs["contact_volume"] = column(_contact_volume(b.a, b.da), pts.shape[1:])
-        return _summarise(b.arrs, mj.spd, keep_points)
-
-    blocks = chunked_eval(kernel, sample.points, jobs)
+    _require_tol(tol)
+    sample = metric.chart.sample_grid(grid)
+    blocks = chunked_eval(lambda pts: _summarise(*_sweep_arrays(metric, dist, pts, frame)),
+                          sample.points, jobs)
     offsets = np.cumsum([0] + [b.n_points for b in blocks[:-1]])
     n_points = sample.points.shape[1]
     n_valid = sum(b.n_valid for b in blocks)
 
     invalid = np.concatenate([o + b.invalid for o, b in zip(offsets, blocks)])
     spd = np.concatenate([b.invalid_spd for b in blocks])
-    errors = [{"point": _point(sample.points, i),
+    errors = [{"point": sample.points[:, i].tolist(),
                "reason": "not-spd" if not ok else "degenerate-frame"}
               for i, ok in zip(invalid[:_N_ERRORS], spd)]
     n_invalid = n_points - n_valid
@@ -591,9 +577,7 @@ def classify(metric: MetricField, dist: Distribution, grid=(16, 16, 16),
                        "reason": f"... {n_invalid - _N_ERRORS} more invalid points"})
 
     if n_valid == 0:
-        aggregates = {}
-        classification = "undefined"
-        worst = []
+        aggregates, classification, worst = {}, "undefined", []
     else:
         stats = [b.stats for b in blocks if b.n_valid]
         aggregates = {name: {
@@ -606,25 +590,43 @@ def classify(metric: MetricField, dist: Distribution, grid=(16, 16, 16),
         idx = np.concatenate([o + b.worst for o, b in zip(offsets, blocks)])
         vals = np.concatenate([b.worst_vals for b in blocks])
         worst = [{
-            "point": _point(sample.points, idx[j]),
+            "point": sample.points[:, idx[j]].tolist(),
             "k_e": float(vals[j, 0]),
             "h": float(vals[j, 1]),
             "b_norm": float(vals[j, 2]),
         } for j in np.lexsort((idx, -np.abs(vals[:, 0])))[:_N_WORST]]
-
-    per_point = None
-    if keep_points:
-        per_point = {k: np.concatenate([b.per_point[k] for b in blocks])
-                     for k in blocks[0].per_point}
-    report = CurvatureReport(
-        chart_id=chart.chart_id, grid=tuple(grid), tol=tol,
+    return CurvatureReport(
+        chart_id=metric.chart.chart_id, grid=tuple(grid), tol=tol,
         frame_desc=_FRAME_DESC[dist.kind if frame is None else "explicit"],
         classification=classification,
         aggregates=aggregates, worst_points=worst, errors=errors,
-        n_points=n_points, n_valid=n_valid,
-        per_point=per_point,
-        points=sample.points if keep_points else None)
-    return report
+        n_points=n_points, n_valid=n_valid)
+
+
+def _csv_rows(columns) -> str:
+    """CSV lines of float columns, each value the ``repr`` that reads back to it."""
+    return "\n".join(map(",".join, zip(*(map(repr, c.tolist()) for c in columns)))) + "\n"
+
+
+def write_point_csv(metric: MetricField, dist: Distribution, path,
+                    grid=(16, 16, 16), jobs: int = 1) -> int:
+    """Write a row per ``classify`` grid point: the point and its
+    ``_CSV_FIELDS`` as a report gives them.  Return the invalid count."""
+    points = metric.chart.sample_grid(grid).points
+
+    def kernel(pts):
+        arrs, _ = _sweep_arrays(metric, dist, pts)
+        return _canonical({k: arrs[k] for k in ("ok",) + _CSV_FIELDS}, arrs["ok"])
+
+    blocks = chunked_eval(kernel, points, jobs)
+    start = 0
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.write(",".join(("p1", "p2", "p3") + _CSV_FIELDS) + "\n")
+        for b in blocks:
+            stop = start + b["ok"].size
+            fh.write(_csv_rows([*points[:, start:stop], *(b[k] for k in _CSV_FIELDS)]))
+            start = stop
+    return sum(int(np.count_nonzero(~b["ok"])) for b in blocks)
 
 
 def integral_mean_curvature(metric: MetricField, dist: Distribution,

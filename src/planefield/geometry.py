@@ -262,6 +262,8 @@ class Chart:
                 raise ConfigError(f"interval for {name!r} is not finite: [{lo}, {hi}]")
             if not lo < hi:
                 raise ConfigError(f"empty interval for {name!r}: [{lo}, {hi}]")
+            if not math.isfinite(hi - lo):
+                raise ConfigError(f"interval for {name!r} is too wide: [{lo}, {hi}]")
         for locus in self.singular_loci:
             if locus.coordinate not in self.coord_names:
                 raise ConfigError(f"singular locus names unknown coordinate {locus.coordinate!r}")
@@ -328,8 +330,12 @@ class Chart:
             pts, h = self.axis_points(i, n, margin)
             axes.append(pts)
             steps.append(h)
-        mesh = np.meshgrid(*axes, indexing="ij")
-        points = np.stack([m.reshape(-1) for m in mesh], axis=0)
+        try:
+            mesh = np.meshgrid(*axes, indexing="ij")
+            points = np.stack([m.reshape(-1) for m in mesh], axis=0)
+        except MemoryError:
+            raise ConfigError(f"grid {'x'.join(map(str, counts))} has {math.prod(counts):,} "
+                              "points, more than can be allocated") from None
         return GridSample(points=points, shape=counts,
                           cell_volume=float(np.prod(steps)),
                           axes=tuple(axes))

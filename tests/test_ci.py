@@ -3,7 +3,8 @@ every supported Python, once on the oldest supported numpy, compares
 every builtin suite's and a flat-torus integral's report bodies at one
 and two processes and a Reeb sweep's at one, two and three, compares the
 per-point CSVs of the Reeb model and of the flat torus's graph foliation
-at one and two processes and checks them for -0.0, bounds the peak RSS of
+at one and two processes and a Reeb CSV at 48^3 at one, two and three,
+and checks the 32^3 CSVs for -0.0, bounds the peak RSS of
 128^3 sweeps and checks that valid inputs never import jsonschema."""
 
 import re
@@ -87,8 +88,10 @@ def test_workflow_compares_reeb_classify_bodies_across_worker_counts():
 def test_workflow_compares_reeb_csv_across_worker_counts():
     """One step writes the per-point CSVs at 32^3 (two blocks) of the Reeb
     model and of the flat torus's graph foliation, where most zeros fold,
-    with --jobs 1 and 2, fails unless each pair is byte-identical, and fails
-    if any field of either reads -0.0."""
+    with --jobs 1 and 2, and the Reeb CSV at 48^3 (seven blocks, the last
+    one partial) with --jobs 1, 2 and 3, fails unless the CSVs of each
+    model and grid are byte-identical, and fails if any field of the 32^3
+    CSVs reads -0.0."""
     workflow = yaml.safe_load(WORKFLOW.read_text(encoding="utf-8"))
     runs = [step.get("run", "") for step in workflow["jobs"]["tests"]["steps"]]
     step = next(run for run in runs if "--format csv" in run)
@@ -102,6 +105,10 @@ def test_workflow_compares_reeb_csv_across_worker_counts():
                 f"--format csv --jobs {jobs} --output torus-points{jobs}.csv") in step
     assert "cmp points1.csv points2.csv" in step
     assert "cmp torus-points1.csv torus-points2.csv" in step
+    for jobs in (1, 2, 3):
+        assert ("PYTHONPATH=src python -m planefield.cli check reeb.json --grid 48,48,48 "
+                f"--format csv --jobs {jobs} --output reeb48-{jobs}.csv") in step
+    assert "cmp reeb48-1.csv reeb48-2.csv" in step and "cmp reeb48-1.csv reeb48-3.csv" in step
     assert "('points1.csv', 'torus-points1.csv')" in step
     assert "sys.exit('-0.0' in fields)" in step
 

@@ -146,6 +146,18 @@ def test_classify_names_a_non_finite_chart_bound(reeb_file, tmp_path, capsys, ol
     assert capsys.readouterr().err == f"error: {message}\n"
 
 
+def test_classify_refuses_a_domain_whose_width_overflows(reeb_file, tmp_path, capsys):
+    """[-1e308, 1e308] has finite ends, but its width is inf, so every grid
+    point would be +-inf."""
+    path = tmp_path / "reeb.json"
+    text = reeb_file.read_text()
+    old = '[\n      0.0,\n      1.0\n    ]'
+    assert text.count(old) == 1
+    path.write_text(text.replace(old, '[-1e308, 1e308]'))
+    assert main(["classify", str(path), "--grid", "4,4,4"]) == 2
+    assert capsys.readouterr().err == "error: interval for 'r' is too wide: [-1e+308, 1e+308]\n"
+
+
 def test_model_emit_round_trips(reeb_file):
     model = load_model(reeb_file)
     assert model.model_id == "reeb-solid-torus"
@@ -198,10 +210,41 @@ def test_check_csv_dump(reeb_file, tmp_path, monkeypatch):
 def test_check_csv_without_output_fails_before_the_sweep(reeb_file, monkeypatch,
                                                        capsys):
     from planefield import cli
-    monkeypatch.setattr(cli, "classify_op",
-                        lambda *a, **k: pytest.fail("the sweep ran"))
+    for name in ("classify_op", "write_point_csv"):
+        monkeypatch.setattr(cli, name, lambda *a, **k: pytest.fail("the sweep ran"))
     assert main(["check", str(reeb_file), "--format", "csv"]) == 2
     assert "--format csv requires --output" in capsys.readouterr().err
+
+
+def test_check_csv_never_runs_classify(reeb_file, tmp_path, monkeypatch):
+    """The CSV comes from the sweep blocks alone: no classify call and no
+    block reduction."""
+    from planefield import cli, distributions
+    monkeypatch.setattr(cli, "classify_op", lambda *a, **k: pytest.fail("classify ran"))
+    monkeypatch.setattr(distributions, "_summarise",
+                        lambda *a, **k: pytest.fail("a block was reduced"))
+    out = tmp_path / "points.csv"
+    assert main(["check", str(reeb_file), "--grid", "8,4,4", "--format", "csv",
+                 "--output", str(out)]) == 0
+    assert len(out.read_text(encoding="utf-8").splitlines()) == 1 + 8 * 4 * 4
+
+
+def test_check_csv_refuses_a_non_finite_tolerance(reeb_file, tmp_path, capsys):
+    """The rows do not depend on --tol, but it is checked as for classify."""
+    out = tmp_path / "points.csv"
+    assert main(["check", str(reeb_file), "--format", "csv", "--tol", "nan",
+                 "--output", str(out)]) == 2
+    assert capsys.readouterr().err == "error: tolerance must be positive and finite, got nan\n"
+    assert not out.exists()
+
+
+def test_classify_refuses_a_grid_too_large_to_allocate(reeb_file, capsys):
+    """The point array of 10^15 points cannot be allocated: one error line
+    naming the grid, exit 2."""
+    assert main(["classify", str(reeb_file), "--grid", "100000,100000,100000"]) == 2
+    assert capsys.readouterr().err == ("error: grid 100000x100000x100000 has "
+                                       "1,000,000,000,000,000 points, more than can "
+                                       "be allocated\n")
 
 
 def test_missing_file_is_usage_error(capsys):
@@ -407,6 +450,8 @@ def test_plotdata_evaluates_each_field_once(reeb_file, tmp_path, monkeypatch):
 @pytest.mark.parametrize("args, message", [
     (["--along", "r", "--fixed", "a,b"], "--fixed 'a,b': could not convert string to float: 'a'"),
     (["--along", "q"], "unknown coordinate 'q'; the chart's are r, phi, t"),
+    (["--along", "r", "--fixed", "nan,0"], "--fixed values must be finite, got 'nan,0'"),
+    (["--along", "phi", "--fixed", "0.5,-inf"], "--fixed values must be finite, got '0.5,-inf'"),
 ])
 def test_plotdata_refuses_a_bad_line_with_a_usage_error(reeb_file, args, message, capsys):
     assert main(["plotdata", str(reeb_file), *args, "--n", "4"]) == 2

@@ -1,6 +1,7 @@
 import json
 import math
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -17,9 +18,10 @@ from planefield.distributions import (Distribution, classify, contact_volume,
                                       extrinsic_curvature, frobenius_residual,
                                       integral_mean_curvature, mean_curvature,
                                       normal_arrays, normal_field,
-                                      second_fundamental_form, tangent_frame)
-from planefield.distributions import (_block_arrays, _canonical, _contact_volume,
-                                      _dense_frame, _kernel_frame, _normal_divergence,
+                                      second_fundamental_form, tangent_frame,
+                                      write_point_csv)
+from planefield.distributions import (_block_arrays, _canonical, _dense_frame,
+                                      _kernel_frame, _normal_divergence, _sweep_arrays,
                                       _top)
 from planefield.errors import (ConfigError, DegenerateDistributionError,
                                DomainError, NonSPDPathError, NotSPDError,
@@ -29,7 +31,6 @@ from planefield.geometry import (Chart, MetricField, OneForm, VectorField,
 from planefield.chartio import save_model
 from planefield.cli import main
 from planefield.expr import Jet1, Num, jet_sqrt
-from planefield.jetalg import column
 from planefield.models import (Model, contact_deformation_scan, reeb_solid_torus,
                                transfer_metric)
 
@@ -407,14 +408,18 @@ def _bodies_across_blocks(monkeypatch, sweep) -> set:
     return bodies
 
 
-def test_classify_body_independent_of_jobs_and_block_size(reeb, monkeypatch):
-    """The body and the ``keep_points`` per-point arrays, byte for byte."""
+def _body_and_csv(metric, dist, grid, jobs, path) -> dict:
+    """The classify body, and the per-point CSV's bytes and invalid count."""
+    n_invalid = write_point_csv(metric, dist, path, grid=grid, jobs=jobs)
+    return {"body": classify(metric, dist, grid=grid, jobs=jobs).body(),
+            "csv": path.read_bytes().hex(), "n_invalid": n_invalid}
+
+
+def test_classify_body_independent_of_jobs_and_block_size(reeb, monkeypatch, tmp_path):
+    """The body and the per-point CSV, byte for byte."""
     def sweep(jobs):
-        rep = classify(reeb.metric, reeb.distribution(), grid=BLOCK_GRID,
-                       jobs=jobs, keep_points=True)
-        return {"body": rep.body(),
-                "per_point": {k: [str(v.dtype), v.shape, v.tobytes().hex()]
-                              for k, v in rep.per_point.items()}}
+        return _body_and_csv(reeb.metric, reeb.distribution(), BLOCK_GRID, jobs,
+                             tmp_path / "points.csv")
 
     assert len(_bodies_across_blocks(monkeypatch, sweep)) == 1
 
@@ -427,7 +432,7 @@ def _mixed_plane_cases(reeb, torus):
             (torus.metric, Distribution.kernel(random_periodic_form(5)), (32, 32, 24))]
 
 
-def test_mixed_plane_blocks_independent_of_block_size(reeb, torus, monkeypatch):
+def test_mixed_plane_blocks_independent_of_block_size(reeb, torus, monkeypatch, tmp_path):
     assert 64 * 16 * 16 == SHIPPED_BLOCK
     for metric, dist, grid in _mixed_plane_cases(reeb, torus):
         pts = metric.chart.sample_grid(grid).points
@@ -435,9 +440,7 @@ def test_mixed_plane_blocks_independent_of_block_size(reeb, torus, monkeypatch):
         assert len(set(planes[:SHIPPED_BLOCK])) > 1
 
         def sweep(jobs):
-            rep = classify(metric, dist, grid=grid, jobs=jobs, keep_points=True)
-            return {"body": rep.body(),
-                    "per_point": {k: v.tobytes().hex() for k, v in rep.per_point.items()}}
+            return _body_and_csv(metric, dist, grid, jobs, tmp_path / "points.csv")
 
         assert len(_bodies_across_blocks(monkeypatch, sweep)) == 1
 
@@ -759,24 +762,30 @@ def test_curvature_arrays_match_einsum_oracle(kind):
 
 
 @pytest.mark.parametrize("which", ["reeb", "warped"])
-def test_single_point_api_bit_identical_to_block_sweep(which, reeb):
+def test_single_point_api_bit_identical_to_block_sweep(which, reeb, tmp_path):
     """A point alone through the single-point API and the same point inside
-    one full sweep block give the same bits for H, K_e and B."""
+    one full sweep block give the same bits for H, K_e and B; the block's
+    values are read back from its CSV rows, whose ``repr`` fields round-trip
+    every float exactly."""
     if which == "reeb":
         metric, dist = reeb.metric, reeb.distribution()
     else:
         chart = Chart(("x", "y", "z"), ((0.0, 1.0),) * 3, (False,) * 3)
         metric = MetricField.from_strings(chart, _WARPED_ENTRIES)
         dist = Distribution.kernel(OneForm(chart, ("x*z + 1", "y", "z")))
-    rep = classify(metric, dist, grid=(16, 16, geometry.BLOCK_POINTS // 256),
-                   keep_points=True)
-    assert rep.n_points == geometry.BLOCK_POINTS == rep.n_valid
-    for i in range(0, rep.n_points, 97):
-        p = rep.points[:, i]
+    path = tmp_path / "points.csv"
+    assert write_point_csv(metric, dist, path,
+                           grid=(16, 16, geometry.BLOCK_POINTS // 256)) == 0
+    header, *rows = path.read_text(encoding="utf-8").splitlines()
+    header = header.split(",")
+    assert len(rows) == geometry.BLOCK_POINTS
+    for i in range(0, len(rows), 97):
+        row = dict(zip(header, map(float, rows[i].split(","))))
+        p = np.array([row["p1"], row["p2"], row["p3"]])
         b = second_fundamental_form(metric, dist, p)
         got = [mean_curvature(metric, dist, p), extrinsic_curvature(metric, dist, p),
                b[0, 0], b[0, 1], b[1, 0], b[1, 1]]
-        want = [rep.per_point[k][i] for k in ("h", "k_e", "b00", "b01", "b01", "b11")]
+        want = [row[k] for k in ("h", "k_e", "b00", "b01", "b01", "b11")]
         assert np.array_equal(np.array(got).view(np.uint64),
                               np.array(want).view(np.uint64)), i
 
@@ -920,9 +929,8 @@ def _oracle_integrand(metric, dist, pts):
 
 def _kernel_block(metric, dist, pts, frame=None):
     """The block kernel's arrays as a report gives them."""
-    b = _block_arrays(metric.eval(pts), dist, pts, frame)
-    b.arrs["contact_volume"] = column(_contact_volume(b.a, b.da), pts.shape[1:])
-    return _canonical(b.arrs, b.arrs["ok"])
+    arrs, _ = _sweep_arrays(metric, dist, pts, frame)
+    return _canonical(arrs, arrs["ok"])
 
 
 def _assert_same_bits(got: dict, want: dict, where: str):
@@ -1069,6 +1077,26 @@ def test_reeb_classify_body_has_no_negative_zero(reeb, n):
         body = classify(reeb.metric, reeb.distribution(), grid=(n, n, n)).body()
     assert body["aggregates"]["k_e"] == {"min": 0.0, "max": 0.0, "mean": 0.0}
     assert "-0.0" not in json.dumps(body)
+
+
+def test_an_overflowing_form_sweeps_without_warnings(tmp_path):
+    """ker(exp(800x) dx + dz) on the flat box at 8^3 overflows in the unit
+    normal's |alpha|^2 and in the frame Gram entries; classify and check
+    --format csv both report its invalid points and raise no
+    RuntimeWarning."""
+    model = Model(model_id="steep-box", chart=_BOX, metric=_FLAT_BOX,
+                  forms={"steep": OneForm(_BOX, ("exp(800*x)", "0", "1"))}, foliation="steep")
+    chart, report, csv = (tmp_path / name for name in ("model.json", "rep.json", "points.csv"))
+    save_model(model, chart)
+    with warnings.catch_warnings(), np.errstate(all="warn"):
+        warnings.simplefilter("error", RuntimeWarning)
+        assert main(["classify", str(chart), "--grid", "8,8,8", "--output", str(report)]) == 1
+        assert main(["check", str(chart), "--grid", "8,8,8", "--format", "csv",
+                     "--output", str(csv)]) == 1
+    assert json.loads(report.read_text(encoding="utf-8"))["body"]["n_valid"] == 320
+    values = np.array([line.split(",") for line in csv.read_text(encoding="utf-8")
+                       .splitlines()[1:]], dtype=float)
+    assert np.count_nonzero(~np.isnan(values[:, 9])) == 320
 
 
 def _check_csv(model, tmp_path, grid: str, code: int) -> list:
