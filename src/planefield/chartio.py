@@ -22,7 +22,7 @@ from functools import cache
 from importlib import resources
 from pathlib import Path
 
-from .errors import ConfigError
+from .errors import ConfigError, open_output
 from .expr import to_string
 from .geometry import Chart, MetricField, OneForm, SingularLocus, VectorField, _as_nodes
 from .models.base import Model
@@ -148,7 +148,8 @@ def read_json(path):
 
 def dump_json(payload: dict, path) -> None:
     text = json.dumps(payload, indent=2, sort_keys=True, allow_nan=False)
-    Path(path).write_text(text + "\n", encoding="utf-8")
+    with open_output(path) as fh:
+        fh.write(text + "\n")
 
 
 # ---------------------------------------------------------------------------

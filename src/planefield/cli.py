@@ -30,7 +30,7 @@ from .chartio import (atlas_payload, dump_json, load_model, read_json,
                       save_model, validate_payload)
 from .distributions import _require_tol, integral_mean_curvature, write_point_csv
 from .distributions import classify as classify_op
-from .errors import ConfigError, PlanefieldError
+from .errors import ConfigError, PlanefieldError, open_output
 from .models import (SurfaceMetric, assemble_open_book_demo, collar_model,
                      contact_deformation_scan, product_fibration,
                      reeb_solid_torus, torus_surface_chart)
@@ -42,10 +42,10 @@ _JOBS_HELP = ("processes that run sweep blocks, this one included "
 
 
 def _grid(text: str) -> tuple:
-    parts = text.replace("x", ",").split(",")
-    if len(parts) != 3:
+    fields = text.replace("x", ",").split(",")
+    if len(fields) != 3:
         raise argparse.ArgumentTypeError(f"grid needs 3 counts, got {text!r}")
-    counts = tuple(int(p) for p in parts)
+    counts = tuple(int(f) for f in fields)
     if any(c < 2 for c in counts):
         raise argparse.ArgumentTypeError("grid counts must be >= 2 per axis")
     return counts
@@ -258,7 +258,8 @@ def _cmd_plotdata(args) -> int:
     arrs = _point_arrays(model.metric, dist, pts)
     text = f"{args.along},k_e,h\n" + _csv_rows([line, arrs["k_e"], arrs["h"]])
     if args.output is not None:
-        Path(args.output).write_text(text, encoding="utf-8")
+        with open_output(args.output) as fh:
+            fh.write(text)
     else:
         sys.stdout.write(text)
     return _OK

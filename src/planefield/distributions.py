@@ -36,7 +36,7 @@ from typing import Optional
 import numpy as np
 
 from . import jetalg
-from .errors import ConfigError, DegenerateDistributionError
+from .errors import ConfigError, DegenerateDistributionError, open_output
 from .expr import Jet1, jet_sqrt
 from .geometry import (ExactSum, MetricField, MetricJets, OneForm,
                        VectorField, christoffel_contract, chunked_eval,
@@ -618,9 +618,9 @@ def write_point_csv(metric: MetricField, dist: Distribution, path,
         arrs, _ = _sweep_arrays(metric, dist, pts)
         return _canonical({k: arrs[k] for k in ("ok",) + _CSV_FIELDS}, arrs["ok"])
 
-    blocks = chunked_eval(kernel, points, jobs)
     start = 0
-    with open(path, "w", encoding="utf-8") as fh:
+    with open_output(path) as fh:
+        blocks = chunked_eval(kernel, points, jobs)
         fh.write(",".join(("p1", "p2", "p3") + _CSV_FIELDS) + "\n")
         for b in blocks:
             stop = start + b["ok"].size

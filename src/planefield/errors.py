@@ -140,3 +140,12 @@ class OverlapMismatchError(PlanefieldError):
 
 class ConfigError(PlanefieldError):
     """Malformed suite spec, chart file or CLI configuration."""
+
+
+def open_output(path):
+    """Open ``path`` to write text; a path that cannot be written is a
+    ConfigError naming it."""
+    try:
+        return open(path, "w", encoding="utf-8")
+    except OSError as err:
+        raise ConfigError(f"{path}: cannot write ({err.strerror or err})") from err

@@ -20,12 +20,12 @@ takes.
 Grid sweeps walk the points in fixed blocks of ``BLOCK_POINTS`` (16,384,
 large enough that a block's arrays, not its Python dispatch, set its
 cost) and reduce each block to a small result.  With ``jobs > 1`` the
-calling process and ``jobs - 1`` children forked for the sweep claim the
-blocks one at a time, in order, from a shared counter.  Block sums are
-kept exactly (``ExactSum``, whose integer accumulator adds a block's
-mantissas per binary exponent in numpy) and totals are correctly
-rounded, so results do not depend on the block size or on which process
-ran which block.
+calling process (process 0) and children forked for the sweep, ``P``
+processes in all, take the blocks by fixed stride: block ``b`` runs on
+process ``b mod P``.  A block sum is one integer (``ExactSum``, which
+adds a block's mantissas per binary exponent in numpy) and totals are
+rounded once, correctly, so results do not depend on the block size or
+on which process ran which block.
 """
 
 from __future__ import annotations
@@ -48,7 +48,7 @@ __all__ = [
     "metric_at", "christoffel", "covariant_derivative", "d_oneform",
     "wedge3", "wedge_entries", "divergence", "divergence_raw",
     "divergence_entries", "integrate_scalar",
-    "pairwise_sum", "ExactSum", "chunked_eval", "BLOCK_POINTS",
+    "pairwise_sum", "ExactSum", "chunked_eval", "BLOCK_POINTS", "first_failing_minor",
 ]
 
 LEVI = np.zeros((3, 3, 3))
@@ -59,128 +59,103 @@ _LEVI_TERMS = ((0, 1, 2, add), (0, 2, 1, sub), (1, 0, 2, sub),
 
 
 BLOCK_POINTS = 16384
+_SUM_CHUNK = 1 << 26        # np.bincount adds at most this many mantissa halves exactly
 
 _UPPER = ((0, 0), (0, 1), (0, 2), (1, 1), (1, 2), (2, 2))
 _SYMMETRIC = [[0, 1, 2], [1, 3, 4], [2, 4, 5]]   # (i, j) -> index in _UPPER
 
 
-def _fsum(values: list) -> float:
-    try:
-        return math.fsum(values)
-    except (ValueError, OverflowError):     # inf - inf, or overflow past DBL_MAX
-        return float(sum(values))
-
-
 def pairwise_sum(values) -> float:
-    """Correctly rounded sum of ``values`` (``math.fsum``), so it does not
-    depend on their order.  Non-finite input gives the IEEE result of a
-    plain sum (inf or nan) instead of raising."""
-    return _fsum(np.asarray(values, dtype=float).ravel().tolist())
+    """Correctly rounded sum of ``values``, so it does not depend on their
+    order; ±inf where that sum overflows.  Non-finite input gives the IEEE
+    sum of its non-finite values (inf or nan) instead of raising."""
+    return float(ExactSum(values))
 
 
 class ExactSum:
-    """The sum of some values kept without rounding, as a few floats whose
-    exact total is the exact sum.  Adding block sums in block order and
-    rounding once with ``float()`` gives the correctly rounded total of all
-    values, whatever the block sizes.
+    """The sum of some values kept without rounding: ``n`` counts units of
+    2**-1126, of which every finite double is a whole multiple, and
+    ``special`` is the IEEE sum of the non-finite values (0.0 if none).
+    Adding block sums and rounding once with ``float()`` gives the correctly
+    rounded total of all values, whatever the blocks and their order.
 
-    The first part is the correctly rounded sum and each next one the
-    correctly rounded rest.  They are found from one integer: the 53-bit
-    mantissas, split in two 26/27-bit halves, are added per binary exponent
-    with ``np.bincount`` (exact, every bin total is an integer below 2**53)
-    and folded into a Python int (a small superaccumulator, Neal 2015).
-    Non-finite input, or input large enough that ``math.fsum`` could
-    overflow (the count times the largest |value| reaches 2**1020), keeps
-    the repeated ``fsum`` of the values and the earlier parts (Shewchuk
-    1997), so fsum's inf/nan/overflow rules still decide its parts."""
+    ``n`` is found per chunk of at most 2**26 values: the 53-bit mantissas,
+    split in two 26/27-bit halves, are added per binary exponent with
+    ``np.bincount`` (exact, every bin total is an integer below 2**53) and
+    folded into a Python int (a small superaccumulator, Neal 2015)."""
 
-    __slots__ = ("parts",)
+    __slots__ = ("n", "special")
 
     def __init__(self, values=()):
         v = np.asarray(values, dtype=float).ravel()
-        self.parts = []
-        if not v.any():
+        self.n, self.special = 0, 0.0
+        if not v.any():                          # no work for an all-zero block
             return
-        if not np.abs(v).max() < 2.0 ** 1020 / v.size or v.size >= 1 << 26:
-            vals = v.tolist()
-            rest = _fsum(vals)
-            while rest != 0.0:
-                self.parts.append(rest)
-                if not math.isfinite(rest):
-                    break
-                rest = _fsum(vals + [-p for p in self.parts])
-            return
-        m, e = np.frexp(v)
-        x = np.ldexp(m, 27)
-        hi = np.floor(x)                         # v = (hi * 2**26 + lo) * 2**(e - 53)
-        lo = np.ldexp(x - hi, 26)
-        low = int(e.min())
-        bins = e - low
-        hi, lo = np.bincount(bins, hi), np.bincount(bins, lo)
-        nz = np.flatnonzero(np.abs(hi) + lo)
-        n = sum(((int(h) << 26) + int(l)) << b
-                for b, h, l in zip(nz.tolist(), hi[nz].tolist(), lo[nz].tolist()))
-        scale = 1 << max(53 - low, 0)            # the sum is n / scale
-        n <<= max(low - 53, 0)
-        while n:
-            part = n / scale                     # int true division rounds correctly
-            num, den = part.as_integer_ratio()
-            n -= num * (scale // den)
-            self.parts.append(part)
+        finite = np.isfinite(v)
+        if not finite.all():
+            self.special = float(sum(v[~finite].tolist()))
+            v = v[finite]
+        for start in range(0, v.size, _SUM_CHUNK):
+            m, e = np.frexp(v[start:start + _SUM_CHUNK])
+            x = np.ldexp(m, 27)
+            hi = np.floor(x)                     # v = (hi * 2**26 + lo) * 2**(e - 53)
+            lo = np.ldexp(x - hi, 26)
+            low = int(e.min())                   # >= -1073, so e - 53 >= -1126
+            bins = e - low
+            hi, lo = np.bincount(bins, hi), np.bincount(bins, lo)
+            nz = np.flatnonzero(np.abs(hi) + lo)
+            n = sum(((int(h) << 26) + int(l)) << b
+                    for b, h, l in zip(nz.tolist(), hi[nz].tolist(), lo[nz].tolist()))
+            self.n += n << (low + 1073)
 
     def __add__(self, other: "ExactSum") -> "ExactSum":
         out = ExactSum()
-        out.parts = self.parts + other.parts
+        out.n, out.special = self.n + other.n, self.special + other.special
         return out
 
     def __float__(self) -> float:
-        return pairwise_sum(self.parts)
+        if self.special:
+            return self.special
+        try:
+            return self.n / (1 << 1126)          # int true division rounds correctly
+        except OverflowError:
+            return math.inf if self.n > 0 else -math.inf
 
 
-def _claim_blocks(fn: Callable, points: np.ndarray, claims) -> dict:
-    """Run the blocks claimed in order from the shared counter ``claims``
-    until none is left or one raises; return ``{block: (ok, result or
-    error)}``.  A failed block ends all claims: every block before it was
-    claimed already, and is run by its claimer, so the first error in block
-    order is among the results."""
+def _run_blocks(fn: Callable, points: np.ndarray, first: int, stride: int) -> dict:
+    """Run blocks ``first``, ``first + stride``, ... in order until none is
+    left or one raises; return ``{block: (ok, result or error)}``."""
     size = BLOCK_POINTS
-    n_blocks = -(-points.shape[1] // size)
     done = {}
-    while True:
-        with claims.get_lock():
-            block = claims.value
-            claims.value = block + 1
-        if block >= n_blocks:
-            return done
+    for block in range(first, -(-points.shape[1] // size), stride):
         try:
             done[block] = (True, fn(points[:, block * size:(block + 1) * size]))
         except Exception as exc:
             done[block] = (False, exc)
-            with claims.get_lock():
-                claims.value = n_blocks
-            return done
+            break
+    return done
 
 
-def _send_claims(fn: Callable, points: np.ndarray, claims, conn) -> None:
-    conn.send(_claim_blocks(fn, points, claims))
+def _send_blocks(fn: Callable, points: np.ndarray, first: int, stride: int, conn) -> None:
+    conn.send(_run_blocks(fn, points, first, stride))
     conn.close()
 
 
-def _forked_claims(ctx, fn: Callable, points: np.ndarray, procs: int) -> dict:
-    """``_claim_blocks`` on this process and ``procs - 1`` children forked
-    from it, merged; every child is terminated and joined on return."""
-    claims = ctx.Value("q", 0)
+def _forked_blocks(ctx, fn: Callable, points: np.ndarray, procs: int) -> dict:
+    """``_run_blocks`` with stride ``procs`` on this process (from block 0)
+    and on ``procs - 1`` children forked from it (from blocks 1, 2, ...),
+    merged; every child is terminated and joined on return."""
     children = []
     try:
-        for _ in range(procs - 1):
+        for first in range(1, procs):
             reader, writer = ctx.Pipe(duplex=False)
-            child = ctx.Process(target=_send_claims, args=(fn, points, claims, writer))
+            child = ctx.Process(target=_send_blocks, args=(fn, points, first, procs, writer))
             child.start()
             # later children must not inherit this end, so that the reader
             # sees EOF as soon as its own child exits
             writer.close()
             children.append((child, reader))
-        done = _claim_blocks(fn, points, claims)
+        done = _run_blocks(fn, points, 0, procs)
         for child, reader in children:
             try:
                 done.update(reader.recv())
@@ -201,21 +176,24 @@ def chunked_eval(fn: Callable, points: np.ndarray, jobs: int = 1) -> list:
     """Apply ``fn`` to consecutive ``BLOCK_POINTS``-point blocks of a
     ``(3, N)`` point batch and return its results in block order.
 
-    With ``jobs > 1`` the calling process and ``min(jobs, number of
-    blocks) - 1`` children forked for this call claim blocks in order from
-    one shared counter.  The children inherit ``fn`` (a closure is fine)
-    and ``points`` and send back their pickled results once; the first
-    error in block order is raised, and a child that exits without sending
-    raises ``ChildProcessError``.  No child outlives the call.  Blocks run
-    serially here without ``fork`` or with other Python threads alive.
-    ``fn`` sees only its block, so callers add earlier blocks' offsets."""
+    With ``jobs > 1`` the sweep runs on ``P = min(jobs, number of blocks)``
+    processes: block ``b`` goes to process ``b mod P``, where process 0 is
+    the caller and the others are children forked for this call.  Each
+    process runs its blocks in order and stops at its first error, so every
+    block before the first failing one still runs and that error is raised,
+    as with one process.  The children inherit ``fn`` (a closure is fine)
+    and ``points`` and send back their pickled results once; a child that
+    exits without sending raises ``ChildProcessError``.  No child outlives
+    the call.  Blocks run serially here without ``fork`` or with other
+    Python threads alive.  ``fn`` sees only its block, so callers add
+    earlier blocks' offsets."""
     size = BLOCK_POINTS
     starts = range(0, points.shape[1], size)
     procs = min(jobs, len(starts))
     if procs > 1 and threading.active_count() == 1:
         import multiprocessing
         if "fork" in multiprocessing.get_all_start_methods():
-            done = _forked_claims(multiprocessing.get_context("fork"), fn, points, procs)
+            done = _forked_blocks(multiprocessing.get_context("fork"), fn, points, procs)
             results = []
             for block in range(len(starts)):
                 ok, value = done[block]
@@ -480,11 +458,19 @@ class MetricJets:
     def require_spd(self, points: np.ndarray) -> None:
         """Raise NotSPDError naming the first point of ``points`` (shape
         ``(3, ...)``) where the metric is not SPD, with its failing minor."""
-        bad = np.flatnonzero(~self.spd)
-        if bad.size:
-            minors = self.minors.reshape(-1, 3)[bad[0]]
-            k = int(np.argmax(minors <= 0))
-            raise NotSPDError(np.reshape(points, (3, -1))[:, bad[0]], k, minors[k])
+        if not self.spd.all():
+            minors = self.minors.reshape(-1, 3)
+            i, k = first_failing_minor(minors)
+            raise NotSPDError(np.reshape(points, (3, -1))[:, i], k, minors[i, k])
+
+
+def first_failing_minor(minors: np.ndarray):
+    """``(i, k)`` for the first row ``i`` of leading principal minors
+    ``minors[i, k]`` with one that is not > 0 (NaN included) and its first
+    such ``k``, or None where every minor is positive."""
+    bad = ~(minors > 0)
+    rows = np.flatnonzero(bad.any(axis=-1))
+    return (int(rows[0]), int(np.argmax(bad[rows[0]]))) if rows.size else None
 
 
 @dataclass

@@ -32,7 +32,7 @@ import numpy as np
 
 from .. import expr
 from ..errors import ConfigError, DomainError, NonSPDPathError, NotSPDError
-from ..geometry import Chart, _as_nodes
+from ..geometry import Chart, _as_nodes, first_failing_minor
 from .base import SurfaceMetric, require_static
 
 __all__ = ["ExprMetricPath", "RankOnePath", "rank_one_path",
@@ -158,12 +158,8 @@ def _first_not_spd(g: np.ndarray) -> Optional[tuple]:
     positive, or None where all are SPD."""
     minors = np.stack([g[..., 0, 0],
                        g[..., 0, 0] * g[..., 1, 1] - g[..., 0, 1] ** 2], axis=-1)
-    bad = ~np.all(minors > 0, axis=-1)
-    if not np.any(bad):
-        return None
-    i = int(np.argmax(bad))
-    k = int(np.argmax(~(minors[i] > 0)))
-    return i, k, minors[i, k]
+    failure = first_failing_minor(minors)
+    return None if failure is None else (*failure, minors[failure])
 
 
 def rank_one_path(g: SurfaceMetric, h: SurfaceMetric, grid=(9, 9, 33),

@@ -35,7 +35,7 @@ from ..distributions import (Distribution, _covector, _curvature, _dense_frame,
                              _require_plane, _unit_normal)
 from ..errors import NotTransverseError
 from ..expr import Jet1, jet_sqrt
-from ..geometry import MetricField, MetricJets
+from ..geometry import ExactSum, MetricField, MetricJets
 from ..jetalg import adjugate3, det3, dot3, matvec
 
 __all__ = ["TransferReport", "transfer_metric"]
@@ -145,9 +145,9 @@ def transfer_metric(metric: MetricField, xi: Distribution, eta: Distribution,
         grid=tuple(grid),
         n_points=int(pts.shape[1]),
         max_form_residual=float(np.max(form_res)),
-        mean_form_residual=float(np.mean(form_res)),
+        mean_form_residual=float(ExactSum(form_res)) / form_res.size,
         max_det_residual=float(np.max(det_res)),
-        mean_det_residual=float(np.mean(det_res)),
+        mean_det_residual=float(ExactSum(det_res)) / det_res.size,
         min_transversality=float(np.min(np.abs(trans))),
         new_metric_spd=bool(np.all(mj_new.spd)),
     )

@@ -1,7 +1,7 @@
 """The CI workflow runs the Tier-1 suite and the benchmark self-check on
 every supported Python, once on the oldest supported numpy, compares
-every builtin suite's and a flat-torus integral's report bodies at one
-and two processes and a Reeb sweep's at one, two and three, compares the
+every builtin suite's report bodies at one and two processes and a Reeb
+sweep's and a flat-torus integral's at one, two and three, compares the
 per-point CSVs of the Reeb model and of the flat torus's graph foliation
 at one and two processes and a Reeb CSV at 48^3 at one, two and three,
 and checks the 32^3 CSVs for -0.0, bounds the peak RSS of
@@ -115,18 +115,20 @@ def test_workflow_compares_reeb_csv_across_worker_counts():
 
 def test_workflow_compares_torus_integral_bodies_across_worker_counts():
     """One step saves the flat-torus model, integrates H of one of its
-    distributions at 48^3 with --jobs 1 and 2 (seven blocks, the last one
-    partial, so the exact block sums are merged across workers) and fails
-    unless the two report bodies are equal."""
+    distributions at 48^3 with --jobs 1, 2 and 3 (seven blocks, the last
+    one partial, in uneven strides over three processes, so the exact block
+    sums are merged across workers) and fails unless the three report
+    bodies are equal."""
     workflow = yaml.safe_load(WORKFLOW.read_text(encoding="utf-8"))
     runs = [step.get("run", "") for step in workflow["jobs"]["tests"]["steps"]]
     step = next(run for run in runs if "integrate-h" in run)
     assert "chartio.save_model(catalog.flat_torus_model(), 'torus.json')" in step
-    for jobs in (1, 2):
+    for jobs in (1, 2, 3):
         assert ("PYTHONPATH=src python -m planefield.cli integrate-h torus.json "
                 "--distribution graph-foliation --grid 48,48,48 "
                 f"--jobs {jobs} --output torus{jobs}.json") in step
-    assert "('torus1.json', 'torus2.json')" in step and "sys.exit(a != b)" in step
+    assert "('torus1.json', 'torus2.json', 'torus3.json')" in step
+    assert "sys.exit(not a == b == c)" in step
 
 
 def test_workflow_bounds_the_peak_rss_of_128_cubed_sweeps():

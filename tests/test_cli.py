@@ -458,6 +458,18 @@ def test_plotdata_refuses_a_bad_line_with_a_usage_error(reeb_file, args, message
     assert capsys.readouterr().err == f"error: {message}\n"
 
 
+def test_plotdata_names_a_nan_leading_minor(reeb_file, tmp_path, capsys):
+    """With r up to 1e308 the Reeb metric's r^2 overflows: its leading
+    minors are 1, nan, nan, and the error names minor 2."""
+    payload = _read(reeb_file)
+    payload["domain"][0] = [0.0, 1e308]
+    wide = tmp_path / "wide.json"
+    wide.write_text(json.dumps(payload), encoding="utf-8")
+    with np.errstate(all="ignore"):
+        assert main(["plotdata", str(wide), "--along", "r", "--n", "4"]) == 1
+    assert capsys.readouterr().err.endswith("leading minor 2 = nan\n")
+
+
 @pytest.mark.parametrize("command", [["classify"], ["scan", "--alpha", "a", "--beta", "b",
                                                     "--s-range", "0:1:2"], ["verify"]])
 def test_a_directory_as_input_file_is_a_usage_error(tmp_path, command, capsys):
@@ -468,6 +480,28 @@ def test_a_directory_as_input_file_is_a_usage_error(tmp_path, command, capsys):
     assert err.startswith(f"error: {tmp_path}: cannot read (") and err.endswith(")\n")
     with pytest.raises(ConfigError, match="cannot read"):
         load_atlas(tmp_path)
+
+
+@pytest.mark.parametrize("command", [
+    ["check", "--format", "csv", "--grid", "4,4,4"], ["check", "--grid", "4,4,4"],
+    ["classify", "--grid", "4,4,4"], ["plotdata", "--along", "r", "--n", "4"],
+])
+def test_an_output_that_cannot_be_written_is_a_usage_error(reeb_file, tmp_path, command,
+                                                          capsys, monkeypatch):
+    """One error line naming the path, exit 2; the CSV path finds out
+    before its sweep."""
+    from planefield import distributions
+
+    def no_sweep(*args):
+        raise AssertionError("the sweep ran before the output was opened")
+
+    if "csv" in command:
+        monkeypatch.setattr(distributions, "chunked_eval", no_sweep)
+    out = tmp_path / "nodir" / "x"
+    assert main([command[0], str(reeb_file), *command[1:], "--output", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {out}: cannot write (") and err.endswith(")\n")
+    assert err.count("\n") == 1 and not out.parent.exists()
 
 
 def test_model_atlas_emit(tmp_path):

@@ -3,6 +3,7 @@ import multiprocessing
 import os
 import threading
 import time
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -111,6 +112,17 @@ def test_metric_not_spd_raises():
     with pytest.raises(NotSPDError) as err:
         metric_at(g, np.zeros(3))
     assert err.value.minor_index == 0
+
+
+def test_a_nan_leading_minor_is_the_failing_one():
+    """A minor that is NaN is not > 0: the error names it, not the positive
+    minor before it."""
+    g = MetricField.from_strings(box_chart(), ("1", "0", "0", "0*x^2 + 1", "0", "1"))
+    with np.errstate(all="ignore"), pytest.raises(NotSPDError) as err:
+        metric_at(g, np.array([1e300, 0.0, 0.0]))
+    assert err.value.minor_index == 1 and math.isnan(err.value.minor_value)
+    assert geometry.first_failing_minor(np.array([[1.0, 2.0], [1.0, np.nan]])) == (1, 1)
+    assert geometry.first_failing_minor(np.array([[1.0, 2.0]])) is None
 
 
 def test_metric_batch_flags_invalid_points():
@@ -456,32 +468,22 @@ def test_exact_sum_of_non_finite_values_terminates():
     assert math.isnan(float(ExactSum([np.inf]) + ExactSum([-np.inf])))
 
 
-def _oracle_fsum(values: list) -> float:
-    try:
-        return math.fsum(values)
-    except (ValueError, OverflowError):
-        return float(sum(values))
-
-
-def _oracle_parts(values) -> list:
-    """The Shewchuk construction ExactSum used before its integer
-    accumulator: the correctly rounded sum of the values and the negated
-    parts found so far, repeated until it is zero."""
+def _oracle_sum(values) -> float:
+    """The correctly rounded sum from exact rationals, ±inf past the largest
+    double; with any non-finite value, the IEEE sum of the non-finite ones."""
     vals = np.asarray(values, dtype=float).ravel().tolist()
-    parts = []
-    rest = _oracle_fsum(vals)
-    while rest != 0.0:
-        parts.append(rest)
-        if not math.isfinite(rest):
-            break
-        rest = _oracle_fsum(vals + [-p for p in parts])
-    return parts
+    special = [v for v in vals if not math.isfinite(v)]
+    if special:
+        return sum(special)
+    exact = sum(map(Fraction, vals), Fraction(0))
+    try:
+        return float(exact)
+    except OverflowError:
+        return math.inf if exact > 0 else -math.inf
 
 
-def _assert_parts_match_oracle(values):
-    got, want = ExactSum(values), _oracle_parts(values)
-    assert [p.hex() for p in got.parts] == [p.hex() for p in want]
-    assert float(got).hex() == _oracle_fsum(want).hex()
+def _assert_sum_matches_oracle(values):
+    assert float(ExactSum(values)).hex() == _oracle_sum(values).hex()
 
 
 _TINY = 2.0 ** -1022
@@ -504,7 +506,8 @@ _moderate_arrays = st.one_of(
 @given(st.one_of(_moderate_arrays,
                  st.lists(st.floats(allow_nan=False, allow_infinity=False), max_size=20)))
 def test_exact_sum_parts_are_the_shewchuk_parts(values):
-    _assert_parts_match_oracle(values)
+    """The rounded total is the exact rational sum, rounded once."""
+    _assert_sum_matches_oracle(values)
 
 
 @pytest.mark.parametrize("values", [
@@ -516,7 +519,28 @@ def test_exact_sum_parts_are_the_shewchuk_parts(values):
     [2.0 ** 52, -(2.0 ** 52 + 2.0 ** 51) + 2.0 ** 25],
 ])
 def test_exact_sum_parts_on_edge_cases_are_the_shewchuk_parts(values):
-    _assert_parts_match_oracle(values)
+    _assert_sum_matches_oracle(values)
+
+
+@pytest.mark.parametrize("values, total", [
+    ([1.7e308, 1.7e308, -1.7e308], 1.7e308),
+    ([2.0 ** 1023, 2.0 ** 1023, -2.0 ** 1023], 8.98846567431158e+307),
+    ([1.7e308, 1.7e308, -np.inf], -np.inf),
+])
+def test_a_finite_sum_past_an_overflowing_partial_sum_is_finite(values, total):
+    assert float(ExactSum(values)) == total
+    assert float(ExactSum(values[:1]) + ExactSum(values[1:])) == total
+    assert pairwise_sum(values) == total
+    assert pairwise_sum(values[::-1]) == total
+
+
+def test_exact_sum_is_the_same_over_bincount_chunks(monkeypatch):
+    rng = np.random.default_rng(10)
+    a = rng.uniform(-1, 1, size=1000) * 10.0 ** rng.integers(-300, 300, size=1000)
+    whole = float(ExactSum(a)).hex()
+    for chunk in (1, 7, 999):
+        monkeypatch.setattr(geometry, "_SUM_CHUNK", chunk)
+        assert float(ExactSum(a)).hex() == whole == _oracle_sum(a).hex()
 
 
 @settings(max_examples=200, derandomize=True, deadline=None)
@@ -569,7 +593,7 @@ def test_chunked_eval_uses_no_more_processes_than_blocks(monkeypatch):
 
 
 def test_each_block_runs_once_on_more_processes_than_cores(monkeypatch, deadline):
-    """No claim from the shared counter is lost or repeated."""
+    """No block is lost or run twice."""
     monkeypatch.setattr(geometry, "BLOCK_POINTS", 2)
     pts = torus_chart().quadrature_grid((8, 8, 4)).points     # 128 blocks
     runs = multiprocessing.get_context("fork").Value("q", 0)
@@ -586,9 +610,9 @@ def test_each_block_runs_once_on_more_processes_than_cores(monkeypatch, deadline
 
 
 def test_two_block_sweep_runs_its_blocks_on_two_workers(monkeypatch, deadline):
-    """Blocks are claimed one at a time: each block waits at a barrier for
-    the other, so the two blocks must run at once, one on the caller and
-    one on the one child that ``jobs=2`` forks."""
+    """Each block waits at a barrier for the other, so the two blocks must
+    run at once, one on the caller and one on the one child that ``jobs=2``
+    forks."""
     monkeypatch.setattr(geometry, "BLOCK_POINTS", 64)
     pts = torus_chart().quadrature_grid((8, 4, 4)).points     # 2 blocks
     barrier = multiprocessing.get_context("fork").Barrier(2)
@@ -600,6 +624,20 @@ def test_two_block_sweep_runs_its_blocks_on_two_workers(monkeypatch, deadline):
     with deadline(60):
         pids = chunked_eval(kernel, pts, jobs=2)
     assert len(set(pids)) == 2 and os.getpid() in pids
+
+
+def test_chunked_eval_gives_block_b_to_process_b_mod_p(monkeypatch, deadline):
+    """Blocks go to the caller and its children by fixed stride: with three
+    processes over seven blocks, block b runs where block b mod 3 does."""
+    monkeypatch.setattr(geometry, "BLOCK_POINTS", 64)
+    pts = torus_chart().quadrature_grid((8, 8, 7)).points     # 7 blocks
+
+    with deadline(60):
+        pids = chunked_eval(lambda p: os.getpid(), pts, jobs=3)
+    assert len(pids) == 7
+    assert all(pids[b] == pids[b % 3] for b in range(7))
+    assert pids[0] == os.getpid()
+    assert len(set(pids)) == 3
 
 
 def test_chunked_eval_raises_the_first_error_in_block_order(monkeypatch, deadline):
@@ -659,7 +697,7 @@ def test_a_child_that_dies_mid_sweep_raises_child_process_error(monkeypatch, dea
     def kernel(p):
         if os.getpid() != caller:
             os._exit(3)
-        time.sleep(0.5)     # so that the child claims a block
+        time.sleep(0.5)     # so that the child runs its block first
         return 0
 
     with deadline(20), pytest.raises(ChildProcessError, match="exited with code 3"):
