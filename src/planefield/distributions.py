@@ -30,6 +30,7 @@ one array.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Optional
 
@@ -540,6 +541,14 @@ def _sweep_arrays(metric, dist, pts, frame=None) -> tuple:
     return b.arrs, mj.spd
 
 
+def _read_axes(metric: MetricField, dist: Distribution, frame: Optional[tuple] = None) -> set:
+    """The chart axes that the metric, the plane's defining fields and the
+    frame read: every per-point value of the block kernel depends on these
+    coordinates alone."""
+    fields = (dist.alpha,) if dist.kind == "kernel" else dist.span_fields
+    return metric._tape.axes.union(*(f._tape.axes for f in fields + tuple(frame or ())))
+
+
 def _require_tol(tol: float) -> None:
     if not 0 < tol < np.inf:
         raise ConfigError(f"tolerance must be positive and finite, got {tol}")
@@ -553,24 +562,38 @@ def classify(metric: MetricField, dist: Distribution, grid=(16, 16, 16),
     -> elliptic, K_e <= -tol -> hyperbolic, anything else -> mixed).
 
     Per-point failures (non-SPD metric, degenerate frame) are collected
-    into the report instead of aborting the sweep.  Each block of the grid
-    is reduced to its count, per-field min/max and exact sum, its top 10
-    points by |K_e| and its first 32 invalid points; merging these in block
-    order makes the report independent of ``jobs`` and the block size.
+    into the report instead of aborting the sweep.  The sweep runs on the
+    grid's quotient by the axes the fields do not read, each point standing
+    for its fibre of ``m`` grid points.  Each block is reduced to its count,
+    per-field min/max and exact sum, its top 10 points by |K_e| and its
+    first 32 invalid points; merging these in block order, with counts and
+    sums times ``m``, makes the report independent of ``jobs``, the block
+    size and the fibre.  The top 10 and first 32 grid points lie over the
+    quotient's top 10 and first 32, among the first 10 and 32 members of
+    each fibre.
     """
     _require_tol(tol)
     sample = metric.chart.sample_grid(grid)
+    read = _read_axes(metric, dist, frame)
+    points, m = sample.quotient(read)
     blocks = chunked_eval(lambda pts: _summarise(*_sweep_arrays(metric, dist, pts, frame)),
-                          sample.points, jobs)
+                          points, jobs)
     offsets = np.cumsum([0] + [b.n_points for b in blocks[:-1]])
-    n_points = sample.points.shape[1]
-    n_valid = sum(b.n_valid for b in blocks)
+    n_points = math.prod(sample.shape)
+    n_valid = m * sum(b.n_valid for b in blocks)
 
-    invalid = np.concatenate([o + b.invalid for o, b in zip(offsets, blocks)])
-    spd = np.concatenate([b.invalid_spd for b in blocks])
-    errors = [{"point": sample.points[:, i].tolist(),
-               "reason": "not-spd" if not ok else "degenerate-frame"}
-              for i, ok in zip(invalid[:_N_ERRORS], spd)]
+    def fibres(q, vals, k):
+        """The grid indices of the first k members of each fibre over the
+        quotient points q, and each one's row of ``vals``."""
+        idx = sample.members(read, q, k)
+        return idx.ravel(), np.repeat(vals, idx.shape[1], axis=0)
+
+    invalid = np.concatenate([o + b.invalid for o, b in zip(offsets, blocks)])[:_N_ERRORS]
+    spd = np.concatenate([b.invalid_spd for b in blocks])[:_N_ERRORS]
+    idx, spd = fibres(invalid, spd, _N_ERRORS)
+    errors = [{"point": sample.point(idx[j]),
+               "reason": "not-spd" if not spd[j] else "degenerate-frame"}
+              for j in np.argsort(idx)[:_N_ERRORS]]
     n_invalid = n_points - n_valid
     if n_invalid > _N_ERRORS:
         errors.append({"point": None,
@@ -583,14 +606,16 @@ def classify(metric: MetricField, dist: Distribution, grid=(16, 16, 16),
         aggregates = {name: {
             "min": float(np.min([s[name][0] for s in stats])),
             "max": float(np.max([s[name][1] for s in stats])),
-            "mean": float(sum((s[name][2] for s in stats), ExactSum())) / n_valid,
+            "mean": float(sum((s[name][2] for s in stats), ExactSum()) * m) / n_valid,
         } for name in _FIELDS}
         classification = _classification(aggregates["k_e"]["min"],
                                          aggregates["k_e"]["max"], tol)
         idx = np.concatenate([o + b.worst for o, b in zip(offsets, blocks)])
         vals = np.concatenate([b.worst_vals for b in blocks])
+        top = np.lexsort((idx, -np.abs(vals[:, 0])))[:_N_WORST]
+        idx, vals = fibres(idx[top], vals[top], _N_WORST)
         worst = [{
-            "point": sample.points[:, idx[j]].tolist(),
+            "point": sample.point(idx[j]),
             "k_e": float(vals[j, 0]),
             "h": float(vals[j, 1]),
             "b_norm": float(vals[j, 2]),
@@ -635,13 +660,15 @@ def integral_mean_curvature(metric: MetricField, dist: Distribution,
     """Quadrature of H over a fully periodic chart, plus the worst pointwise
     gap between H and the divergence route -div(n).
 
-    Each block is reduced to the exact sum of its weighted H and its
-    largest defect, so the result does not depend on ``jobs`` or the block
-    size."""
+    The sweep runs on the grid's quotient by the axes the fields do not
+    read (see ``classify``).  Each block is reduced to the exact sum of its
+    weighted H and its largest defect, so the result does not depend on
+    ``jobs``, the block size or the fibre."""
     chart = metric.chart
     if not all(chart.periodic):
         raise ConfigError("integral of H requires a fully periodic chart")
     sample = chart.quadrature_grid(grid)
+    points, m = sample.quotient(_read_axes(metric, dist))
 
     def kernel(pts):
         mj = metric.eval(pts)
@@ -654,13 +681,13 @@ def integral_mean_curvature(metric: MetricField, dist: Distribution,
             out["defect"] = np.max(np.abs(b.arrs["h"] + div_n))
         return out
 
-    blocks = chunked_eval(kernel, sample.points, jobs)
-    integral = float(sum((b["weighted_h"] for b in blocks), ExactSum()))
+    blocks = chunked_eval(kernel, points, jobs)
+    integral = float(sum((b["weighted_h"] for b in blocks), ExactSum()) * m)
     result = {
         "chart": chart.chart_id,
         "grid": list(grid),
         "integral_h": integral * sample.cell_volume,
-        "n_points": sample.points.shape[1],
+        "n_points": math.prod(sample.shape),
     }
     if defect:
         result["max_pointwise_defect"] = float(np.max([b["defect"] for b in blocks]))

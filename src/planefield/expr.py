@@ -643,6 +643,11 @@ class Tape:
                 self._leaves.append((keys[key], leaf))
         return keys[key]
 
+    @property
+    def axes(self) -> set:
+        """The coordinate indices the tape's leaves read."""
+        return {index for _, index in self._leaves}
+
     def run(self, points) -> list:
         """Jets of the expressions at a point ``(3,)`` or a batch ``(3,
         ...)``; a constant expression gives a scalar value, no partials."""

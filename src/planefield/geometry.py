@@ -26,6 +26,15 @@ process ``b mod P``.  A block sum is one integer (``ExactSum``, which
 adds a block's mantissas per binary exponent in numpy) and totals are
 rounded once, correctly, so results do not depend on the block size or
 on which process ran which block.
+
+A sweep whose fields read only some of the chart's axes runs on the
+grid's quotient by the axes they do not read (``GridSample.quotient``):
+each unread coordinate is fixed at its first point, and each quotient
+point stands for the ``fibre`` grid points that share its coordinates on
+the read axes.  Its counts and exact sums are multiplied by the fibre
+size; ``GridSample.members`` names the grid points over a quotient point
+in C order.  Where the fields read every axis, the quotient is the grid
+and the fibre size 1.
 """
 
 from __future__ import annotations
@@ -59,6 +68,7 @@ _LEVI_TERMS = ((0, 1, 2, add), (0, 2, 1, sub), (1, 0, 2, sub),
 
 
 BLOCK_POINTS = 16384
+_MAX_POINTS = (1 << 63) - 1  # the largest grid whose point indices fit in int64
 _SUM_CHUNK = 1 << 26        # np.bincount adds at most this many mantissa halves exactly
 
 _UPPER = ((0, 0), (0, 1), (0, 2), (1, 1), (1, 2), (2, 2))
@@ -111,6 +121,13 @@ class ExactSum:
     def __add__(self, other: "ExactSum") -> "ExactSum":
         out = ExactSum()
         out.n, out.special = self.n + other.n, self.special + other.special
+        return out
+
+    def __mul__(self, copies: int) -> "ExactSum":
+        """The sum of ``copies`` (a positive int) copies of the values; the
+        IEEE sum of copies of the non-finite ones is the same inf or nan."""
+        out = ExactSum()
+        out.n, out.special = self.n * copies, self.special
         return out
 
     def __float__(self) -> float:
@@ -303,20 +320,15 @@ class Chart:
         counts = tuple(int(c) for c in counts)
         if len(counts) != 3:
             raise ConfigError(f"grid needs 3 axis counts, got {counts!r}")
+        if math.prod(counts) > _MAX_POINTS:     # grid indices are int64
+            raise ConfigError(f"grid {'x'.join(map(str, counts))} has "
+                              f"{math.prod(counts):,} points, more than 2**63 - 1")
         axes, steps = [], []
         for i, n in enumerate(counts):
             pts, h = self.axis_points(i, n, margin)
             axes.append(pts)
             steps.append(h)
-        try:
-            mesh = np.meshgrid(*axes, indexing="ij")
-            points = np.stack([m.reshape(-1) for m in mesh], axis=0)
-        except MemoryError:
-            raise ConfigError(f"grid {'x'.join(map(str, counts))} has {math.prod(counts):,} "
-                              "points, more than can be allocated") from None
-        return GridSample(points=points, shape=counts,
-                          cell_volume=float(np.prod(steps)),
-                          axes=tuple(axes))
+        return GridSample(shape=counts, cell_volume=float(np.prod(steps)), axes=tuple(axes))
 
     def random_points(self, n: int, seed: int = 0, margin: float = 1e-3) -> np.ndarray:
         """Uniform interior sample that avoids singular loci; deterministic
@@ -342,10 +354,45 @@ class Chart:
 
 @dataclass
 class GridSample:
-    points: np.ndarray      # (3, N) in C order over the axis mesh
+    """A grid of ``shape`` points, numbered in C order over the mesh of its
+    ``axes``, with cells of volume ``cell_volume``."""
+
     shape: tuple
     cell_volume: float
     axes: tuple
+
+    @cached_property
+    def points(self) -> np.ndarray:
+        """All points ``(3, N)`` in C order, built on first use."""
+        return self.quotient(range(3))[0]
+
+    def quotient(self, read) -> tuple:
+        """The grid points whose coordinates off the axes ``read`` are at
+        their first point, ``(3, Q)`` in C order, and the fibre size: the
+        number of grid points that share each one's coordinates on ``read``."""
+        axes = [a if i in read else a[:1] for i, a in enumerate(self.axes)]
+        try:
+            mesh = np.meshgrid(*axes, indexing="ij")
+            points = np.stack([m.reshape(-1) for m in mesh], axis=0)
+        except MemoryError:
+            raise ConfigError(f"grid {'x'.join(map(str, self.shape))} has "
+                              f"{math.prod(self.shape):,} points, more than can be "
+                              "allocated") from None
+        return points, math.prod(n for i, n in enumerate(self.shape) if i not in read)
+
+    def members(self, read, q: np.ndarray, k: int) -> np.ndarray:
+        """Grid indices ``(len(q), min(k, fibre))`` of the first ``k`` grid
+        points over each quotient point ``q`` (indices into
+        ``quotient(read)``): the axes off ``read`` run in C order from 0."""
+        on = [n if i in read else 1 for i, n in enumerate(self.shape)]
+        off = [1 if i in read else n for i, n in enumerate(self.shape)]
+        first = np.ravel_multi_index(np.unravel_index(q, on), self.shape)
+        runs = np.unravel_index(np.arange(min(k, math.prod(off))), off)
+        return first[:, None] + np.ravel_multi_index(runs, self.shape)
+
+    def point(self, i) -> list:
+        """The coordinates of grid point ``i`` (a C-order index)."""
+        return [a[j].item() for a, j in zip(self.axes, np.unravel_index(i, self.shape))]
 
 
 # ---------------------------------------------------------------------------

@@ -1,11 +1,14 @@
 """The CI workflow runs the Tier-1 suite and the benchmark self-check on
 every supported Python, once on the oldest supported numpy, compares
-every builtin suite's report bodies at one and two processes and a Reeb
-sweep's and a flat-torus integral's at one, two and three, compares the
+every builtin suite's report bodies at one and two processes and, at one,
+two and three, the classify bodies of the Reeb model and of a random form
+that reads every axis and the flat-torus integrals of the graph foliation
+and of that form, compares the
 per-point CSVs of the Reeb model and of the flat torus's graph foliation
 at one and two processes and a Reeb CSV at 48^3 at one, two and three,
 and checks the 32^3 CSVs for -0.0, bounds the peak RSS of
-128^3 sweeps and checks that valid inputs never import jsonschema."""
+128^3 sweeps, one of them over every grid point, and checks that valid
+inputs never import jsonschema."""
 
 import re
 from pathlib import Path
@@ -17,6 +20,10 @@ from planefield.verify import builtin_suite_names
 yaml = pytest.importorskip("yaml")
 
 WORKFLOW = Path(__file__).resolve().parents[1] / ".github" / "workflows" / "tests.yml"
+# saves the flat torus with a random form that reads every axis
+_SAVE_RANDOM_TORUS = ("m = catalog.flat_torus_model(); m.forms['random'] = "
+                      "catalog.random_periodic_form(0); "
+                      "chartio.save_model(m, 'torus-random.json')")
 
 
 def test_workflow_runs_tier1_and_selfcheck_on_python_310_and_311():
@@ -70,19 +77,27 @@ def test_workflow_compares_suite_bodies_across_worker_counts():
 
 
 def test_workflow_compares_reeb_classify_bodies_across_worker_counts():
-    """One step emits the Reeb model, classifies it at 48^3 with --jobs 1,
-    2 and 3 (seven blocks, the last one partial, so more than one block per
-    process and a partial block are merged, and at 3 two children run
-    beside the caller) and fails unless the three report bodies are equal."""
+    """One step emits the Reeb model and the flat torus with
+    ``random_periodic_form(0)``, classifies both at 48^3 with --jobs 1, 2
+    and 3 and fails unless the three report bodies of each are equal.  The
+    Reeb fields read r alone, so its sweep is one block of 48 points; the
+    random form reads every axis, so its sweep has seven blocks, the last
+    one partial: more than one block per process and a partial block are
+    merged, and at 3 two children run beside the caller."""
     workflow = yaml.safe_load(WORKFLOW.read_text(encoding="utf-8"))
     runs = [step.get("run", "") for step in workflow["jobs"]["tests"]["steps"]]
     step = next(run for run in runs if "model reeb --emit" in run)
     assert "PYTHONPATH=src python -m planefield.cli model reeb --emit reeb.json" in step
+    assert _SAVE_RANDOM_TORUS in step
     for jobs in (1, 2, 3):
         assert ("PYTHONPATH=src python -m planefield.cli classify reeb.json "
                 f"--grid 48,48,48 --jobs {jobs} --output reeb{jobs}.json") in step
+        assert ("PYTHONPATH=src python -m planefield.cli classify torus-random.json "
+                f"--distribution random --grid 48,48,48 --jobs {jobs} "
+                f"--output random{jobs}.json") in step
     assert "('reeb1.json', 'reeb2.json', 'reeb3.json')" in step
-    assert "sys.exit(not a == b == c)" in step
+    assert "('random1.json', 'random2.json', 'random3.json')" in step
+    assert step.count("sys.exit(not a == b == c)") == 2
 
 
 def test_workflow_compares_reeb_csv_across_worker_counts():
@@ -114,33 +129,46 @@ def test_workflow_compares_reeb_csv_across_worker_counts():
 
 
 def test_workflow_compares_torus_integral_bodies_across_worker_counts():
-    """One step saves the flat-torus model, integrates H of one of its
-    distributions at 48^3 with --jobs 1, 2 and 3 (seven blocks, the last
-    one partial, in uneven strides over three processes, so the exact block
-    sums are merged across workers) and fails unless the three report
-    bodies are equal."""
+    """One step saves the flat-torus model and the flat torus with
+    ``random_periodic_form(0)``, integrates H of the graph foliation and of
+    the random form at 48^3 with --jobs 1, 2 and 3 and fails unless the
+    three report bodies of each are equal.  The graph foliation reads x and
+    y, so its sweep is one block of 48^2 points; the random form reads every
+    axis, so its sweep has seven blocks, the last one partial, in uneven
+    strides over three processes, and the exact block sums are merged
+    across workers."""
     workflow = yaml.safe_load(WORKFLOW.read_text(encoding="utf-8"))
     runs = [step.get("run", "") for step in workflow["jobs"]["tests"]["steps"]]
     step = next(run for run in runs if "integrate-h" in run)
     assert "chartio.save_model(catalog.flat_torus_model(), 'torus.json')" in step
+    assert _SAVE_RANDOM_TORUS in step
     for jobs in (1, 2, 3):
         assert ("PYTHONPATH=src python -m planefield.cli integrate-h torus.json "
                 "--distribution graph-foliation --grid 48,48,48 "
                 f"--jobs {jobs} --output torus{jobs}.json") in step
+        assert ("PYTHONPATH=src python -m planefield.cli integrate-h torus-random.json "
+                "--distribution random --grid 48,48,48 "
+                f"--jobs {jobs} --output torus-random{jobs}.json") in step
     assert "('torus1.json', 'torus2.json', 'torus3.json')" in step
-    assert "sys.exit(not a == b == c)" in step
+    assert "('torus-random1.json', 'torus-random2.json', 'torus-random3.json')" in step
+    assert step.count("sys.exit(not a == b == c)") == 2
 
 
 def test_workflow_bounds_the_peak_rss_of_128_cubed_sweeps():
-    """One step emits the Reeb and the two-pi torus models, runs classify on
-    Reeb and a deformation scan on the torus at 128^3, each in a child
-    process, and fails if the largest child's peak RSS exceeds 500 MB."""
+    """One step emits the Reeb model, the flat torus with
+    ``random_periodic_form(0)`` and the two-pi torus, runs classify on Reeb
+    and on the random form (which reads every axis, so its sweep holds all
+    128^3 points) and a deformation scan on the two-pi torus at 128^3, each
+    in a child process, and fails if the largest child's peak RSS exceeds
+    500 MB."""
     workflow = yaml.safe_load(WORKFLOW.read_text(encoding="utf-8"))
     runs = [step.get("run", "") for step in workflow["jobs"]["tests"]["steps"]]
     step = next(run for run in runs if "RUSAGE_CHILDREN" in run)
     assert "PYTHONPATH=src python -m planefield.cli model reeb --emit reeb.json" in step
+    assert _SAVE_RANDOM_TORUS in step
     assert "chartio.save_model(catalog.two_pi_torus_model(), 'two-pi-torus.json')" in step
     assert '["classify", "reeb.json"]' in step
+    assert '["classify", "torus-random.json", "--distribution", "random"]' in step
     assert ('["scan", "two-pi-torus.json", "--alpha", "vertical", "--beta", "winding-contact",'
             in step and '"--s-range", "0:0.5:3"]' in step)
     assert '"--grid", "128,128,128"' in step and "check=True" in step

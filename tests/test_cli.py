@@ -12,7 +12,8 @@ import pytest
 from planefield import chartio, geometry
 from planefield.chartio import (load_atlas, load_model, model_payload, save_model,
                                 validate_payload)
-from planefield.catalog import flat_torus_model, sphere_model, two_pi_torus_model
+from planefield.catalog import (flat_torus_model, random_periodic_form, sphere_model,
+                               two_pi_torus_model)
 from planefield.cli import main
 from planefield.errors import ConfigError
 from planefield.models import contact_deformation_scan
@@ -238,13 +239,51 @@ def test_check_csv_refuses_a_non_finite_tolerance(reeb_file, tmp_path, capsys):
     assert not out.exists()
 
 
-def test_classify_refuses_a_grid_too_large_to_allocate(reeb_file, capsys):
-    """The point array of 10^15 points cannot be allocated: one error line
-    naming the grid, exit 2."""
-    assert main(["classify", str(reeb_file), "--grid", "100000,100000,100000"]) == 2
+@pytest.fixture()
+def random_torus_file(tmp_path):
+    """The flat torus foliated by ``random_periodic_form(0)``, whose
+    components read all three coordinates."""
+    model = flat_torus_model()
+    model.forms["random"] = random_periodic_form(0)
+    model.foliation = "random"
+    path = tmp_path / "random-torus.json"
+    save_model(model, path)
+    return path
+
+
+def test_classify_refuses_a_grid_too_large_to_allocate(random_torus_file, capsys):
+    """The foliation reads every axis, so the sweep needs all 10^15 points,
+    an array that cannot be allocated: one error line naming the grid,
+    exit 2."""
+    assert main(["classify", str(random_torus_file), "--grid", "100000,100000,100000"]) == 2
     assert capsys.readouterr().err == ("error: grid 100000x100000x100000 has "
                                        "1,000,000,000,000,000 points, more than can "
                                        "be allocated\n")
+
+
+def test_classify_counts_every_point_of_a_grid_swept_on_one_axis(reeb_file, tmp_path):
+    """The Reeb fields read r alone, so a 100000^3 grid is swept on its
+    100,000 values of r, and the report counts all 10^15 points."""
+    out = tmp_path / "rep.json"
+    assert main(["check", str(reeb_file), "--grid", "100000,100000,100000",
+                 "--output", str(out)]) == 0
+    body = _read(out)["body"]
+    assert body["n_points"] == body["n_valid"] == 10 ** 15
+    assert body["classification"] == "parabolic" and body["errors"] == []
+    # K_e vanishes everywhere, so the worst points are the first ten, all at
+    # the first r and the first phi
+    axes = load_model(reeb_file).chart.sample_grid((100000,) * 3).axes
+    assert [w["point"] for w in body["worst_points"]] == \
+        [[axes[0][0], axes[1][0], t] for t in axes[2][:10].tolist()]
+
+
+def test_classify_refuses_a_grid_past_int64(reeb_file, capsys):
+    """Grid point indices are int64: a grid of more than 2**63 - 1 points is
+    refused before anything is allocated, exit 2."""
+    assert main(["classify", str(reeb_file), "--grid", "3000000,3000000,3000000"]) == 2
+    assert capsys.readouterr().err == ("error: grid 3000000x3000000x3000000 has "
+                                       "27,000,000,000,000,000,000 points, more than "
+                                       "2**63 - 1\n")
 
 
 def test_missing_file_is_usage_error(capsys):

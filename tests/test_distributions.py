@@ -341,10 +341,10 @@ def test_classify_rejects_nonpositive_tolerance(torus):
         classify(torus.metric, torus.distribution("vertical"), tol=-1.0)
 
 
-def _not_spd_for_r_below_one() -> tuple:
+def _not_spd_for_r_below_one(g_zz: str = "1") -> tuple:
     chart = Chart(("r", "y", "z"), ((0.1, 2.0), (0, 1), (0, 1)),
                   (False, True, True))
-    g = MetricField.from_strings(chart, ("r - 1", "0", "0", "1", "0", "1"))
+    g = MetricField.from_strings(chart, ("r - 1", "0", "0", "1", "0", g_zz))
     return g, Distribution.kernel(OneForm(chart, ("0", "0", "1")))
 
 
@@ -399,6 +399,20 @@ BLOCK_GRID = (23, 23, 25)
 SHIPPED_BLOCK = geometry.BLOCK_POINTS
 
 
+@pytest.fixture()
+def swept(monkeypatch):
+    """The number of points of each batch that ``classify``, the H integral
+    and the CSV hand to the block sweep."""
+    sizes = []
+
+    def spy(fn, points, jobs=1):
+        sizes.append(points.shape[1])
+        return geometry.chunked_eval(fn, points, jobs)
+
+    monkeypatch.setattr(distributions, "chunked_eval", spy)
+    return sizes
+
+
 def _bodies_across_blocks(monkeypatch, sweep) -> set:
     bodies = set()
     for block in (SHIPPED_BLOCK, 4096, 1000):
@@ -415,13 +429,29 @@ def _body_and_csv(metric, dist, grid, jobs, path) -> dict:
             "csv": path.read_bytes().hex(), "n_invalid": n_invalid}
 
 
-def test_classify_body_independent_of_jobs_and_block_size(reeb, monkeypatch, tmp_path):
-    """The body and the per-point CSV, byte for byte."""
+def test_classify_body_independent_of_jobs_and_block_size(reeb, swept, monkeypatch,
+                                                          tmp_path):
+    """The body and the per-point CSV, byte for byte.  The Reeb fields read
+    r alone, so classify sweeps the 23 values of r in one block."""
     def sweep(jobs):
         return _body_and_csv(reeb.metric, reeb.distribution(), BLOCK_GRID, jobs,
                              tmp_path / "points.csv")
 
     assert len(_bodies_across_blocks(monkeypatch, sweep)) == 1
+    assert set(swept) == {math.prod(BLOCK_GRID), 23}
+
+
+def test_all_axes_classify_body_independent_of_jobs_and_block_size(torus, swept,
+                                                                   monkeypatch, tmp_path):
+    """As above for a form that reads every axis: both sweeps run on all
+    13,225 points, over 4 blocks of 4,096 or 14 of 1,000."""
+    dist = Distribution.kernel(random_periodic_form(3))
+
+    def sweep(jobs):
+        return _body_and_csv(torus.metric, dist, BLOCK_GRID, jobs, tmp_path / "points.csv")
+
+    assert len(_bodies_across_blocks(monkeypatch, sweep)) == 1
+    assert set(swept) == {math.prod(BLOCK_GRID)}
 
 
 def _mixed_plane_cases(reeb, torus):
@@ -432,7 +462,10 @@ def _mixed_plane_cases(reeb, torus):
             (torus.metric, Distribution.kernel(random_periodic_form(5)), (32, 32, 24))]
 
 
-def test_mixed_plane_blocks_independent_of_block_size(reeb, torus, monkeypatch, tmp_path):
+def test_mixed_plane_blocks_independent_of_block_size(reeb, torus, swept, monkeypatch,
+                                                      tmp_path):
+    """The CSV sweeps every grid point.  The random form reads every axis, so
+    its classify does too, over two blocks of the shipped size."""
     assert 64 * 16 * 16 == SHIPPED_BLOCK
     for metric, dist, grid in _mixed_plane_cases(reeb, torus):
         pts = metric.chart.sample_grid(grid).points
@@ -443,6 +476,7 @@ def test_mixed_plane_blocks_independent_of_block_size(reeb, torus, monkeypatch, 
             return _body_and_csv(metric, dist, grid, jobs, tmp_path / "points.csv")
 
         assert len(_bodies_across_blocks(monkeypatch, sweep)) == 1
+    assert sorted(set(swept)) == [64, 64 * 16 * 16, 32 * 32 * 24]
 
 
 def test_frames_of_mixed_plane_batches_match_the_mask_scatter(reeb, torus):
@@ -475,8 +509,8 @@ def test_top_points_match_the_full_lexsort(points):
     assert _top(valid, k_e).tobytes() == _lexsort_top(valid, k_e).tobytes()
 
 
-def test_classify_invalid_points_merge_across_blocks(monkeypatch):
-    g, dist = _not_spd_for_r_below_one()
+def _check_invalid_points_merge(g_zz: str, monkeypatch) -> None:
+    g, dist = _not_spd_for_r_below_one(g_zz)
     grid = (24, 24, 24)       # r < 1 on the first 11 slabs: 6,336 points
     bodies = _bodies_across_blocks(monkeypatch, lambda jobs: classify(
         g, dist, grid=grid, jobs=jobs).body())
@@ -490,6 +524,21 @@ def test_classify_invalid_points_merge_across_blocks(monkeypatch):
     # K_e vanishes everywhere, so the worst points are the first valid ones
     assert [w["point"] for w in body["worst_points"]] == \
         points[:, 6336:6346].T.tolist()
+
+
+def test_classify_invalid_points_merge_across_blocks(swept, monkeypatch):
+    """The fields read r alone: the sweep runs on the 24 values of r, each
+    standing for 576 grid points."""
+    _check_invalid_points_merge("1", monkeypatch)
+    assert set(swept) == {24}
+
+
+def test_all_axes_invalid_points_merge_across_blocks(swept, monkeypatch):
+    """A g_zz that reads y and z makes the sweep run on all 13,824 points,
+    over 4 or 14 blocks.  The leaves z = const stay totally geodesic, since
+    no entry of the leaf metric depends on z."""
+    _check_invalid_points_merge("1 + 0.5*sin(2*pi*y)*cos(2*pi*z)", monkeypatch)
+    assert set(swept) == {24 ** 3}
 
 
 def test_integral_h_independent_of_jobs_and_block_size(torus, monkeypatch):
@@ -535,12 +584,12 @@ def test_scan_body_independent_of_block_size(reeb, torus, monkeypatch):
     assert nowhere["transversality_angle_min"] == nowhere["transversality_angle_max"] == math.pi / 2
 
 
-def test_worker_error_matches_the_serial_sweep(deadline):
-    """g_zz = sin(2 pi x) is negative from x = 1/2 on: at 32^3 the first 4
-    of the 8 blocks pass and the first failing point opens block 4."""
+def _worker_error(alpha: tuple, deadline) -> None:
+    """g_zz = sin(2 pi x) is negative from x = 1/2 on; the sweep raises the
+    same error at jobs 1 and 2, at the first failing grid point."""
     chart = Chart(("x", "y", "z"), ((0, 1),) * 3, (True,) * 3)
     g = MetricField.from_strings(chart, ("1", "0", "0", "1", "0", "sin(2*pi*x)"))
-    dist = Distribution.kernel(OneForm(chart, ("0", "0", "1")))
+    dist = Distribution.kernel(OneForm(chart, alpha))
     raised = []
     for jobs in (1, 2):
         with deadline(30), pytest.raises(NotSPDError) as err:
@@ -550,16 +599,108 @@ def test_worker_error_matches_the_serial_sweep(deadline):
     assert raised[0][2] == (0.515625, 0.015625, 0.015625)
 
 
-def test_classify_peak_memory_below_one_grid_array(reeb):
+def test_worker_error_matches_the_serial_sweep(swept, deadline):
+    """The fields read x alone: the sweep runs on the 32 values of x in one
+    block, whose first failing point has y and z at their first values."""
+    _worker_error(("0", "0", "1"), deadline)
+    assert set(swept) == {32}
+
+
+def test_all_axes_worker_error_matches_the_serial_sweep(swept, deadline):
+    """A form that reads y and z makes the sweep run on all 32^3 points: the
+    first of the 2 blocks passes and the first failing point opens the
+    second, which at jobs 2 runs in the child."""
+    _worker_error(("0.1*sin(2*pi*y)", "0.1*cos(2*pi*z)", "1"), deadline)
+    assert set(swept) == {32 ** 3} and 32 ** 3 == 2 * geometry.BLOCK_POINTS
+
+
+# Equivalence with the full sweep: the quotient sweep's bodies, byte for
+# byte, against a sweep that reads every axis.  (5, 7, 3) has fibres
+# shorter than the ten worst points and the 32 first errors; the larger
+# grids span several blocks once every axis is swept.
+QUOTIENT_GRIDS = ((5, 7, 3), (23, 23, 25), (48, 40, 24))
+# kernel of d(z + 0.07 cos(2 pi y)): reads y alone, and K_e vanishes, so the
+# worst points are the first ten grid points, which lie on several fibres
+_Y_ONLY = ("0", "-0.14*pi*sin(2*pi*y)", "1")
+_QUOTIENT_CASES = ["reeb", "reeb-paper-frame", "not-spd-for-r-below-one", "y-only",
+                   "spheres", "torus-vertical", "torus-tilted", "torus-graph-foliation",
+                   "torus-winding-contact"]
+
+
+def _quotient_case(name, reeb, torus) -> tuple:
+    if name.startswith("reeb"):
+        return reeb.metric, reeb.distribution(), reeb.frame("paper") if "frame" in name else None
+    if name == "not-spd-for-r-below-one":
+        return (*_not_spd_for_r_below_one(), None)
+    if name == "spheres":
+        model = sphere_model()
+        return model.metric, model.distribution(), None
+    if name == "y-only":
+        return torus.metric, Distribution.kernel(OneForm(torus.chart, _Y_ONLY)), None
+    return torus.metric, torus.distribution(name[len("torus-"):]), None
+
+
+def _full_sweep_equals_the_quotient_sweep(monkeypatch, metric, dist, frame, sweep) -> list:
+    """The bodies ``sweep(grid, jobs)`` at every grid and jobs 1 and 2, as
+    JSON, after checking that they equal those of the full sweep."""
+    assert distributions._read_axes(metric, dist, frame) != {0, 1, 2}
+
+    def bodies():
+        return [json.dumps(sweep(grid, jobs), sort_keys=True)
+                for grid in QUOTIENT_GRIDS for jobs in (1, 2)]
+
+    quotient = bodies()
+    monkeypatch.setattr(distributions, "_read_axes", lambda *args: {0, 1, 2})
+    assert bodies() == quotient
+    return quotient
+
+
+@pytest.mark.parametrize("name", _QUOTIENT_CASES)
+def test_quotient_classify_equals_the_full_sweep(name, reeb, torus, monkeypatch):
+    metric, dist, frame = _quotient_case(name, reeb, torus)
+    bodies = _full_sweep_equals_the_quotient_sweep(
+        monkeypatch, metric, dist, frame,
+        lambda grid, jobs: classify(metric, dist, grid=grid, jobs=jobs, frame=frame).body())
+    small = json.loads(bodies[0])
+    points = metric.chart.sample_grid(QUOTIENT_GRIDS[0]).points
+    if name == "y-only":
+        assert [w["point"] for w in small["worst_points"]] == points[:, :10].T.tolist()
+    if name == "not-spd-for-r-below-one":
+        # the first two values of r, fibres of 21 points each, are invalid
+        assert [e["point"] for e in small["errors"][:32]] == points[:, :32].T.tolist()
+        assert small["errors"][32:] == [{"point": None, "reason": "... 10 more invalid points"}]
+
+
+@pytest.mark.parametrize("name", ["y-only"] + [n for n in _QUOTIENT_CASES
+                                               if n.startswith("torus")])
+def test_quotient_integral_h_equals_the_full_sweep(name, reeb, torus, monkeypatch):
+    metric, dist, _ = _quotient_case(name, reeb, torus)
+    _full_sweep_equals_the_quotient_sweep(
+        monkeypatch, metric, dist, None,
+        lambda grid, jobs: integral_mean_curvature(metric, dist, grid=grid, jobs=jobs))
+
+
+def _classify_peak_below_one_grid_array(metric, dist) -> None:
     grid = (64, 64, 16)
     one_array = math.prod(grid) * 27 * 8     # N x 3 x 3 x 3 float64: 13.5 MB
     tracemalloc.start()
     try:
-        classify(reeb.metric, reeb.distribution(), grid=grid)
+        classify(metric, dist, grid=grid)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
     assert peak < one_array
+
+
+def test_classify_peak_memory_below_one_grid_array(reeb):
+    _classify_peak_below_one_grid_array(reeb.metric, reeb.distribution())
+
+
+def test_all_axes_classify_peak_memory_below_one_grid_array(torus, swept):
+    """The random form reads every axis, so the sweep holds all 65,536
+    points in 4 blocks."""
+    _classify_peak_below_one_grid_array(torus.metric, Distribution.kernel(random_periodic_form(1)))
+    assert swept == [64 * 64 * 16]
 
 
 # ---------------------------------------------------------------------------

@@ -616,6 +616,18 @@ def _shared_expressions(draw):
     return tuple(draw(st.lists(st.sampled_from(pool[3:]), min_size=1, max_size=4)))
 
 
+@pytest.mark.parametrize("name,chart,nodes", _FIELDS, ids=[f[0] for f in _FIELDS])
+def test_tape_axes_are_the_coordinates_its_expressions_read(name, chart, nodes):
+    assert expr.Tape(nodes).axes == set().union(*map(expr.coord_indices, nodes))
+
+
+def test_tape_axes_count_a_coordinate_only_a_zero_multiplies():
+    """Structural: a leaf is read even where its operation folds to +0.0."""
+    names = ("x", "y", "z")
+    assert expr.Tape((expr.parse("2*pi", names), expr.parse("1", names))).axes == set()
+    assert expr.Tape((expr.parse("0*y + sin(z)", names),)).axes == {1, 2}
+
+
 @settings(max_examples=300, derandomize=True, deadline=None)
 @given(_shared_expressions())
 def test_tape_matches_recursive_oracle_on_shared_subtrees(nodes):

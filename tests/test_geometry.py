@@ -71,6 +71,32 @@ def test_quadrature_grid_spans_full_domain(polar_chart):
     assert grid.cell_volume == pytest.approx(h * (2 * np.pi / 4) * (1.0 / 4))
 
 
+@pytest.mark.parametrize("shape", [(5, 7, 3), (1, 4, 2), (6, 1, 1)])
+@pytest.mark.parametrize("read", [(), (0,), (1,), (2,), (0, 2), (1, 2), (0, 1, 2)])
+def test_grid_quotient_and_fibres_match_the_full_mesh(shape, read):
+    """Each quotient point is the first grid point of its fibre; the
+    members of a fibre are its grid points in C order, and ``point`` gives
+    their coordinates as the mesh holds them."""
+    grid = Chart(("x", "y", "z"), ((0, 1), (-2, 3), (1, 4)), (True,) * 3).quadrature_grid(shape)
+    points, fibre = grid.quotient(read)
+    full = grid.points
+    key = [tuple(p[list(read)]) for p in full.T]
+    fibres = {}
+    for i, k in enumerate(key):
+        fibres.setdefault(k, []).append(i)
+    assert points.shape[1] * fibre == full.shape[1] and len(fibres) == points.shape[1]
+    q = np.arange(points.shape[1])
+    for k in (1, 4, 1000):
+        members = grid.members(read, q, k)
+        assert members.shape == (q.size, min(k, fibre))
+        for j, row in zip(q, members):
+            assert row.tolist() == fibres[tuple(points[list(read), j])][:k]
+            assert (full[:, row[0]] == points[:, j]).all()
+    for i in range(full.shape[1]):
+        assert grid.point(i) == full[:, i].tolist()
+    assert grid.members(read, q[:0], 5).shape == (0, min(5, fibre))
+
+
 def test_quadrature_grid_refuses_interior_locus_hit():
     chart = Chart(("x", "y", "z"), ((0, 1),) * 3, (True,) * 3,
                   singular_loci=(SingularLocus("x", 0.5),))
@@ -532,6 +558,29 @@ def test_a_finite_sum_past_an_overflowing_partial_sum_is_finite(values, total):
     assert float(ExactSum(values[:1]) + ExactSum(values[1:])) == total
     assert pairwise_sum(values) == total
     assert pairwise_sum(values[::-1]) == total
+
+
+@pytest.mark.parametrize("values, copies", [
+    ([0.1], 3), ([0.1, -0.3, 1e-300], 10 ** 15), ([], 7), ([-0.0], 2),
+    ([1e308], 2), ([-1e308, 1e300], 10), ([1.0], 2 ** 62),
+    ([np.inf], 3), ([-np.inf, 1.0], 2), ([np.nan], 5), ([np.inf, -np.inf], 4),
+    ([np.inf, 1e308], 10 ** 15),
+])
+def test_exact_sum_times_copies_is_the_sum_of_the_copies(values, copies):
+    """``ExactSum(v) * m`` is the sum of m copies of v, rounded once: exact
+    where finite, ±inf where it overflows, and inf or nan kept."""
+    got = float(ExactSum(values) * copies)
+    if len(values) * copies <= 40:
+        assert got.hex() == _oracle_sum(list(values) * copies).hex()
+    special = [v for v in values if not math.isfinite(v)]
+    if special:
+        assert got.hex() == (sum(special) * copies).hex()
+    else:
+        exact = sum(map(Fraction, values), Fraction(0)) * copies
+        try:
+            assert got == float(exact)
+        except OverflowError:
+            assert got == (math.inf if exact > 0 else -math.inf)
 
 
 def test_exact_sum_is_the_same_over_bincount_chunks(monkeypatch):
