@@ -320,9 +320,9 @@ class Chart:
         counts = tuple(int(c) for c in counts)
         if len(counts) != 3:
             raise ConfigError(f"grid needs 3 axis counts, got {counts!r}")
-        if math.prod(counts) > _MAX_POINTS:     # grid indices are int64
-            raise ConfigError(f"grid {'x'.join(map(str, counts))} has "
-                              f"{math.prod(counts):,} points, more than 2**63 - 1")
+        if (n := math.prod(counts)) > _MAX_POINTS:     # grid indices are int64
+            raise ConfigError(f"grid {'x'.join(map(str, counts))} has {n:,} points, "
+                              "more than 2**63 - 1")
         axes, steps = [], []
         for i, n in enumerate(counts):
             pts, h = self.axis_points(i, n, margin)
