@@ -38,10 +38,10 @@ import numpy as np
 
 from . import jetalg
 from .errors import ConfigError, DegenerateDistributionError, open_output
-from .expr import Jet1, jet_sqrt
+from .expr import Jet1, batch_shape, jet_sqrt, point_at
 from .geometry import (ExactSum, MetricField, MetricJets, OneForm,
                        VectorField, christoffel_contract, chunked_eval,
-                       divergence_entries, wedge_entries)
+                       divergence_entries, grid_blocks, wedge_entries)
 from .jetalg import (add, adjugate3, column, cross, dense, det3, div, dot3,
                      matvec, mul, neg, sub, take)
 
@@ -141,17 +141,17 @@ def _plane_frame(a: list, da: list, m: int) -> tuple:
 def _kernel_frame(a: list, da: list, shape: tuple) -> tuple:
     """Kernel frame from the coordinate plane m of the largest |alpha_m|
     (the first on ties), and where it is defined.  One group per plane that
-    wins somewhere: its points idx (``None`` where one plane wins at every
-    point) and its frame entries there, from the form's entries at idx,
-    each group built as it is iterated."""
+    wins somewhere: its points idx (index arrays; ``None`` where one plane
+    wins at every point) and its frame entries there, from the form's
+    entries at idx, each group built as it is iterated."""
     mags = np.abs(np.stack([column(x, shape) for x in a]))
     m = np.argmax(mags, axis=0)
     ok = np.max(mags, axis=0) > 0.0
     if not m.size or m.min() == m.max():
         return [(None, *_plane_frame(a, da, int(m.max(initial=0))))], ok
-    groups = [(p, np.flatnonzero(m == p)) for p in range(3)]
+    groups = [(p, np.nonzero(m == p)) for p in range(3)]
     return ((idx, *_plane_frame(take(a, idx), take(da, idx), p))
-            for p, idx in groups if idx.size), ok
+            for p, idx in groups if idx[0].size), ok
 
 
 def _frame(dist: Distribution, points: np.ndarray, cov: tuple,
@@ -162,9 +162,9 @@ def _frame(dist: Distribution, points: np.ndarray, cov: tuple,
     group has idx ``None``, the whole batch."""
     fields = frame if frame is not None else dist.span_fields
     if fields is None:
-        return _kernel_frame(*cov, points.shape[1:])
+        return _kernel_frame(*cov, batch_shape(points))
     e, de = zip(*(f._tape.entries(points) for f in fields))
-    return [(None, list(e), list(de))], np.ones(points.shape[1:], dtype=bool)
+    return [(None, list(e), list(de))], np.ones(batch_shape(points), dtype=bool)
 
 
 def _dense_frame(groups, shape: tuple) -> tuple:
@@ -172,14 +172,14 @@ def _dense_frame(groups, shape: tuple) -> tuple:
     E_b^k`` of frame groups, each group's entries scattered to its points."""
     val, jac = np.zeros(shape + (2, 3)), np.zeros(shape + (2, 3, 3))
     for idx, e, de in groups:
-        at, n = (Ellipsis, shape) if idx is None else (idx, idx.shape)
+        at, n = (Ellipsis, shape) if idx is None else (idx, idx[0].shape)
         val[at], jac[at] = dense(e, n), dense(de, n)
     return val, jac
 
 
 def distribution_frames(dist: Distribution, points: np.ndarray,
                         frame: Optional[tuple] = None) -> FrameData:
-    """Tangent frame (values + Jacobians) at a flat ``(3, N)`` batch.
+    """Tangent frame (values + Jacobians) at a point batch.
 
     ``frame`` optionally overrides the derived frame with two explicit
     vector fields (they are trusted to span the plane; classify checks
@@ -187,7 +187,7 @@ def distribution_frames(dist: Distribution, points: np.ndarray,
     """
     cov = _covector(dist, points) if frame is None and dist.kind == "kernel" else None
     groups, ok = _frame(dist, points, cov, frame)
-    val, jac = _dense_frame(groups, points.shape[1:])
+    val, jac = _dense_frame(groups, batch_shape(points))
     return FrameData(val=val, jac=jac, ok=ok,
                      desc=_FRAME_DESC[dist.kind if frame is None else "explicit"])
 
@@ -206,9 +206,9 @@ def _unit_normal(mj: MetricJets, a: list, co_orientation: int) -> tuple:
 
 def normal_arrays(mj: MetricJets, dist: Distribution,
                   points: np.ndarray) -> tuple:
-    """Unit normal values (N, 3) and a validity mask."""
+    """Unit normal values (..., 3) and a validity mask."""
     n, ok = _unit_normal(mj, _covector(dist, points)[0], dist.co_orientation)
-    return dense(n, points.shape[1:]), ok
+    return dense(n, mj.shape), ok
 
 
 def normal_jets(mj: MetricJets, dist: Distribution,
@@ -332,7 +332,7 @@ def _block_arrays(mj: MetricJets, dist: Distribution, points: np.ndarray,
             continue
         for key, x in _curvature(mj.take(idx), e, de, take(n, idx), frame_ok[idx]).items():
             if key not in arrs:
-                arrs[key] = np.empty(points.shape[1:], x.dtype)
+                arrs[key] = np.empty(mj.shape, x.dtype)
             arrs[key][idx] = x
     gram_ok = arrs["ok"]
     arrs["ok"] = gram_ok & nok
@@ -351,10 +351,9 @@ def _single(points) -> tuple:
 
 
 def _require_plane(ok: np.ndarray, points: np.ndarray, detail: str = "") -> None:
-    """Raise DegenerateDistributionError at the first point of the
-    ``(3, N)`` batch where ``ok`` is false."""
+    """Raise DegenerateDistributionError at the first point where ``ok`` is false."""
     if not np.all(ok):
-        raise DegenerateDistributionError(points[:, int(np.argmax(~ok))], detail)
+        raise DegenerateDistributionError(point_at(points, int(np.argmax(~ok))), detail)
 
 
 def _point_block(metric: MetricField, dist: Distribution, point,
@@ -508,20 +507,22 @@ def _top(valid: np.ndarray, k_e: np.ndarray) -> np.ndarray:
 
 
 def _summarise(arrs: dict, spd: np.ndarray) -> _SweepBlock:
+    """A block's contribution, its points numbered in C order."""
+    arrs = {k: v.ravel() for k, v in arrs.items()}
     ok = arrs.pop("ok")
-    valid = np.nonzero(ok)[0]
+    valid = np.flatnonzero(ok)
     stats = {}
     if valid.size:
         for name in _FIELDS:
             v = arrs[name] if valid.size == ok.size else arrs[name][ok]
             stats[name] = (np.min(v) + 0.0, np.max(v) + 0.0, ExactSum(v))
     top = _top(valid, arrs["k_e"])
-    bad = np.nonzero(~ok)[0][:_N_ERRORS]
+    bad = np.flatnonzero(~ok)[:_N_ERRORS]
     return _SweepBlock(
         n_points=ok.size, n_valid=valid.size, stats=stats, worst=top,
         worst_vals=np.stack([arrs[k][top] for k in ("k_e", "h", "b_norm")],
                             axis=-1) + 0.0,
-        invalid=bad, invalid_spd=spd[bad])
+        invalid=bad, invalid_spd=spd[np.unravel_index(bad, spd.shape)])
 
 
 def _canonical(arrs: dict, ok: np.ndarray) -> dict:
@@ -537,7 +538,7 @@ def _sweep_arrays(metric, dist, pts, frame=None) -> tuple:
     """A block's curvature arrays with the contact volume, and its SPD mask."""
     mj = metric.eval(pts)
     b = _block_arrays(mj, dist, pts, frame)
-    b.arrs["contact_volume"] = column(_contact_volume(b.a, b.da), pts.shape[1:])
+    b.arrs["contact_volume"] = column(_contact_volume(b.a, b.da), mj.shape)
     return b.arrs, mj.spd
 
 
@@ -575,9 +576,9 @@ def classify(metric: MetricField, dist: Distribution, grid=(16, 16, 16),
     _require_tol(tol)
     sample = metric.chart.sample_grid(grid)
     read = _read_axes(metric, dist, frame)
-    points, m = sample.quotient(read)
+    axes, m = sample.quotient(read)
     blocks = chunked_eval(lambda pts: _summarise(*_sweep_arrays(metric, dist, pts, frame)),
-                          points, jobs)
+                          axes, jobs)
     offsets = np.cumsum([0] + [b.n_points for b in blocks[:-1]])
     n_points = math.prod(sample.shape)
     n_valid = m * sum(b.n_valid for b in blocks)
@@ -629,28 +630,26 @@ def classify(metric: MetricField, dist: Distribution, grid=(16, 16, 16),
 
 
 def _csv_rows(columns) -> str:
-    """CSV lines of float columns, each value the ``repr`` that reads back to it."""
-    return "\n".join(map(",".join, zip(*(map(repr, c.tolist()) for c in columns)))) + "\n"
+    """CSV lines of float columns (raveled in C order), each value the
+    ``repr`` that reads back to it."""
+    return "\n".join(map(",".join, zip(*(map(repr, c.ravel().tolist()) for c in columns)))) + "\n"
 
 
 def write_point_csv(metric: MetricField, dist: Distribution, path,
                     grid=(16, 16, 16), jobs: int = 1) -> int:
     """Write a row per ``classify`` grid point: the point and its
     ``_CSV_FIELDS`` as a report gives them.  Return the invalid count."""
-    points = metric.chart.sample_grid(grid).points
+    axes = metric.chart.sample_grid(grid).axes
 
     def kernel(pts):
         arrs, _ = _sweep_arrays(metric, dist, pts)
         return _canonical({k: arrs[k] for k in ("ok",) + _CSV_FIELDS}, arrs["ok"])
 
-    start = 0
     with open_output(path) as fh:
-        blocks = chunked_eval(kernel, points, jobs)
+        blocks = chunked_eval(kernel, axes, jobs)
         fh.write(",".join(("p1", "p2", "p3") + _CSV_FIELDS) + "\n")
-        for b in blocks:
-            stop = start + b["ok"].size
-            fh.write(_csv_rows([*points[:, start:stop], *(b[k] for k in _CSV_FIELDS)]))
-            start = stop
+        for pts, b in zip(grid_blocks(axes), blocks):
+            fh.write(_csv_rows([*np.broadcast_arrays(*pts), *(b[k] for k in _CSV_FIELDS)]))
     return sum(int(np.count_nonzero(~b["ok"])) for b in blocks)
 
 
@@ -668,7 +667,7 @@ def integral_mean_curvature(metric: MetricField, dist: Distribution,
     if not all(chart.periodic):
         raise ConfigError("integral of H requires a fully periodic chart")
     sample = chart.quadrature_grid(grid)
-    points, m = sample.quotient(_read_axes(metric, dist))
+    axes, m = sample.quotient(_read_axes(metric, dist))
 
     def kernel(pts):
         mj = metric.eval(pts)
@@ -681,7 +680,7 @@ def integral_mean_curvature(metric: MetricField, dist: Distribution,
             out["defect"] = np.max(np.abs(b.arrs["h"] + div_n))
         return out
 
-    blocks = chunked_eval(kernel, points, jobs)
+    blocks = chunked_eval(kernel, axes, jobs)
     integral = float(sum((b["weighted_h"] for b in blocks), ExactSum()) * m)
     result = {
         "chart": chart.chart_id,

@@ -60,7 +60,7 @@ from .jetalg import add, dense, mul, neg, sub
 __all__ = [
     "Jet1", "Tape", "Node", "Num", "Coord", "Const", "Neg", "BinOp", "Call",
     "parse", "eval_jet", "evaluate", "to_string", "substitute",
-    "smoothstep", "smoothstep_deriv", "coord_indices",
+    "smoothstep", "smoothstep_deriv", "batch_shape", "point_at",
     "CONSTANTS", "FUNCTIONS",
 ]
 
@@ -91,15 +91,15 @@ def _split(x) -> tuple:
 
 
 def _require(bad, arg, points, function: str, message: str = "") -> None:
-    """Raise DomainError at the first point where ``bad`` holds, with the
-    offending argument ``arg`` there."""
+    """Raise DomainError at the first point of the batch where ``bad``
+    holds (both broadcast to it), with the offending argument ``arg`` there."""
     if np.any(bad):
-        shape = np.shape(bad) if points is None else np.shape(points)[1:]
+        shape = np.shape(bad) if points is None else batch_shape(points)
         bad, arg = (np.broadcast_to(x, shape).ravel() for x in (bad, arg))
         if bad.any():       # else a constant argument over an empty batch
             i = int(np.argmax(bad))
-            raise DomainError(function, float(arg[i]), message, None if points is None
-                              else np.reshape(points, (3, -1))[:, i])
+            raise DomainError(function, float(arg[i]), message,
+                              None if points is None else point_at(points, i))
 
 
 def _add(x, y, points=None) -> "Jet1":
@@ -566,13 +566,38 @@ _CALLS = {"sin": _sin, "cos": _cos, "exp": _exp, "sqrt": _sqrt,
 _UNIT = ((1.0, None, None), (None, 1.0, None), (None, None, 1.0))
 
 
-def _check_points(points) -> np.ndarray:
+def _coords(points) -> tuple:
+    """The coordinate arrays of a point ``(3,)``, a batch ``(3, ...)``, or a
+    tuple of three arrays that broadcast together (a grid block's)."""
+    if isinstance(points, tuple) and len(points) == 3:
+        return tuple(np.asarray(c, dtype=float) for c in points)
     p = np.asarray(points, dtype=float)
     if p.ndim < 1 or p.shape[0] != 3:
         raise ValueError(f"point must have shape (3, ...), got {p.shape}")
-    finite = np.isfinite(p)
-    if not finite.all():
-        first = np.take_along_axis(p, np.argmin(finite, axis=0)[None], axis=0)[0]
+    return p[0, ...], p[1, ...], p[2, ...]
+
+
+def batch_shape(points) -> tuple:
+    """The broadcast shape of a point batch's coordinate arrays."""
+    if isinstance(points, np.ndarray):
+        return points.shape[1:]
+    return np.broadcast_shapes(*(np.shape(c) for c in _coords(points)))
+
+
+def point_at(points, i: int) -> list:
+    """The three coordinates of point ``i``, in C order, of a point batch."""
+    shape, coords = batch_shape(points), _coords(points)
+    at = np.unravel_index(i, shape)
+    return [float(np.broadcast_to(c, shape)[at]) for c in coords]
+
+
+def _check_points(points) -> tuple:
+    p = _coords(points)
+    if not (np.isfinite(points).all() if isinstance(points, np.ndarray)
+            else all(np.isfinite(c).all() for c in p)):
+        full = np.stack(np.broadcast_arrays(*p))
+        finite = np.isfinite(full)
+        first = np.take_along_axis(full, np.argmin(finite, axis=0)[None], axis=0)[0]
         _require(~finite.all(axis=0), first, p, "point", "point must be finite")
     return p
 
@@ -649,12 +674,14 @@ class Tape:
         return {index for _, index in self._leaves}
 
     def run(self, points) -> list:
-        """Jets of the expressions at a point ``(3,)`` or a batch ``(3,
-        ...)``; a constant expression gives a scalar value, no partials."""
+        """Jets of the expressions at a point batch (see ``_coords``); a
+        constant expression gives a scalar value, no partials.  Leaves are
+        the coordinate arrays, so broadcasting keeps each register on the
+        axes it reads: on a grid block, an expression of y is (1, n2, 1)."""
         p = _check_points(points)
         regs = list(self._consts)
         for reg, index in self._leaves:
-            regs[reg] = _jet(p[index, ...].copy(), _UNIT[index])
+            regs[reg] = _jet(p[index].copy(), _UNIT[index])
         for reg, op, args, free in self._code:
             regs[reg] = op(*[regs[a] for a in args], points=p)
             for r in free:
@@ -672,14 +699,14 @@ class Tape:
     def arrays(self, points) -> tuple:
         """Values ``(..., m)`` and Jacobian ``(..., i, k) = d_i e_k`` of the
         tape's m expressions e_k, as dense arrays."""
-        return tuple(dense(x, np.shape(points)[1:]) for x in self.entries(points))
+        return tuple(dense(x, batch_shape(points)) for x in self.entries(points))
 
 
 def eval_jet(expr: Node, point) -> Jet1:
     """Evaluate ``expr`` at a point (shape ``(3,)``) or a batch of points
     (shape ``(3, ...)``), returning value plus exact partials."""
     jet = Tape((expr,)).run(point)[0]
-    return Jet1(np.broadcast_to(jet.value, np.shape(point)[1:]).copy(), jet.partials)
+    return Jet1(np.broadcast_to(jet.value, batch_shape(point)).copy(), jet.partials)
 
 
 def evaluate(expr: Node, point) -> float:
@@ -776,21 +803,3 @@ def substitute(node: Node, mapping: Mapping[str, Node]) -> Node:
     if isinstance(node, Call):
         return Call(node.func, tuple(substitute(a, mapping) for a in node.args))
     return node
-
-
-def coord_indices(node: Node) -> set:
-    """Set of coordinate indices an expression actually depends on."""
-    out: set = set()
-    stack = [node]
-    while stack:
-        cur = stack.pop()
-        if isinstance(cur, Coord):
-            out.add(cur.index)
-        elif isinstance(cur, Neg):
-            stack.append(cur.arg)
-        elif isinstance(cur, BinOp):
-            stack.append(cur.left)
-            stack.append(cur.right)
-        elif isinstance(cur, Call):
-            stack.extend(cur.args)
-    return out

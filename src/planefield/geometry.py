@@ -1,7 +1,8 @@
 """Charts, metric evaluation, connection coefficients and quadrature.
 
-Everything here is batched: a point batch is an array of shape ``(3, N)``
-(or plain ``(3,)`` for a single point).  Internally a metric is kept
+Everything here is batched: a point batch is an array ``(3, N)`` (``(3,)``
+for one point) or three coordinate arrays that broadcast together, as a
+sweep block's do (see below).  Internally a metric is kept
 component-first, as :mod:`planefield.jetalg` entries ``g[i][j]`` and
 ``dg[l][i][j] = d_l g_ij`` (columns, floats where constant, ``None`` where
 structurally zero), with the closed-form adjugate over the determinant as
@@ -17,9 +18,14 @@ einsums on a non-constant metric:
 ``components`` turns ``x[..., i, j]`` into the nested ``x[i][j]`` jetalg
 takes.
 
-Grid sweeps walk the points in fixed blocks of ``BLOCK_POINTS`` (16,384,
-large enough that a block's arrays, not its Python dispatch, set its
-cost) and reduce each block to a small result.  With ``jobs > 1`` the
+Grid sweeps run on grid-aligned blocks of at most ``BLOCK_POINTS``
+(16,384) points, large enough that a block's arrays, not its Python
+dispatch, set its cost: a slab of whole axis-0 planes, or of rows of one
+plane where a plane is larger, or of one row's points where a row is.
+A block is a contiguous C-order range of the grid, given to the kernel
+as three coordinate arrays in broadcast shape (``(k, 1, 1)``, ``(1, n2,
+1)``, ``(1, 1, n3)``), so the jet tape evaluates each register only on
+the axes it reads, and reduced to a small result.  With ``jobs > 1`` the
 calling process (process 0) and children forked for the sweep, ``P``
 processes in all, take the blocks by fixed stride: block ``b`` runs on
 process ``b mod P``.  A block sum is one integer (``ExactSum``, which
@@ -57,7 +63,8 @@ __all__ = [
     "metric_at", "christoffel", "covariant_derivative", "d_oneform",
     "wedge3", "wedge_entries", "divergence", "divergence_raw",
     "divergence_entries", "integrate_scalar",
-    "pairwise_sum", "ExactSum", "chunked_eval", "BLOCK_POINTS", "first_failing_minor",
+    "pairwise_sum", "ExactSum", "chunked_eval", "grid_blocks", "BLOCK_POINTS",
+    "first_failing_minor",
 ]
 
 LEVI = np.zeros((3, 3, 3))
@@ -139,26 +146,47 @@ class ExactSum:
             return math.inf if self.n > 0 else -math.inf
 
 
-def _run_blocks(fn: Callable, points: np.ndarray, first: int, stride: int) -> dict:
+def _layout(shape: tuple) -> tuple:
+    """Blocks cut axis ``level`` in runs of ``k``, once per index of the
+    axes before it; also their number."""
+    level = next(l for l in range(3) if math.prod(shape[l + 1:]) <= BLOCK_POINTS)
+    k = BLOCK_POINTS // math.prod(shape[level + 1:])
+    return level, k, math.prod(shape[:level]) * -(-shape[level] // k)
+
+
+def grid_blocks(axes):
+    """The blocks of the mesh of three axis arrays in C order, each as
+    coordinate arrays in broadcast shape, views of ``axes``."""
+    shape = tuple(len(a) for a in axes)
+    level, k, _ = _layout(shape)
+    for outer in np.ndindex(*shape[:level]):
+        for start in range(0, shape[level], k):
+            cuts = [slice(i, i + 1) for i in outer] + [slice(start, start + k)] + [slice(None)] * 2
+            yield tuple(a[cut].reshape([-1 if j == i else 1 for j in range(3)])
+                        for i, (a, cut) in enumerate(zip(axes, cuts)))
+
+
+def _run_blocks(fn: Callable, axes, first: int, stride: int) -> dict:
     """Run blocks ``first``, ``first + stride``, ... in order until none is
     left or one raises; return ``{block: (ok, result or error)}``."""
-    size = BLOCK_POINTS
     done = {}
-    for block in range(first, -(-points.shape[1] // size), stride):
+    for block, pts in enumerate(grid_blocks(axes)):
+        if block % stride != first:
+            continue
         try:
-            done[block] = (True, fn(points[:, block * size:(block + 1) * size]))
+            done[block] = (True, fn(pts))
         except Exception as exc:
             done[block] = (False, exc)
             break
     return done
 
 
-def _send_blocks(fn: Callable, points: np.ndarray, first: int, stride: int, conn) -> None:
-    conn.send(_run_blocks(fn, points, first, stride))
+def _send_blocks(fn: Callable, axes, first: int, stride: int, conn) -> None:
+    conn.send(_run_blocks(fn, axes, first, stride))
     conn.close()
 
 
-def _forked_blocks(ctx, fn: Callable, points: np.ndarray, procs: int) -> dict:
+def _forked_blocks(ctx, fn: Callable, axes, procs: int) -> dict:
     """``_run_blocks`` with stride ``procs`` on this process (from block 0)
     and on ``procs - 1`` children forked from it (from blocks 1, 2, ...),
     merged; every child is terminated and joined on return."""
@@ -166,13 +194,13 @@ def _forked_blocks(ctx, fn: Callable, points: np.ndarray, procs: int) -> dict:
     try:
         for first in range(1, procs):
             reader, writer = ctx.Pipe(duplex=False)
-            child = ctx.Process(target=_send_blocks, args=(fn, points, first, procs, writer))
+            child = ctx.Process(target=_send_blocks, args=(fn, axes, first, procs, writer))
             child.start()
             # later children must not inherit this end, so that the reader
             # sees EOF as soon as its own child exits
             writer.close()
             children.append((child, reader))
-        done = _run_blocks(fn, points, 0, procs)
+        done = _run_blocks(fn, axes, 0, procs)
         for child, reader in children:
             try:
                 done.update(reader.recv())
@@ -189,9 +217,11 @@ def _forked_blocks(ctx, fn: Callable, points: np.ndarray, procs: int) -> dict:
             reader.close()
 
 
-def chunked_eval(fn: Callable, points: np.ndarray, jobs: int = 1) -> list:
-    """Apply ``fn`` to consecutive ``BLOCK_POINTS``-point blocks of a
-    ``(3, N)`` point batch and return its results in block order.
+def chunked_eval(fn: Callable, axes, jobs: int = 1) -> list:
+    """Apply ``fn`` to the grid-aligned blocks (``grid_blocks``) of the
+    mesh of three axis arrays and return its results in block order.  The
+    blocks are contiguous C-order ranges of the grid, so callers add the
+    sizes of earlier blocks to a block's own point indices.
 
     With ``jobs > 1`` the sweep runs on ``P = min(jobs, number of blocks)``
     processes: block ``b`` goes to process ``b mod P``, where process 0 is
@@ -199,26 +229,24 @@ def chunked_eval(fn: Callable, points: np.ndarray, jobs: int = 1) -> list:
     process runs its blocks in order and stops at its first error, so every
     block before the first failing one still runs and that error is raised,
     as with one process.  The children inherit ``fn`` (a closure is fine)
-    and ``points`` and send back their pickled results once; a child that
+    and ``axes`` and send back their pickled results once; a child that
     exits without sending raises ``ChildProcessError``.  No child outlives
     the call.  Blocks run serially here without ``fork`` or with other
-    Python threads alive.  ``fn`` sees only its block, so callers add
-    earlier blocks' offsets."""
-    size = BLOCK_POINTS
-    starts = range(0, points.shape[1], size)
-    procs = min(jobs, len(starts))
+    Python threads alive."""
+    blocks = _layout(tuple(len(a) for a in axes))[2]
+    procs = min(jobs, blocks)
     if procs > 1 and threading.active_count() == 1:
         import multiprocessing
         if "fork" in multiprocessing.get_all_start_methods():
-            done = _forked_blocks(multiprocessing.get_context("fork"), fn, points, procs)
+            done = _forked_blocks(multiprocessing.get_context("fork"), fn, axes, procs)
             results = []
-            for block in range(len(starts)):
+            for block in range(blocks):
                 ok, value = done[block]
                 if not ok:
                     raise value
                 results.append(value)
             return results
-    return [fn(points[:, s:s + size]) for s in starts]
+    return [fn(pts) for pts in grid_blocks(axes)]
 
 
 # ---------------------------------------------------------------------------
@@ -363,22 +391,22 @@ class GridSample:
 
     @cached_property
     def points(self) -> np.ndarray:
-        """All points ``(3, N)`` in C order, built on first use."""
-        return self.quotient(range(3))[0]
+        """All points ``(3, N)`` in C order, built on first use (not by sweeps)."""
+        return np.stack([m.reshape(-1) for m in np.meshgrid(*self.axes, indexing="ij")])
 
     def quotient(self, read) -> tuple:
-        """The grid points whose coordinates off the axes ``read`` are at
-        their first point, ``(3, Q)`` in C order, and the fibre size: the
-        number of grid points that share each one's coordinates on ``read``."""
-        axes = [a if i in read else a[:1] for i, a in enumerate(self.axes)]
+        """The axes with those off ``read`` cut to their first point, and the
+        fibre size: how many grid points share each quotient point's
+        coordinates on ``read``.  A quotient too large to hold as one (3, Q)
+        array, which is reserved but never written, is refused."""
+        axes = tuple(a if i in read else a[:1] for i, a in enumerate(self.axes))
         try:
-            mesh = np.meshgrid(*axes, indexing="ij")
-            points = np.stack([m.reshape(-1) for m in mesh], axis=0)
+            np.empty((3, math.prod(len(a) for a in axes)))
         except MemoryError:
             raise ConfigError(f"grid {'x'.join(map(str, self.shape))} has "
                               f"{math.prod(self.shape):,} points, more than can be "
                               "allocated") from None
-        return points, math.prod(n for i, n in enumerate(self.shape) if i not in read)
+        return axes, math.prod(n for i, n in enumerate(self.shape) if i not in read)
 
     def members(self, read, q: np.ndarray, k: int) -> np.ndarray:
         """Grid indices ``(len(q), min(k, fibre))`` of the first ``k`` grid
@@ -425,8 +453,7 @@ class MetricField:
         return cls(chart, tuple(entries))
 
     def eval(self, points) -> "MetricJets":
-        p = np.asarray(points, dtype=float)
-        return MetricJets(self._tape.run(p), p.shape[1:])
+        return MetricJets(self._tape.run(points), expr.batch_shape(points))
 
     def matrix_at(self, point) -> tuple:
         """Single-point API: (matrix, entry gradients); raises NotSPD."""
@@ -465,12 +492,12 @@ class MetricJets:
     def minors_entries(self) -> tuple:
         return self.g[0][0], self.adj[2][2], det3(self.g, self.adj)
 
-    def take(self, idx: np.ndarray) -> "MetricJets":
-        """The same jets and SPD mask at the points ``idx`` (a 1-D index
-        array) of the batch; adjugate and minors follow on first use."""
+    def take(self, idx: tuple) -> "MetricJets":
+        """The same jets and SPD mask at the points ``idx`` (index arrays, one
+        per batch axis); adjugate and minors follow on first use."""
         return MetricJets([expr.Jet1(take(x.value, idx), take(list(x.partials), idx))
                            for x in (self.jets[i][j] for i, j in _UPPER)],
-                          idx.shape, self.spd[idx])
+                          idx[0].shape, self.spd[idx])
 
     @cached_property
     def val(self) -> np.ndarray:
@@ -503,12 +530,12 @@ class MetricJets:
         return dense(self.inv_entries(), self.shape)
 
     def require_spd(self, points: np.ndarray) -> None:
-        """Raise NotSPDError naming the first point of ``points`` (shape
-        ``(3, ...)``) where the metric is not SPD, with its failing minor."""
+        """Raise NotSPDError naming the first point of the batch ``points``
+        where the metric is not SPD, with its failing minor."""
         if not self.spd.all():
             minors = self.minors.reshape(-1, 3)
             i, k = first_failing_minor(minors)
-            raise NotSPDError(np.reshape(points, (3, -1))[:, i], k, minors[i, k])
+            raise NotSPDError(expr.point_at(points, i), k, minors[i, k])
 
 
 def first_failing_minor(minors: np.ndarray):
@@ -658,7 +685,7 @@ def integrate_scalar(metric: MetricField, f: Callable, grid, jobs: int = 1,
 
     Valid when every axis is periodic, or when the caller asserts that the
     integrand is compactly supported away from non-periodic boundaries.
-    ``f`` maps a ``(3, N)`` batch to ``(N,)`` values.
+    ``f`` maps a ``(3, N)`` batch (a block's points, C order) to ``(N,)`` values.
     """
     chart = metric.chart
     if not all(chart.periodic) and not assume_compact_support:
@@ -670,7 +697,8 @@ def integrate_scalar(metric: MetricField, f: Callable, grid, jobs: int = 1,
     def kernel(pts):
         mj = metric.eval(pts)
         mj.require_spd(pts)
-        return ExactSum(np.asarray(f(pts), dtype=float) * np.sqrt(mj.det()))
+        flat = np.stack([np.broadcast_to(c, mj.shape).ravel() for c in pts])
+        return ExactSum(np.asarray(f(flat), dtype=float) * np.sqrt(mj.det()).ravel())
 
-    total = sum(chunked_eval(kernel, sample.points, jobs), ExactSum())
+    total = sum(chunked_eval(kernel, sample.axes, jobs), ExactSum())
     return float(total) * sample.cell_volume

@@ -1,8 +1,9 @@
 """The package's one entry algebra, and the 3x3 algebra written once on it.
 
 A matrix is a nested list ``m[i][j]`` and a vector a list ``v[k]`` whose
-entries are batch columns (numpy arrays of one point-batch shape, 0-d ones
-included), constants (``float`` or ``int``; ``np.float64`` is a float),
+entries are batch columns (numpy arrays that broadcast to one point-batch
+shape, such as a grid block's ``(1, n2, 1)`` for an entry of y alone, 0-d
+ones included), constants (``float`` or ``int``; ``np.float64`` is a float),
 ``None`` for a structural zero, or first-order jets
 (:class:`~planefield.expr.Jet1`).  The formulas are plain arithmetic on
 entries, so the same code gives metric minors and inverses on sweep
@@ -84,14 +85,15 @@ def div(u, v):
 
 def column(x, shape) -> np.ndarray:
     """An entry (array, float or ``None`` for +0.0) as an array of the
-    batch shape."""
+    batch shape, broadcast to it."""
     if isinstance(x, np.ndarray) and x.shape == shape:
         return x
     return np.full(shape, 0.0 if x is None else x)
 
 
 def dense(x, shape: tuple) -> np.ndarray:
-    """Nested lists of entries as one array, entry indices last."""
+    """Nested lists of entries as one array of the batch shape, each entry
+    broadcast to it, entry indices last."""
     dims, y = (), x
     while isinstance(y, list):
         dims, y = dims + (len(y),), y[0]
@@ -139,11 +141,13 @@ def det3(m, adj):
 
 
 def take(x, idx):
-    """Nested entries at the points ``idx`` of their batch; floats, 0-d
-    arrays and ``None`` stay as they are."""
+    """Nested entries at the points ``idx`` (index arrays, one per batch
+    axis) of their batch, an entry of length 1 on an axis taken as
+    broadcast along it; floats, 0-d arrays and ``None`` stay as they are."""
     if isinstance(x, list):
         return [take(y, idx) for y in x]
-    return x[idx] if isinstance(x, np.ndarray) and x.ndim else x
+    return (x[tuple(i if n > 1 else np.zeros_like(i) for i, n in zip(idx, x.shape))]
+            if isinstance(x, np.ndarray) and x.ndim else x)
 
 
 def jets_from_metric(mj) -> list:

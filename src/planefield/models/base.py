@@ -7,7 +7,7 @@ from typing import Optional
 
 from ..distributions import Distribution
 from ..errors import ConfigError
-from ..expr import coord_indices
+from ..expr import Tape
 from ..geometry import Chart, MetricField, OneForm, _as_nodes
 
 __all__ = ["Model", "SurfaceMetric"]
@@ -50,7 +50,7 @@ class Model:
 
 def require_static(entries, what: str) -> None:
     """ConfigError if an entry reads the chart's third coordinate."""
-    if any(2 in coord_indices(e) for e in entries):
+    if 2 in Tape(entries).axes:
         raise ConfigError(f"{what} needs a t-independent surface metric")
 
 

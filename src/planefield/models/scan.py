@@ -64,8 +64,8 @@ def contact_deformation_scan(metric: MetricField, alpha0: OneForm,
         """Per s: contact-volume min, max and min |cv|, transversality angle
         min and max (+inf and -inf where no normal is defined) and the
         degenerate count."""
-        shape = pts.shape[1:]
         mj = metric.eval(pts)
+        shape = mj.shape
         a0, da0 = alpha0._tape.entries(pts)
         b, db = beta._tape.entries(pts)
         n0, ok0 = _unit_normal(mj, a0, 1)
@@ -85,12 +85,12 @@ def contact_deformation_scan(metric: MetricField, alpha0: OneForm,
                          np.count_nonzero(~good)])
         return np.array(rows) + 0.0          # reported zeros are +0.0
 
-    points = chart.sample_grid(grid).points
-    blocks = chunked_eval(kernel, points)
+    sample = chart.sample_grid(grid)
+    blocks = chunked_eval(kernel, sample.axes)
     rows = []
     for j, s in enumerate(s_values):
         cv_min, cv_max, cv_abs, ang_min, ang_max, degenerate = np.array([b[j] for b in blocks]).T
-        defined = np.sum(degenerate) < points.shape[1]
+        defined = np.sum(degenerate) < np.prod(sample.shape)
         rows.append({
             "s": s,
             "contact_volume_min": float(np.min(cv_min)),

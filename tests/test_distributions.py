@@ -1,3 +1,4 @@
+import hashlib
 import json
 import math
 import tracemalloc
@@ -25,7 +26,7 @@ from planefield.distributions import (_block_arrays, _canonical, _dense_frame,
                                       _top)
 from planefield.errors import (ConfigError, DegenerateDistributionError,
                                DomainError, NonSPDPathError, NotSPDError,
-                               NotTransverseError)
+                               NotTransverseError, PlanefieldError)
 from planefield.geometry import (Chart, MetricField, OneForm, VectorField,
                                  christoffel, integrate_scalar)
 from planefield.chartio import save_model
@@ -405,9 +406,9 @@ def swept(monkeypatch):
     and the CSV hand to the block sweep."""
     sizes = []
 
-    def spy(fn, points, jobs=1):
-        sizes.append(points.shape[1])
-        return geometry.chunked_eval(fn, points, jobs)
+    def spy(fn, axes, jobs=1):
+        sizes.append(math.prod(len(a) for a in axes))
+        return geometry.chunked_eval(fn, axes, jobs)
 
     monkeypatch.setattr(distributions, "chunked_eval", spy)
     return sizes
@@ -678,6 +679,119 @@ def test_quotient_integral_h_equals_the_full_sweep(name, reeb, torus, monkeypatc
     _full_sweep_equals_the_quotient_sweep(
         monkeypatch, metric, dist, None,
         lambda grid, jobs: integral_mean_curvature(metric, dist, grid=grid, jobs=jobs))
+
+
+# Grid-aligned blocks with broadcast coordinates against the same blocks
+# handed to the kernel as materialised (3, n) point arrays, the flat batches
+# sweeps ran on before.  Each block size gets grids that it cuts into slabs
+# of planes (level 0), of rows (level 1) and of one row's points (level 2).
+_ORACLE_GRIDS = {16: [((5, 7, 3), 1), ((3, 4, 20), 2)],
+                 1000: [((23, 23, 25), 0), ((3, 50, 30), 1), ((2, 2, 1500), 2)],
+                 SHIPPED_BLOCK: [((23, 23, 25), 0), ((2, 130, 130), 1)]}
+
+
+@pytest.fixture()
+def materialised(monkeypatch):
+    """``use(True)`` makes every sweep hand its kernel each block's points
+    as one (3, n) array in C order; ``use(False)`` restores the broadcast
+    coordinate arrays.  The CSV's coordinate columns do not depend on it."""
+    real = geometry.grid_blocks
+
+    def flat_blocks(axes):
+        for pts in real(axes):
+            yield np.stack([c.ravel() for c in np.broadcast_arrays(*pts)])
+
+    return lambda on: monkeypatch.setattr(geometry, "grid_blocks", flat_blocks if on else real)
+
+
+def _sweeps(torus, grid, jobs, path) -> dict:
+    """The SHA-256 of the classify bodies (a random form under a curved
+    metric, and a y-only form), of the check CSV's bytes and invalid count,
+    of the H integral and of a scan body."""
+    dist = Distribution.kernel(random_periodic_form(2))
+    n_invalid = write_point_csv(_CURVED_TORUS, dist, path, grid=grid, jobs=jobs)
+    out = {
+        "classify": classify(_CURVED_TORUS, dist, grid=grid, jobs=jobs).body(),
+        "classify-y": classify(_CURVED_TORUS, Distribution.kernel(OneForm(torus.chart, _Y_ONLY)),
+                               grid=grid, jobs=jobs).body(),
+        "csv": [n_invalid, path.read_bytes().hex()],
+        "integral": integral_mean_curvature(_CURVED_TORUS, dist, grid=grid, jobs=jobs),
+        "scan": contact_deformation_scan(_CURVED_TORUS, torus.form("graph-foliation"),
+                                         random_periodic_form(1), [0.0, 1.0], grid=grid).body(),
+    }
+    return {k: hashlib.sha256(json.dumps(v, sort_keys=True).encode()).hexdigest()
+            for k, v in out.items()}
+
+
+@pytest.mark.parametrize("block", sorted(_ORACLE_GRIDS))
+def test_broadcast_blocks_equal_the_materialised_blocks(block, torus, materialised, monkeypatch,
+                                                        tmp_path):
+    monkeypatch.setattr(geometry, "BLOCK_POINTS", block)
+    for grid, level in _ORACLE_GRIDS[block]:
+        assert geometry._layout(grid)[0] == level
+        materialised(True)
+        want = _sweeps(torus, grid, 1, tmp_path / "points.csv")
+        materialised(False)
+        for jobs in (1, 2, 3):
+            assert _sweeps(torus, grid, jobs, tmp_path / "points.csv") == want
+
+
+def _error_of(materialised, sweep) -> tuple:
+    """The error a sweep raises at jobs 1 and 2, after checking that it is
+    the one the sweep raises on materialised blocks."""
+    raised = []
+    for flat, jobs in ((True, 1), (False, 1), (False, 2)):
+        materialised(flat)
+        with pytest.raises(PlanefieldError) as err:
+            sweep(jobs)
+        raised.append((type(err.value), str(err.value), err.value.point))
+    assert raised[0] == raised[1] == raised[2]
+    return raised[0]
+
+
+# On 4^3 the sweep is one block.  On 32^3 it is two; the failing point,
+# the first grid point past the x where the one-axis register fails,
+# opens the second block, which at jobs 2 runs in the child.
+@pytest.mark.parametrize("grid,point", [((4, 4, 4), (0.75, -0.75, -0.75)),
+                                        ((32, 32, 32), (0.53125, -0.96875, -0.96875))])
+def test_a_domain_error_of_a_one_axis_register_names_a_full_grid_point(grid, point,
+                                                                       materialised):
+    """sqrt(0.5 - x) is a register of x alone, shaped (k, 1, 1) on a block."""
+    form = OneForm(_BOX3, ("sqrt(0.5 - x)", "sin(pi*y)", "2 + cos(pi*z)"))
+    kind, text, named = _error_of(materialised, lambda jobs: classify(
+        _EUCLID, Distribution.kernel(form), grid=grid, jobs=jobs))
+    assert kind is DomainError and named == point
+    assert text == f"sqrt: argument value {0.5 - point[0]!r} outside domain at {point}"
+
+
+@pytest.mark.parametrize("grid,point", [((4, 4, 4), (0.625, 0.125, 0.125)),
+                                        ((32, 32, 32), (0.515625, 0.015625, 0.015625))])
+def test_integral_not_spd_error_of_a_one_axis_entry_names_a_full_grid_point(grid, point, torus,
+                                                                          materialised):
+    """g_zz = 0.5 - x reads x alone; the first grid point past x = 0.5 fails
+    the third leading minor."""
+    g = MetricField.from_strings(torus.chart, ("1", "0", "0", "1", "0", "0.5 - x"))
+    dist = Distribution.kernel(OneForm(torus.chart, ("0.1*sin(2*pi*y)", "0.1*cos(2*pi*z)",
+                                                     "1 + 0.1*sin(2*pi*x)")))
+    kind, _, named = _error_of(materialised, lambda jobs: integral_mean_curvature(
+        g, dist, grid=grid, jobs=jobs))
+    assert kind is NotSPDError and named == point
+
+
+@pytest.mark.parametrize("grid,point", [((4, 4, 4), (0.625, 0.125, 0.125)),
+                                        ((32, 32, 32), (0.640625, 0.015625, 0.015625))])
+def test_integral_degenerate_error_of_a_one_axis_factor_names_a_full_grid_point(grid, point,
+                                                                              torus,
+                                                                              materialised):
+    """Every component carries the factor x - c, a register of x alone, so
+    the form vanishes on the plane x = c, a plane of grid points."""
+    c = point[0]
+    dist = Distribution.kernel(OneForm(torus.chart, (
+        "0", f"(x - {c!r})*sin(2*pi*y)", f"(x - {c!r})*(2 + cos(2*pi*z))")))
+    kind, text, named = _error_of(materialised, lambda jobs: integral_mean_curvature(
+        torus.metric, dist, grid=grid, jobs=jobs))
+    assert kind is DegenerateDistributionError and named == point
+    assert text == f"distribution degenerates at {point}"
 
 
 def _classify_peak_below_one_grid_array(metric, dist) -> None:

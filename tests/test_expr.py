@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 
 from planefield import expr
 from planefield.errors import ArityError, DomainError, ParseError, UnknownIdentifierError
+from planefield.geometry import Chart
 from planefield.expr import (BinOp, Call, Coord, Const, Neg, Num, eval_jet,
                              parse, smoothstep, smoothstep_deriv, substitute,
                              to_string)
@@ -616,9 +617,91 @@ def _shared_expressions(draw):
     return tuple(draw(st.lists(st.sampled_from(pool[3:]), min_size=1, max_size=4)))
 
 
+_ALL = {0, 1, 2}
+# The coordinates each shipped field's expressions read, by reading them.
+_READ_AXES = {
+    "flat-torus:metric": set(), "flat-torus:vertical": set(), "flat-torus:tilted": set(),
+    "flat-torus:graph-foliation": {0, 1}, "flat-torus:winding-contact": {2},
+    "flat-torus:quadrature-probe": _ALL, "flat-torus:horizontal": set(),
+    "flat-torus-2pi:metric": set(), "flat-torus-2pi:vertical": set(),
+    "flat-torus-2pi:winding-contact": {2},
+    "polar-cylinder:metric": {0}, "polar-cylinder:radial": set(), "polar-cylinder:leaf": set(),
+    "spheres:metric": {0, 1}, "spheres:radial": set(), "spheres:leaf": set(),
+    "contact-box:metric": set(), "contact-box:standard-contact": {0, 1},
+    "reeb-solid-torus:metric": {0}, "reeb-solid-torus:foliation": {0},
+    "reeb-solid-torus:paper": {0},
+    "collar:metric": set(), "collar:foliation": {0}, "collar:page": {0},
+    "product-fibration:metric": {0}, "product-fibration:foliation": set(),
+    "product-fibration:surface": set(),
+    "binding-a:metric": {0}, "binding-a:foliation": {0}, "binding-a:paper": {0},
+    "collar-a:metric": set(), "collar-a:foliation": {0}, "collar-a:page": {0},
+    "page-cylinder:metric": set(), "page-cylinder:foliation": set(),
+    "page-cylinder:page": set(),
+    "collar-b:metric": set(), "collar-b:foliation": {0}, "collar-b:page": {0},
+    "binding-b:metric": {0}, "binding-b:foliation": {0}, "binding-b:paper": {0},
+    "binding-a->collar-a": _ALL, "collar-a->page-cylinder": _ALL,
+    "page-cylinder->collar-b": _ALL, "collar-b->binding-b": _ALL,
+    **{f"random-{seed}": _ALL for seed in range(6)},
+}
+
+
 @pytest.mark.parametrize("name,chart,nodes", _FIELDS, ids=[f[0] for f in _FIELDS])
 def test_tape_axes_are_the_coordinates_its_expressions_read(name, chart, nodes):
-    assert expr.Tape(nodes).axes == set().union(*map(expr.coord_indices, nodes))
+    assert expr.Tape(nodes).axes == _READ_AXES[name]
+
+
+# Grids of the broadcast bit-identity test: fewer points than a block, one
+# block's worth of planes, and 46,080 points.
+_BIT_GRIDS = ((5, 7, 3), (23, 23, 25), (48, 40, 24))
+_TRANSITION_BOX = Chart(("x", "y", "z"), ((0.2, 0.8),) * 3, (False,) * 3)
+
+
+def _bits(x, shape) -> bytes:
+    """The bytes of an entry of a grid run, flat ``(N,)`` or in broadcast
+    shape, over the grid's ``shape`` in C order."""
+    x = np.asarray(x, dtype=float)
+    return np.broadcast_to(x.reshape(shape) if x.ndim == 1 else x, shape).tobytes()
+
+
+@pytest.mark.parametrize("name,chart,nodes", _FIELDS, ids=[f[0] for f in _FIELDS])
+def test_tape_on_broadcast_grid_coordinates_equals_the_mesh_bit_for_bit(name, chart, nodes):
+    """A grid sweep seeds each leaf with its axis in broadcast shape, so a
+    register keeps only the axes it reads.  Values and every partial equal
+    the run on the materialised (3, N) mesh bit for bit after
+    ``broadcast_to``, a domain error names the same point, and each partial
+    is structurally zero, constant or an array in both runs alike.  This
+    rests on numpy's elementwise ufuncs giving an element the same bits
+    whatever the array's shape or stride."""
+    tape = expr.Tape(tuple(nodes))
+    for shape in _BIT_GRIDS:
+        grid = (chart or _TRANSITION_BOX).sample_grid(shape)
+        coords = (grid.axes[0][:, None, None], grid.axes[1][None, :, None],
+                  grid.axes[2][None, None, :])
+        with np.errstate(all="ignore"):
+            try:
+                flat = tape.run(grid.points)
+            except DomainError as err:
+                with pytest.raises(DomainError) as again:
+                    tape.run(coords)
+                assert (str(again.value), again.value.point) == (str(err), err.point)
+                continue
+            broadcast = tape.run(coords)
+        for f, b in zip(flat, broadcast):
+            assert _bits(b.value, shape) == _bits(f.value, shape), name
+            for df, db in zip(f.partials, b.partials):
+                assert type(df) is type(db), name
+                if df is not None:
+                    assert _bits(db, shape) == _bits(df, shape), name
+
+
+def test_tape_registers_keep_the_axes_they_read():
+    coords = (np.arange(4.0)[:, None, None], np.arange(5.0)[None, :, None],
+              np.arange(6.0)[None, None, :])
+    y, xz, c = expr.Tape([parse(t, COORDS) for t in ("sin(phi)", "r*t", "2*pi")]).run(coords)
+    assert (y.value.shape, xz.value.shape, np.shape(c.value)) == ((1, 5, 1), (4, 1, 6), ())
+    assert y.partials[1].shape == (1, 5, 1) and xz.partials[0].shape == (1, 1, 6)
+    assert expr.batch_shape(coords) == (4, 5, 6)
+    assert expr.point_at(coords, 4 * 5 * 6 - 1) == [3.0, 4.0, 5.0]
 
 
 def test_tape_axes_count_a_coordinate_only_a_zero_multiplies():

@@ -78,7 +78,9 @@ def test_grid_quotient_and_fibres_match_the_full_mesh(shape, read):
     members of a fibre are its grid points in C order, and ``point`` gives
     their coordinates as the mesh holds them."""
     grid = Chart(("x", "y", "z"), ((0, 1), (-2, 3), (1, 4)), (True,) * 3).quadrature_grid(shape)
-    points, fibre = grid.quotient(read)
+    axes, fibre = grid.quotient(read)
+    assert [len(a) for a in axes] == [n if i in read else 1 for i, n in enumerate(shape)]
+    points = np.stack([m.ravel() for m in np.meshgrid(*axes, indexing="ij")])
     full = grid.points
     key = [tuple(p[list(read)]) for p in full.T]
     fibres = {}
@@ -600,21 +602,28 @@ def test_exact_sum_of_any_split_in_block_order_is_the_fsum_of_the_whole(values, 
     assert float(sum(blocks, ExactSum())) == math.fsum(values)
 
 
+def _first_point(p) -> list:
+    """The first point of a block given as coordinate arrays."""
+    return [c.flat[0] for c in p]
+
+
 def test_chunked_eval_is_worker_count_invariant(monkeypatch):
+    """Blocks of whole planes (64 points each, 100 at most) whose results,
+    in block order, are the kernel's on the whole grid."""
     monkeypatch.setattr(geometry, "BLOCK_POINTS", 100)
     g = MetricField.from_strings(torus_chart(), EUCLID)
     chart = g.chart
     x = VectorField(chart, ("exp(sin(2*pi*x))", "cos(2*pi*y)", "x*z"))
-    pts = chart.quadrature_grid((8, 8, 8)).points
+    grid = chart.quadrature_grid((8, 8, 8))
 
     def kernel(p):
         return divergence(g, x, p)
 
-    base = chunked_eval(kernel, pts, jobs=1)
-    assert [b.size for b in base] == [100] * 5 + [12]
-    assert np.array_equal(np.concatenate(base), kernel(pts))
+    base = chunked_eval(kernel, grid.axes, jobs=1)
+    assert [b.shape for b in base] == [(1, 8, 8)] * 8
+    assert np.array_equal(np.concatenate([b.ravel() for b in base]), kernel(grid.points))
     for jobs in (2, 3, 8):
-        blocks = chunked_eval(kernel, pts, jobs=jobs)
+        blocks = chunked_eval(kernel, grid.axes, jobs=jobs)
         assert len(blocks) == len(base)
         assert all(np.array_equal(b, c) for b, c in zip(blocks, base))
 
@@ -631,11 +640,13 @@ def test_chunked_eval_uses_no_more_processes_than_blocks(monkeypatch):
     def kernel(p):
         return os.getpid()
 
-    for grid, jobs, n_forks in (((8, 4, 4), 8, 1), ((8, 8, 7), 3, 2), ((8, 4, 4), 1, 0)):
-        pts = torus_chart().quadrature_grid(grid).points
+    # 4 planes of 16 points per block, or 1 plane of 56
+    for grid, jobs, n_blocks, n_forks in (((8, 4, 4), 8, 2, 1), ((8, 8, 7), 3, 8, 2),
+                                          ((8, 4, 4), 1, 2, 0)):
+        axes = torus_chart().quadrature_grid(grid).axes
         forks.clear()
-        pids = chunked_eval(kernel, pts, jobs=jobs)
-        assert len(pids) == -(-pts.shape[1] // 64)
+        pids = chunked_eval(kernel, axes, jobs=jobs)
+        assert len(pids) == n_blocks
         assert len(forks) == n_forks
         assert set(pids) <= {os.getpid()} | {child.pid for child in forks}
         assert multiprocessing.active_children() == []
@@ -644,16 +655,17 @@ def test_chunked_eval_uses_no_more_processes_than_blocks(monkeypatch):
 def test_each_block_runs_once_on_more_processes_than_cores(monkeypatch, deadline):
     """No block is lost or run twice."""
     monkeypatch.setattr(geometry, "BLOCK_POINTS", 2)
-    pts = torus_chart().quadrature_grid((8, 8, 4)).points     # 128 blocks
+    grid = torus_chart().quadrature_grid((8, 8, 4))     # 128 blocks of half a row
+    pts = grid.points
     runs = multiprocessing.get_context("fork").Value("q", 0)
 
     def kernel(p):
         with runs.get_lock():
             runs.value += 1
-        return p[:, 0].tolist()
+        return _first_point(p)
 
     with deadline(60):
-        firsts = chunked_eval(kernel, pts, jobs=(os.cpu_count() or 1) + 2)
+        firsts = chunked_eval(kernel, grid.axes, jobs=(os.cpu_count() or 1) + 2)
     assert runs.value == 128
     assert firsts == pts[:, ::2].T.tolist()
 
@@ -663,7 +675,7 @@ def test_two_block_sweep_runs_its_blocks_on_two_workers(monkeypatch, deadline):
     run at once, one on the caller and one on the one child that ``jobs=2``
     forks."""
     monkeypatch.setattr(geometry, "BLOCK_POINTS", 64)
-    pts = torus_chart().quadrature_grid((8, 4, 4)).points     # 2 blocks
+    axes = torus_chart().quadrature_grid((8, 4, 4)).axes     # 2 blocks
     barrier = multiprocessing.get_context("fork").Barrier(2)
 
     def kernel(p):
@@ -671,7 +683,7 @@ def test_two_block_sweep_runs_its_blocks_on_two_workers(monkeypatch, deadline):
         return os.getpid()
 
     with deadline(60):
-        pids = chunked_eval(kernel, pts, jobs=2)
+        pids = chunked_eval(kernel, axes, jobs=2)
     assert len(set(pids)) == 2 and os.getpid() in pids
 
 
@@ -679,10 +691,10 @@ def test_chunked_eval_gives_block_b_to_process_b_mod_p(monkeypatch, deadline):
     """Blocks go to the caller and its children by fixed stride: with three
     processes over seven blocks, block b runs where block b mod 3 does."""
     monkeypatch.setattr(geometry, "BLOCK_POINTS", 64)
-    pts = torus_chart().quadrature_grid((8, 8, 7)).points     # 7 blocks
+    axes = torus_chart().quadrature_grid((7, 8, 8)).axes     # 7 blocks
 
     with deadline(60):
-        pids = chunked_eval(lambda p: os.getpid(), pts, jobs=3)
+        pids = chunked_eval(lambda p: os.getpid(), axes, jobs=3)
     assert len(pids) == 7
     assert all(pids[b] == pids[b % 3] for b in range(7))
     assert pids[0] == os.getpid()
@@ -691,24 +703,25 @@ def test_chunked_eval_gives_block_b_to_process_b_mod_p(monkeypatch, deadline):
 
 def test_chunked_eval_raises_the_first_error_in_block_order(monkeypatch, deadline):
     monkeypatch.setattr(geometry, "BLOCK_POINTS", 16)
-    pts = torus_chart().quadrature_grid((8, 4, 4)).points     # 8 blocks
+    grid = torus_chart().quadrature_grid((8, 4, 4))     # 8 blocks
+    pts = grid.points
     caller = os.getpid()
     caller_failed = []
 
     def block_of(p):
-        return int(np.flatnonzero((pts == p[:, :1]).all(axis=0))[0]) // 16
+        return int(np.flatnonzero((pts.T == _first_point(p)).all(axis=1))[0]) // 16
 
     def kernel(p):
         block = block_of(p)
         if block == 3:
             time.sleep(0.3)     # so that block 6 fails first on the other process
         if block in (3, 6):
-            raise NotSPDError(p[:, 0], block, -1.0)
+            raise NotSPDError(_first_point(p), block, -1.0)
         return block
 
     for jobs in (1, 2, 4):
         with deadline(30), pytest.raises(NotSPDError) as err:
-            chunked_eval(kernel, pts, jobs=jobs)
+            chunked_eval(kernel, grid.axes, jobs=jobs)
         assert err.value.minor_index == 3
         assert err.value.point == tuple(pts[:, 48])
         assert multiprocessing.active_children() == []
@@ -718,7 +731,7 @@ def test_chunked_eval_raises_the_first_error_in_block_order(monkeypatch, deadlin
             time.sleep(0.05)
             return block_of(p)
         caller_failed.append(block_of(p))
-        raise NotSPDError(p[:, 0], caller_failed[-1], -1.0)
+        raise NotSPDError(_first_point(p), caller_failed[-1], -1.0)
 
     def caller_interrupted(p):
         if os.getpid() == caller:
@@ -728,11 +741,11 @@ def test_chunked_eval_raises_the_first_error_in_block_order(monkeypatch, deadlin
 
     for jobs in (2, 4):
         with deadline(30), pytest.raises(NotSPDError) as err:
-            chunked_eval(callers_block_fails, pts, jobs=jobs)
+            chunked_eval(callers_block_fails, grid.axes, jobs=jobs)
         assert err.value.minor_index == caller_failed[-1]
         assert multiprocessing.active_children() == []
         with deadline(30), pytest.raises(KeyboardInterrupt):
-            chunked_eval(caller_interrupted, pts, jobs=jobs)
+            chunked_eval(caller_interrupted, grid.axes, jobs=jobs)
         assert multiprocessing.active_children() == []
 
 
@@ -740,7 +753,7 @@ def test_a_child_that_dies_mid_sweep_raises_child_process_error(monkeypatch, dea
     """A child that exits without sending its blocks fails the sweep with
     its exit code instead of hanging it."""
     monkeypatch.setattr(geometry, "BLOCK_POINTS", 64)
-    pts = torus_chart().quadrature_grid((8, 8, 4)).points     # 4 blocks
+    axes = torus_chart().quadrature_grid((8, 8, 4)).axes     # 4 blocks
     caller = os.getpid()
 
     def kernel(p):
@@ -750,19 +763,19 @@ def test_a_child_that_dies_mid_sweep_raises_child_process_error(monkeypatch, dea
         return 0
 
     with deadline(20), pytest.raises(ChildProcessError, match="exited with code 3"):
-        chunked_eval(kernel, pts, jobs=2)
+        chunked_eval(kernel, axes, jobs=2)
     assert multiprocessing.active_children() == []
 
 
 def test_chunked_eval_runs_serially_while_other_threads_live(monkeypatch):
     """Forking a process that runs other threads is unsafe."""
     monkeypatch.setattr(geometry, "BLOCK_POINTS", 64)
-    pts = torus_chart().quadrature_grid((8, 4, 4)).points
+    axes = torus_chart().quadrature_grid((8, 4, 4)).axes     # 2 blocks
     release = threading.Event()
     other = threading.Thread(target=release.wait, args=(30,))
     other.start()
     try:
-        pids = chunked_eval(lambda p: os.getpid(), pts, jobs=2)
+        pids = chunked_eval(lambda p: os.getpid(), axes, jobs=2)
     finally:
         release.set()
         other.join(30)

@@ -20,6 +20,7 @@ from planefield.models import (ExprMetricPath, SurfaceMetric, TwistSpec,
                                transfer_metric, twist_map_points,
                                verify_metric_path)
 from planefield.models import paths
+from planefield.models.base import require_static
 from planefield.models.paths import _entry_eval
 from planefield.verify import _spd_pairs
 
@@ -331,6 +332,31 @@ def test_rank_one_path_rejects_t_dependent_metrics():
     for pair in [(g, h), (h, g)]:
         with pytest.raises(ConfigError, match="rank-one path needs a t-independent"):
             rank_one_path(*pair)
+
+
+def test_require_static_accepts_every_shipped_surface_metric_and_refuses_t():
+    """The shipped surface metrics (the twist checks' annulus metric and its
+    pullbacks, the product fibration's torus metric, the metric-path
+    checks' seeded pairs) and the rank-one paths built on them read no t,
+    so they pass; a straight-line path, whose entries read t, and a
+    surface metric that reads t are refused."""
+    annulus = SurfaceMetric.from_strings(annulus_surface_chart(),
+                                         ("1 + 0.2*sin(th)^2", "0.1", "1"))
+    torus = SurfaceMetric.from_strings(torus_surface_chart(), ("1 + 0.5*sin(u)^2", "0", "1"))
+    pairs = _spd_pairs({}, 7, 20) + _spd_pairs({}, 77, 3)
+    surfaces = [annulus, torus, *(m for pair in pairs for m in pair)]
+    surfaces += [dehn_twist_pullback(annulus, TwistSpec(1.0, 1.5, k)) for k in (1, -1, 2)]
+    for surface in surfaces:
+        require_static(surface.entries, "surface")
+    assert product_fibration(torus).metric is not None
+    for g, h in pairs[-3:]:
+        path = rank_one_path(g, h)
+        require_static(path.base_entries + path.diff_entries, "rank-one path")
+        with pytest.raises(ConfigError, match="path needs a t-independent"):
+            require_static(straight_line_path(g, h).entries, "path")
+    t_metric = SurfaceMetric.from_strings(torus_surface_chart(), ("2 + 0*t", "0", "1"))
+    with pytest.raises(ConfigError, match="product fibration needs a t-independent"):
+        product_fibration(t_metric)
 
 
 def test_rank_one_path_names_a_non_finite_entry_before_subdividing(monkeypatch):
