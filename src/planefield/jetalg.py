@@ -146,7 +146,7 @@ def take(x, idx):
     broadcast along it; floats, 0-d arrays and ``None`` stay as they are."""
     if isinstance(x, list):
         return [take(y, idx) for y in x]
-    return (x[tuple(i if n > 1 else np.zeros_like(i) for i, n in zip(idx, x.shape))]
+    return (x.reshape(-1)[np.ravel_multi_index(idx, x.shape, mode="clip")]
             if isinstance(x, np.ndarray) and x.ndim else x)
 
 
