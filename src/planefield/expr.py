@@ -586,9 +586,8 @@ def batch_shape(points) -> tuple:
 
 def point_at(points, i: int) -> list:
     """The three coordinates of point ``i``, in C order, of a point batch."""
-    shape, coords = batch_shape(points), _coords(points)
-    at = np.unravel_index(i, shape)
-    return [float(np.broadcast_to(c, shape)[at]) for c in coords]
+    shape = batch_shape(points)
+    return [float(np.broadcast_to(c, shape).flat[i]) for c in _coords(points)]
 
 
 def _check_points(points) -> tuple:
