@@ -19,13 +19,14 @@ M_ij = n^l Gamma_{l,ij}, ``curvature_arrays`` takes, one column at a time,
     <[S, T], n>    = (S^i d_i T^k - T^i d_i S^k) nu_k.
 
 The kernel frame of alpha spans the coordinate plane m of the largest
-|alpha_m|.  A sweep block whose points pick more than one plane is split
-into one group per plane: each group's frame, metric and normal entries
-are gathered from the block's, the curvature runs on the group, and its
-arrays are scattered back in block order, so every reduction sees the
-values the whole block would give.  Dense frames (``distribution_frames``,
-``tangent_frame``, the metric transfer) scatter each group's entries into
-one array.
+|alpha_m|.  A sweep block whose points pick more than one plane has one
+frame group per plane: a mask of the points that pick it, and that
+plane's frame on the whole block.  The curvature runs once per group on
+the whole block, and each point keeps the arrays of its own plane
+through ``np.where``; so does each point of a dense frame
+(``distribution_frames``, ``tangent_frame``, the metric transfer).  Every
+value at a point comes from the same elementwise operations on the same
+operands as on a block of one plane.
 """
 
 from __future__ import annotations
@@ -43,7 +44,7 @@ from .geometry import (ExactSum, MetricField, MetricJets, OneForm,
                        VectorField, christoffel_contract, chunked_eval,
                        divergence_entries, grid_blocks, wedge_entries)
 from .jetalg import (add, adjugate3, column, cross, dense, det3, div, dot3,
-                     matvec, mul, neg, sub, take)
+                     matvec, mul, neg, sub)
 
 __all__ = [
     "Distribution", "FrameData", "CurvatureReport",
@@ -141,39 +142,50 @@ def _plane_frame(a: list, da: list, m: int) -> tuple:
 def _kernel_frame(a: list, da: list, shape: tuple) -> tuple:
     """Kernel frame from the coordinate plane m of the largest |alpha_m|
     (the first on ties), and where it is defined.  One group per plane that
-    wins somewhere: its points idx (index arrays; ``None`` where one plane
-    wins at every point) and its frame entries there, from the form's
-    entries at idx, each group built as it is iterated."""
+    wins somewhere (plane 0 on an empty batch): a mask of its points and
+    that plane's frame entries on the whole batch."""
     mags = np.abs(np.stack([column(x, shape) for x in a]))
     m = np.argmax(mags, axis=0)
     ok = np.max(mags, axis=0) > 0.0
-    if not m.size or m.min() == m.max():
-        return [(None, *_plane_frame(a, da, int(m.max(initial=0))))], ok
-    groups = [(p, np.nonzero(m == p)) for p in range(3)]
-    return ((idx, *_plane_frame(take(a, idx), take(da, idx), p))
-            for p, idx in groups if idx[0].size), ok
+    planes = [p for p in range(3) if (m == p).any()] or [0]
+    return [(m == p, *_plane_frame(a, da, p)) for p in planes], ok
 
 
-def _frame(dist: Distribution, points: np.ndarray, cov: tuple,
-           frame: Optional[tuple] = None) -> tuple:
-    """An iterable of frame groups (idx, e, de) with entries e[b][k] and
-    de[b][i][k] = d_i E_b^k at the points idx, and validity: the kernel
-    frame of the covector ``cov``, the span fields, or ``frame``, whose one
-    group has idx ``None``, the whole batch."""
-    fields = frame if frame is not None else dist.span_fields
-    if fields is None:
-        return _kernel_frame(*cov, batch_shape(points))
-    e, de = zip(*(f._tape.entries(points) for f in fields))
-    return [(None, list(e), list(de))], np.ones(batch_shape(points), dtype=bool)
+def _span_frame(fields: list, shape: tuple) -> tuple:
+    """The one frame group of the entries (e, de) of two spanning fields,
+    and where it is defined: everywhere."""
+    e, de = zip(*fields)
+    ok = np.ones(shape, dtype=bool)
+    return [(ok, list(e), list(de))], ok
+
+
+def _frame(dist: Distribution, points: np.ndarray, frame: Optional[tuple] = None) -> tuple:
+    """The covector entries (a, da) (see ``_covector``), the frame groups
+    (mask, e, de) with entries e[b][k] and de[b][i][k] = d_i E_b^k, and
+    where the frame is defined: the kernel frame of alpha, the span fields,
+    or ``frame``.  Each field is evaluated once."""
+    shape = batch_shape(points)
+    if dist.kind == "kernel":
+        cov = dist.alpha._tape.entries(points)
+    else:
+        spans = [f._tape.entries(points) for f in dist.span_fields]
+        cov = _cross(*spans)
+    if frame is not None:
+        return cov, *_span_frame([f._tape.entries(points) for f in frame], shape)
+    return cov, *(_kernel_frame(*cov, shape) if dist.kind == "kernel" else _span_frame(spans, shape))
 
 
 def _dense_frame(groups, shape: tuple) -> tuple:
     """Frame values ``(..., b, k)`` and Jacobians ``(..., b, i, k) = d_i
-    E_b^k`` of frame groups, each group's entries scattered to its points."""
-    val, jac = np.zeros(shape + (2, 3)), np.zeros(shape + (2, 3, 3))
-    for idx, e, de in groups:
-        at, n = (Ellipsis, shape) if idx is None else (idx, idx[0].shape)
-        val[at], jac[at] = dense(e, n), dense(de, n)
+    E_b^k`` of frame groups, each point's from the group whose mask holds
+    it."""
+    val = jac = None
+    for mask, e, de in groups:
+        v, j = dense(e, shape), dense(de, shape)
+        if val is not None:
+            v = np.where(mask[..., None, None], v, val)
+            j = np.where(mask[..., None, None, None], j, jac)
+        val, jac = v, j
     return val, jac
 
 
@@ -185,9 +197,13 @@ def distribution_frames(dist: Distribution, points: np.ndarray,
     vector fields (they are trusted to span the plane; classify checks
     Gram degeneracy downstream either way).
     """
-    cov = _covector(dist, points) if frame is None and dist.kind == "kernel" else None
-    groups, ok = _frame(dist, points, cov, frame)
-    val, jac = _dense_frame(groups, batch_shape(points))
+    shape = batch_shape(points)
+    if frame is None and dist.kind == "kernel":
+        groups, ok = _kernel_frame(*_covector(dist, points), shape)
+    else:
+        fields = dist.span_fields if frame is None else frame
+        groups, ok = _span_frame([f._tape.entries(points) for f in fields], shape)
+    val, jac = _dense_frame(groups, shape)
     return FrameData(val=val, jac=jac, ok=ok,
                      desc=_FRAME_DESC[dist.kind if frame is None else "explicit"])
 
@@ -308,6 +324,7 @@ class _Block:
     entries of unit normal and covector (see ``_block_arrays``)."""
 
     arrs: dict            # curvature arrays; "ok" includes a well-defined normal
+    frames: list          # frame groups (see ``_frame``)
     frame_ok: np.ndarray
     gram_ok: np.ndarray   # frame defined, metric SPD, frame Gram non-degenerate
     n: list
@@ -320,23 +337,18 @@ def _block_arrays(mj: MetricJets, dist: Distribution, points: np.ndarray,
                   frame: Optional[tuple] = None) -> _Block:
     """Curvature arrays, frame and unit normal at a batch from one
     evaluation of the plane's defining fields.  Where the kernel frame's
-    coordinate plane changes inside the batch, the curvature runs on each
-    plane's points and its arrays are scattered back in batch order."""
-    a, da = _covector(dist, points)
-    frames, frame_ok = _frame(dist, points, (a, da), frame)
+    coordinate plane changes inside the batch, the curvature runs on the
+    whole batch once per plane, and each point keeps its own plane's
+    arrays."""
+    (a, da), frames, frame_ok = _frame(dist, points, frame)
     n, nok = _unit_normal(mj, a, dist.co_orientation)
-    arrs = {}
-    for idx, e, de in frames:
-        if idx is None:
-            arrs = _curvature(mj, e, de, n, frame_ok)
-            continue
-        for key, x in _curvature(mj.take(idx), e, de, take(n, idx), frame_ok[idx]).items():
-            if key not in arrs:
-                arrs[key] = np.empty(mj.shape, x.dtype)
-            arrs[key][idx] = x
+    arrs = None
+    for mask, e, de in frames:
+        x = _curvature(mj, e, de, n, frame_ok)
+        arrs = x if arrs is None else {k: np.where(mask, v, arrs[k]) for k, v in x.items()}
     gram_ok = arrs["ok"]
     arrs["ok"] = gram_ok & nok
-    return _Block(arrs, frame_ok, gram_ok, n, nok, a, da)
+    return _Block(arrs, frames, frame_ok, gram_ok, n, nok, a, da)
 
 
 # ---------------------------------------------------------------------------
@@ -372,7 +384,7 @@ def tangent_frame(metric: MetricField, dist: Distribution, point,
     b, p, squeeze = _point_block(metric, dist, point, frame)
     _require_plane(b.frame_ok, p, "vanishing defining form")
     _require_plane(b.gram_ok, p, "frame Gram degenerate")
-    val = _dense_frame(_frame(dist, p, (b.a, b.da), frame)[0], p.shape[1:])[0]
+    val = _dense_frame(b.frames, p.shape[1:])[0]
     e0, e1 = val[..., 0, :], val[..., 1, :]
     return (e0[0], e1[0]) if squeeze else (e0, e1)
 

@@ -55,7 +55,7 @@ import numpy as np
 
 from . import expr
 from .errors import ConfigError, NotSPDError, SingularSampleError
-from .jetalg import add, adjugate3, dense, det3, div, dot3, matvec, mul, sub, take
+from .jetalg import add, adjugate3, dense, det3, div, dot3, matvec, mul, sub
 
 __all__ = [
     "SingularLocus", "Chart", "GridSample", "MetricField", "MetricJets",
@@ -474,15 +474,13 @@ class MetricJets:
     ``dval`` ``(..., l, i, j)`` and ``inv()`` are the dense arrays of the
     public API, built on first use; sweeps use the entries only."""
 
-    def __init__(self, entries, shape: tuple, spd=None):
+    def __init__(self, entries, shape: tuple):
         self.shape = shape
         self.jets = [[entries[k] for k in row] for row in _SYMMETRIC]
         self.g = [[jet.value for jet in row] for row in self.jets]
         self.dg = [[[jet.partials[l] for jet in row] for row in self.jets] for l in range(3)]
-        if spd is None:
-            m0, m1, m2 = (np.greater(m, 0.0) for m in self.minors_entries)
-            spd = np.broadcast_to(m0 & m1 & m2, shape)
-        self.spd = spd
+        m0, m1, m2 = (np.greater(m, 0.0) for m in self.minors_entries)
+        self.spd = np.broadcast_to(m0 & m1 & m2, shape)
 
     @cached_property
     def adj(self) -> list:
@@ -491,13 +489,6 @@ class MetricJets:
     @cached_property
     def minors_entries(self) -> tuple:
         return self.g[0][0], self.adj[2][2], det3(self.g, self.adj)
-
-    def take(self, idx: tuple) -> "MetricJets":
-        """The same jets and SPD mask at the points ``idx`` (index arrays, one
-        per batch axis); adjugate and minors follow on first use."""
-        return MetricJets([expr.Jet1(take(x.value, idx), take(list(x.partials), idx))
-                           for x in (self.jets[i][j] for i, j in _UPPER)],
-                          idx[0].shape, self.spd[idx])
 
     @cached_property
     def val(self) -> np.ndarray:

@@ -30,7 +30,7 @@ import numpy as np
 
 __all__ = [
     "dot3", "matvec", "cross", "adjugate3", "det3", "mul", "add", "sub",
-    "div", "neg", "column", "dense", "take", "jets_from_metric",
+    "div", "neg", "column", "dense", "jets_from_metric",
 ]
 
 
@@ -138,16 +138,6 @@ def adjugate3(m) -> list:
 def det3(m, adj):
     """det m as the expansion of m along row 0 against its adjugate."""
     return dot3(m[0], [adj[0][0], adj[1][0], adj[2][0]])
-
-
-def take(x, idx):
-    """Nested entries at the points ``idx`` (index arrays, one per batch
-    axis) of their batch, an entry of length 1 on an axis taken as
-    broadcast along it; floats, 0-d arrays and ``None`` stay as they are."""
-    if isinstance(x, list):
-        return [take(y, idx) for y in x]
-    return (x.reshape(-1)[np.ravel_multi_index(idx, x.shape, mode="clip")]
-            if isinstance(x, np.ndarray) and x.ndim else x)
 
 
 def jets_from_metric(mj) -> list:

@@ -80,8 +80,7 @@ def transfer_metric(metric: MetricField, xi: Distribution, eta: Distribution,
     mj.require_spd(pts)
 
     g = jetalg.jets_from_metric(mj)
-    a_xi = _covector(xi, pts)
-    groups, ok = _frame(xi, pts, a_xi)
+    a_xi, groups, ok = _frame(xi, pts)
     _require_plane(ok, pts, "xi degenerates")
     val, jac = _dense_frame(groups, shape)
     v1, v2 = ([Jet1(val[:, b, k], [jac[:, b, i, k] for i in range(3)]) for k in range(3)]

@@ -1,9 +1,9 @@
 """The CI workflow runs the Tier-1 suite and the benchmark self-check on
 every supported Python, once on the oldest supported numpy, compares
 every builtin suite's report bodies at one and two processes and, at one,
-two and three, the classify bodies of the Reeb model and of a random form
-that reads every axis and the flat-torus integrals of the graph foliation
-and of that form, compares the
+two and three, the classify bodies of the Reeb model and of two random
+forms that read every axis and the flat-torus integrals of the graph
+foliation and of those forms, at 48^3 and on row-slab blocks, compares the
 per-point CSVs of the Reeb model and of the flat torus's graph foliation
 at one and two processes and a Reeb CSV at 48^3 at one, two and three,
 and checks the 32^3 CSVs for -0.0, bounds the peak RSS of
@@ -24,6 +24,11 @@ WORKFLOW = Path(__file__).resolve().parents[1] / ".github" / "workflows" / "test
 _SAVE_RANDOM_TORUS = ("m = catalog.flat_torus_model(); m.forms['random'] = "
                       "catalog.random_periodic_form(0); "
                       "chartio.save_model(m, 'torus-random.json')")
+# the same with random_periodic_form(5), whose blocks at 48^3 and 5x200x100
+# include blocks whose points pick two kernel planes
+_SAVE_RANDOM5_TORUS = ("m = catalog.flat_torus_model(); m.forms['random'] = "
+                       "catalog.random_periodic_form(5); "
+                       "chartio.save_model(m, 'torus-random5.json')")
 
 
 def test_workflow_runs_tier1_and_selfcheck_on_python_310_and_311():
@@ -78,12 +83,14 @@ def test_workflow_compares_suite_bodies_across_worker_counts():
 
 def test_workflow_compares_reeb_classify_bodies_across_worker_counts():
     """One step emits the Reeb model and the flat torus with
-    ``random_periodic_form(0)``, classifies both at 48^3 with --jobs 1, 2
-    and 3 and fails unless the three report bodies of each are equal.  The
-    Reeb fields read r alone, so its sweep is one block of 48 points; the
-    random form reads every axis, so its sweep has seven blocks, the last
-    one partial: more than one block per process and a partial block are
-    merged, and at 3 two children run beside the caller."""
+    ``random_periodic_form(0)`` and with ``random_periodic_form(5)``,
+    classifies all three at 48^3 with --jobs 1, 2 and 3 and fails unless
+    the three report bodies of each are equal.  The Reeb fields read r
+    alone, so its sweep is one block of 48 points; the random forms read
+    every axis, so their sweeps have seven blocks, the last one partial:
+    more than one block per process and a partial block are merged, and at
+    3 two children run beside the caller.  Two of form 5's blocks pick two
+    kernel planes; none of form 0's does."""
     workflow = yaml.safe_load(WORKFLOW.read_text(encoding="utf-8"))
     runs = [step.get("run", "") for step in workflow["jobs"]["tests"]["steps"]]
     step = next(run for run in runs if "model reeb --emit" in run)
@@ -95,9 +102,14 @@ def test_workflow_compares_reeb_classify_bodies_across_worker_counts():
         assert ("PYTHONPATH=src python -m planefield.cli classify torus-random.json "
                 f"--distribution random --grid 48,48,48 --jobs {jobs} "
                 f"--output random{jobs}.json") in step
+        assert ("PYTHONPATH=src python -m planefield.cli classify torus-random5.json "
+                f"--distribution random --grid 48,48,48 --jobs {jobs} "
+                f"--output random5-{jobs}.json") in step
+    assert _SAVE_RANDOM5_TORUS in step
     assert "('reeb1.json', 'reeb2.json', 'reeb3.json')" in step
     assert "('random1.json', 'random2.json', 'random3.json')" in step
-    assert step.count("sys.exit(not a == b == c)") == 2
+    assert "('random5-1.json', 'random5-2.json', 'random5-3.json')" in step
+    assert step.count("sys.exit(not a == b == c)") == 3
 
 
 def test_workflow_compares_reeb_csv_across_worker_counts():
@@ -130,13 +142,13 @@ def test_workflow_compares_reeb_csv_across_worker_counts():
 
 def test_workflow_compares_torus_integral_bodies_across_worker_counts():
     """One step saves the flat-torus model and the flat torus with
-    ``random_periodic_form(0)``, integrates H of the graph foliation and of
-    the random form at 48^3 with --jobs 1, 2 and 3 and fails unless the
-    three report bodies of each are equal.  The graph foliation reads x and
-    y, so its sweep is one block of 48^2 points; the random form reads every
-    axis, so its sweep has seven blocks, the last one partial, in uneven
-    strides over three processes, and the exact block sums are merged
-    across workers."""
+    ``random_periodic_form(0)`` and with ``random_periodic_form(5)``,
+    integrates H of the graph foliation and of the random forms at 48^3
+    with --jobs 1, 2 and 3 and fails unless the three report bodies of each
+    are equal.  The graph foliation reads x and y, so its sweep is one block
+    of 48^2 points; the random forms read every axis, so their sweeps have
+    seven blocks, the last one partial, in uneven strides over three
+    processes, and the exact block sums are merged across workers."""
     workflow = yaml.safe_load(WORKFLOW.read_text(encoding="utf-8"))
     runs = [step.get("run", "") for step in workflow["jobs"]["tests"]["steps"]]
     step = next(run for run in runs if "integrate-h" in run)
@@ -149,9 +161,33 @@ def test_workflow_compares_torus_integral_bodies_across_worker_counts():
         assert ("PYTHONPATH=src python -m planefield.cli integrate-h torus-random.json "
                 "--distribution random --grid 48,48,48 "
                 f"--jobs {jobs} --output torus-random{jobs}.json") in step
+        assert ("PYTHONPATH=src python -m planefield.cli integrate-h torus-random5.json "
+                "--distribution random --grid 48,48,48 "
+                f"--jobs {jobs} --output torus-random5-{jobs}.json") in step
+    assert _SAVE_RANDOM5_TORUS in step
     assert "('torus1.json', 'torus2.json', 'torus3.json')" in step
     assert "('torus-random1.json', 'torus-random2.json', 'torus-random3.json')" in step
-    assert step.count("sys.exit(not a == b == c)") == 2
+    assert "('torus-random5-1.json', 'torus-random5-2.json', 'torus-random5-3.json')" in step
+    assert step.count("sys.exit(not a == b == c)") == 3
+
+
+def test_workflow_compares_row_slab_bodies_across_worker_counts():
+    """One step saves the flat torus with ``random_periodic_form(0)`` and
+    with ``random_periodic_form(5)``, classifies both and integrates H of
+    both at 5x200x100, where each block is a slab of rows, with --jobs 1, 2
+    and 3, and fails unless the three report bodies of each run are equal."""
+    workflow = yaml.safe_load(WORKFLOW.read_text(encoding="utf-8"))
+    runs = [step.get("run", "") for step in workflow["jobs"]["tests"]["steps"]]
+    step = next(run for run in runs if "--grid 5,200,100" in run)
+    assert _SAVE_RANDOM_TORUS in step and _SAVE_RANDOM5_TORUS in step
+    assert "for jobs in 1 2 3; do" in step
+    for model, prefix in (("torus-random.json", "slab"), ("torus-random5.json", "slab5")):
+        for op, name in (("classify", "classify"), ("integrate-h", "integral")):
+            assert (f"PYTHONPATH=src python -m planefield.cli {op} {model} "
+                    "--distribution random --grid 5,200,100 --jobs $jobs "
+                    f"--output {prefix}-{name}$jobs.json") in step
+    assert ("load(f'{s}-{k}1.json') == load(f'{s}-{k}2.json') == load(f'{s}-{k}3.json') "
+            "for s in ('slab', 'slab5') for k in ('classify', 'integral')") in step
 
 
 def test_workflow_bounds_the_peak_rss_of_128_cubed_sweeps():

@@ -150,6 +150,50 @@ def test_tangent_frame_names_the_point_of_a_degenerate_gram(torus):
                               "frame Gram degenerate")
 
 
+def test_each_defining_field_runs_once_per_block(reeb, monkeypatch):
+    """A span's S and T give both the covector S x T and the frame, so a
+    span classify runs each field's tape once per block; tangent_frame runs
+    the form's tape and each explicit frame field's tape once."""
+    runs = []
+    run = geometry.expr.Tape.run
+    monkeypatch.setattr(geometry.expr.Tape, "run",
+                        lambda tape, points: runs.append(tape) or run(tape, points))
+    monkeypatch.setattr(geometry, "BLOCK_POINTS", 16)
+    s, t = reeb.frame("paper")
+    classify(reeb.metric, Distribution.span(s, t), grid=(40, 4, 4))   # 40 values of r
+    blocks = runs.count(reeb.metric._tape)
+    assert blocks > 1 and runs.count(s._tape) == runs.count(t._tape) == blocks
+    assert len(runs) == 3 * blocks
+
+    runs.clear()
+    dist = reeb.distribution()
+    tangent_frame(reeb.metric, dist, reeb.chart.random_points(5, seed=2), frame=(s, t))
+    assert sorted(map(id, runs)) == sorted(map(id, (reeb.metric._tape, dist.alpha._tape,
+                                                    s._tape, t._tape)))
+
+
+@pytest.mark.parametrize("api", _POINT_APIS + [tangent_frame, distribution_frames],
+                         ids=lambda f: f.__name__)
+def test_point_api_on_a_zero_point_batch(api, reeb, torus):
+    """An empty batch gives empty arrays of the batch's shapes, for a kernel
+    whose points may pick any plane, a span and an explicit frame."""
+    shapes = {normal_field: [(0, 3)], second_fundamental_form: [(0, 2, 2)],
+              tangent_frame: [(0, 3), (0, 3)], distribution_frames: [(0, 2, 3), (0, 2, 3, 3), (0,)]}
+    cases = [(torus.metric, Distribution.kernel(random_periodic_form(5)), {}),
+             (reeb.metric, Distribution.span(*reeb.frame("paper")), {}),
+             (reeb.metric, reeb.distribution(), {"frame": reeb.frame("paper")})]
+    for metric, dist, frame in cases:
+        if api is normal_field and frame:
+            continue
+        if api is distribution_frames:
+            fd = api(dist, np.empty((3, 0)), **frame)
+            got = [fd.val, fd.jac, fd.ok]
+        else:
+            got = api(metric, dist, np.empty((3, 0)), **frame)
+            got = list(got) if isinstance(got, tuple) else [got]
+        assert [x.shape for x in got] == shapes.get(api, [(0,)])
+
+
 def test_error_messages_print_plain_floats():
     p = np.array([0.5, 0.1, 0.3])
     errors = [NotSPDError(p, np.int64(1), np.float64(-2.0)),
@@ -455,20 +499,27 @@ def test_all_axes_classify_body_independent_of_jobs_and_block_size(torus, swept,
     assert set(swept) == {math.prod(BLOCK_GRID)}
 
 
-def _mixed_plane_cases(reeb, torus):
+def _mixed_plane_cases(reeb, torus, contact_box):
     """Reeb at 64x16x16, one block of the shipped size whose points pick
-    two kernel planes, and a random form on the torus over two blocks, the
-    first with points on two planes and the second partial."""
-    return [(reeb.metric, reeb.distribution(), (64, 16, 16)),
-            (torus.metric, Distribution.kernel(random_periodic_form(5)), (32, 32, 24))]
+    two kernel planes; a random form on the torus over two blocks, the
+    first with points on two planes and the second partial; and
+    ker(exp(800x) dx + dz) on the contact box at 24x8x8, which picks plane
+    2 for x < 0 and plane 0 for x > 0, where its entries overflow.
+    Each case ends with whether its frame Gram is non-degenerate at every
+    point; the steep form's overflows for x > 0.222."""
+    steep = Distribution.kernel(OneForm(contact_box.chart, ("exp(800*x)", "0", "1")))
+    return [(reeb.metric, reeb.distribution(), (64, 16, 16), True),
+            (torus.metric, Distribution.kernel(random_periodic_form(5)), (32, 32, 24), True),
+            (contact_box.metric, steep, (24, 8, 8), False)]
 
 
-def test_mixed_plane_blocks_independent_of_block_size(reeb, torus, swept, monkeypatch,
-                                                      tmp_path):
+@pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+def test_mixed_plane_blocks_independent_of_block_size(reeb, torus, contact_box, swept,
+                                                      monkeypatch, tmp_path):
     """The CSV sweeps every grid point.  The random form reads every axis, so
     its classify does too, over two blocks of the shipped size."""
     assert 64 * 16 * 16 == SHIPPED_BLOCK
-    for metric, dist, grid in _mixed_plane_cases(reeb, torus):
+    for metric, dist, grid, _ in _mixed_plane_cases(reeb, torus, contact_box):
         pts = metric.chart.sample_grid(grid).points
         planes = np.argmax(np.abs(dist.alpha.eval(pts)[0]), axis=-1)
         assert len(set(planes[:SHIPPED_BLOCK])) > 1
@@ -477,19 +528,31 @@ def test_mixed_plane_blocks_independent_of_block_size(reeb, torus, swept, monkey
             return _body_and_csv(metric, dist, grid, jobs, tmp_path / "points.csv")
 
         assert len(_bodies_across_blocks(monkeypatch, sweep)) == 1
-    assert sorted(set(swept)) == [64, 64 * 16 * 16, 32 * 32 * 24]
+    assert sorted(set(swept)) == [24, 64, 24 * 8 * 8, 64 * 16 * 16, 32 * 32 * 24]
 
 
-def test_frames_of_mixed_plane_batches_match_the_mask_scatter(reeb, torus):
-    for metric, dist, grid in _mixed_plane_cases(reeb, torus):
+@pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+def test_frames_of_mixed_plane_batches_match_the_mask_scatter(reeb, torus, contact_box):
+    """Where the frame Gram overflows (the steep form's, for x > 0.222),
+    tangent_frame names the first such point and is checked on the rest."""
+    for metric, dist, grid, gram_valid in _mixed_plane_cases(reeb, torus, contact_box):
         pts = metric.chart.sample_grid(grid).points
         val, jac, ok = _oracle_kernel_frame(*dist.alpha.eval(pts))
         fd = distribution_frames(dist, pts)
         for got, want in ((fd.val, val), (fd.jac, jac)):
             assert (got + 0.0).tobytes() == (want + 0.0).tobytes()
         assert fd.ok.tobytes() == ok.tobytes()
-        s, t = tangent_frame(metric, dist, pts)
-        assert s.tobytes() == val[:, 0].tobytes() and t.tobytes() == val[:, 1].tobytes()
+        if gram_valid:
+            s, t = tangent_frame(metric, dist, pts)
+            assert s.tobytes() == val[:, 0].tobytes() and t.tobytes() == val[:, 1].tobytes()
+            continue
+        gram_ok = _block_arrays(metric.eval(pts), dist, pts).gram_ok
+        assert 0 < np.count_nonzero(gram_ok) < gram_ok.size and np.isinf(val).any()
+        with pytest.raises(DegenerateDistributionError, match="frame Gram degenerate") as err:
+            tangent_frame(metric, dist, pts)
+        assert err.value.point == tuple(pts[:, np.argmax(~gram_ok)])
+        s, t = tangent_frame(metric, dist, pts[:, gram_ok])
+        assert s.tobytes() == val[gram_ok, 0].tobytes() and t.tobytes() == val[gram_ok, 1].tobytes()
 
 
 def _lexsort_top(valid, k_e):
